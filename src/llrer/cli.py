@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .bandwidth import BandwidthGrid, select_bandwidth, write_cv_trace_csv
+from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidth, write_cv_trace_csv
 from .errors import CalibrationError, ConfigError, DataError
 from .kernels import KernelKind
 from .loclin import Estimator, EstimatorConfig, fit_curve, write_curve_csv
@@ -52,9 +52,10 @@ def _add_estimator_flags(parser):
 
 
 def _add_cv_grid_flags(parser):
-    parser.add_argument("--h-lo", type=float, default=0.01, help="bandwidth grid start (default 0.01)")
-    parser.add_argument("--h-hi", type=float, default=2.0, help="bandwidth grid end (default 2.0)")
-    parser.add_argument("--h-step", type=float, default=0.01, help="bandwidth grid step (default 0.01)")
+    grid = DEFAULT_BANDWIDTH_GRID
+    parser.add_argument("--h-lo", type=float, default=grid.lo, help=f"bandwidth grid start (default {grid.lo})")
+    parser.add_argument("--h-hi", type=float, default=grid.hi, help=f"bandwidth grid end (default {grid.hi})")
+    parser.add_argument("--h-step", type=float, default=grid.step, help=f"bandwidth grid step (default {grid.step})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,7 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="config file path or bundled config name")
     p_sim.add_argument("--out", required=True, help="output directory")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config file seed")
-    p_sim.add_argument("--jobs", type=int, default=1, help="worker processes (output is identical for any value)")
+    p_sim.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes, at most one per replication and CPU (output is identical for any value)",
+    )
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cal = sub.add_parser("calibrate", help="find the censoring shift c for a target censoring proportion")

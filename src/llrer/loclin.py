@@ -24,6 +24,8 @@ from .errors import ConfigError, DataError
 from .kernels import KernelKind, scaled_kernel
 from .survival import CensoredSample, SurvivalStep, SyntheticResponses, km_censoring_survival, synthetic_transform
 
+DEFAULT_EPSILON = 1e-12
+
 
 class Estimator(Enum):
     """The three smoothers; values double as CLI/config names."""
@@ -54,7 +56,7 @@ class EstimatorConfig:
 
     bandwidth: float
     kernel: KernelKind = KernelKind.GAUSSIAN
-    denominator_epsilon: float = 1e-12
+    denominator_epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         h = float(self.bandwidth)

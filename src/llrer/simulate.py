@@ -20,6 +20,7 @@ parallel without changing the output.
 from __future__ import annotations
 
 import csv
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -27,10 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidth
+from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidths
 from .errors import CalibrationError, ConfigError
 from .kernels import KernelKind
-from .loclin import Estimator, EstimatorConfig, FittedCurve, fit_curve
+from .loclin import DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, fit_curve
 from .survival import CensoredSample, NonPositiveResponseWarning
 
 
@@ -214,7 +215,7 @@ class SimulationConfig:
     h: float | None = None
     cv_grid: BandwidthGrid | None = None
     positive_only: bool = False
-    denominator_epsilon: float = 1e-12
+    denominator_epsilon: float = DEFAULT_EPSILON
     calibration_tolerance: float = 0.005
 
     def __post_init__(self):
@@ -321,13 +322,12 @@ def _run_replication(config: SimulationConfig, c: float, rep: int) -> Replicatio
     with warnings.catch_warnings():
         # the per-replication non-positive count already reports this
         warnings.simplefilter("ignore", NonPositiveResponseWarning)
+        if config.h is None:
+            selections = select_bandwidths(
+                config.estimators, sample, config.kernel, config.cv_grid, config.denominator_epsilon
+            )
         for est in config.estimators:
-            if config.h is not None:
-                h = config.h
-            else:
-                h = select_bandwidth(
-                    est, sample, config.kernel, config.cv_grid, config.denominator_epsilon
-                ).h_opt
+            h = config.h if config.h is not None else selections[est].h_opt
             est_config = EstimatorConfig(h, config.kernel, config.denominator_epsilon)
             curve = fit_curve(est, sample, est_config, config.grid)
             h_used[est] = float(h)
@@ -348,7 +348,8 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
     """Run the full replication study; deterministic given config.seed.
 
     Replications use independent derived seeds, so the output is identical
-    for any jobs >= 1; jobs > 1 runs them in worker processes.
+    for any jobs >= 1; jobs > 1 runs them in at most min(jobs, replications,
+    CPU count) worker processes.
     """
     if config.c is not None:
         c = float(config.c)
@@ -359,10 +360,11 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
             seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)),
         )
     tasks = [(config, c, rep) for rep in range(config.replications)]
-    if jobs <= 1:
+    workers = min(jobs, config.replications, os.cpu_count() or 1)
+    if workers <= 1:
         results = [_replication_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replication_task, tasks))
     return SimulationReport(config, c, tuple(results))
 
@@ -515,8 +517,8 @@ def load_simulation_config(path) -> SimulationConfig:
         if kwargs["h"] is not None:
             raise ConfigError(f"{path}: give h or h_lo/h_hi/h_step, not both")
         kwargs["cv_grid"] = BandwidthGrid(
-            pull("h_lo", float) if "h_lo" in entries else 0.01,
-            pull("h_hi", float) if "h_hi" in entries else 2.0,
-            pull("h_step", float) if "h_step" in entries else 0.01,
+            pull("h_lo", float) if "h_lo" in entries else DEFAULT_BANDWIDTH_GRID.lo,
+            pull("h_hi", float) if "h_hi" in entries else DEFAULT_BANDWIDTH_GRID.hi,
+            pull("h_step", float) if "h_step" in entries else DEFAULT_BANDWIDTH_GRID.step,
         )
     return SimulationConfig(**kwargs)

@@ -148,6 +148,42 @@ def km_censoring_survival(sample: CensoredSample) -> SurvivalStep:
     return SurvivalStep(times[keep], vals[keep])
 
 
+def loo_censoring_survival(sample: CensoredSample) -> np.ndarray:
+    """Leave-one-out left-limit censoring survival at every response.
+
+    Returns the n x n matrix G with G[i, j] the left limit at y_j of
+    km_censoring_survival refitted without observation i, computed from two
+    prefix products instead of n refits. Dropping i from the sorted sample
+    keeps the order of the rest and lowers the at-risk count by one before
+    i's sorted position p_i, so those factors become 1 - (1-d_k)/(n-1-k);
+    the factors after p_i are the plain ones, and i's own factor is gone.
+    The left limit at y_j multiplies the factors before the start s_j of
+    j's tie group.
+    """
+    n = sample.n
+    if n < 2:
+        raise DataError("leave-one-out survival needs at least 2 observations")
+    order = np.lexsort((-sample.delta, sample.y))
+    ys = sample.y[order]
+    censored = 1.0 - sample.delta[order]
+    k = np.arange(n)
+    plain = np.cumprod(np.r_[1.0, 1.0 - censored / (n - k)])
+    reduced = np.cumprod(np.r_[1.0, 1.0 - censored[:-1] / (n - 1 - k[:-1])])
+    group_start = np.maximum.accumulate(np.where(np.r_[True, ys[1:] != ys[:-1]], k, 0))
+    p = np.argsort(order)  # sorted position of each record
+    s = group_start[p]
+    # factors p_i+1 .. s_j-1 are plain: reduced[p_i] * plain[s_j] / plain[p_i+1];
+    # the last sorted record has no later group, so its ratio is never used
+    rescale = reduced[p] / plain[np.minimum(p + 1, n - 1)]
+    later = s[None, :] > p[:, None]
+    gbar = np.where(later, rescale[:, None] * plain[s][None, :], reduced[s][None, :])
+    if ys[-1] > ys[-2]:
+        # a unique largest response lies beyond its own fold's largest
+        # observation, where the step is 0
+        gbar[order[-1], order[-1]] = 0.0
+    return gbar
+
+
 def survival_eval(step: SurvivalStep, t, side: str = "right"):
     """Evaluate a survival step at t; see SurvivalStep.eval for the side rule."""
     return step.eval(t, side=side)
@@ -158,14 +194,14 @@ def synthetic_values(y, delta, order: int, gbar) -> np.ndarray:
 
     gbar holds the censoring survival evaluated at each response: pass
     Kaplan-Meier left limits for the feasible transform, or exact survival
-    values when the censoring distribution is known.
+    values when the censoring distribution is known. The three inputs
+    broadcast, so one call can transform every leave-one-out fold.
     """
     if order not in SYNTHETIC_ORDERS:
         raise ConfigError(f"order must be one of {SYNTHETIC_ORDERS}, got {order!r}")
     y = np.asarray(y, dtype=float)
-    delta = np.asarray(delta)
+    uncensored = np.asarray(delta) == 1
     gbar = np.asarray(gbar, dtype=float)
-    uncensored = delta == 1
     if order in (1, 2):
         if np.any(uncensored & (y == 0.0)):
             raise DataError(f"inverse moment of order {order} undefined at an uncensored zero response")
@@ -178,8 +214,10 @@ def synthetic_values(y, delta, order: int, gbar) -> np.ndarray:
             )
     if np.any(uncensored & (gbar <= 0.0)):
         raise DataError("censoring survival is zero at an uncensored response")
-    out = np.zeros(y.shape, dtype=float)
-    out[uncensored] = y[uncensored] ** (-order) / gbar[uncensored]
+    with np.errstate(divide="ignore", over="ignore"):
+        moment = y ** (-order)  # only uncensored entries are kept, and checked below
+    out = np.zeros(np.broadcast_shapes(y.shape, uncensored.shape, gbar.shape))
+    np.divide(moment, gbar, out=out, where=uncensored)
     if not np.isfinite(out).all():
         raise DataError("synthetic responses overflow; responses too close to zero")
     return out

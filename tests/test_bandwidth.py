@@ -1,23 +1,32 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llrer import (
     BandwidthGrid,
     CensoredSample,
     ConfigError,
+    DataError,
     DEFAULT_BANDWIDTH_GRID,
     Estimator,
     EstimatorConfig,
     KernelKind,
+    NonPositiveResponseWarning,
     cr_point,
     cv_score,
     km_censoring_survival,
     llcr_point,
     llrer_point,
     select_bandwidth,
+    select_bandwidths,
     synthetic_transform,
     write_cv_trace_csv,
 )
+from llrer.bandwidth import _workspace
 
 POINT_FN = {Estimator.LLRER: llrer_point, Estimator.LLCR: llcr_point, Estimator.CR: cr_point}
 
@@ -37,6 +46,43 @@ def loo_score_oracle(estimator, sample, kernel, h):
         degenerate += est.degenerate
         score += (target[i] - est.value) ** 2
     return score, degenerate
+
+
+def refit_fold_responses(sample, order):
+    """Row i: order-`order` synthetic responses of Kaplan-Meier refitted without i."""
+    out = np.zeros((sample.n, sample.n))
+    idx = np.arange(sample.n)
+    for i in range(sample.n):
+        keep = idx != i
+        sub = CensoredSample(sample.y[keep], sample.delta[keep], sample.x[keep])
+        out[i, keep] = synthetic_transform(sub, km_censoring_survival(sub), order).values
+    return out
+
+
+def outcome(fn):
+    """(value or DataError raised, whether a NonPositiveResponseWarning was emitted)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn()
+        except DataError as exc:
+            value = exc
+    return value, any(issubclass(w.category, NonPositiveResponseWarning) for w in caught)
+
+
+@st.composite
+def awkward_samples(draw):
+    """Tied responses drawn from a pool that holds zero, negative, tiny and
+    outlying values, with random censoring."""
+    n = draw(st.integers(2, 10))
+    pool = st.sampled_from((0.0, -0.5, 1e-170, 0.3, 1.0, 2.5, 40.0, 1e6))
+    y = draw(st.lists(pool | st.floats(0.05, 5.0), min_size=n, max_size=n))
+    delta = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return CensoredSample(np.array(y), np.array(delta), np.zeros(n))
+
+
+def traces_bits(selection):
+    return [(p.h.hex(), p.score.hex(), p.degenerate_folds) for p in selection.trace]
 
 
 def random_censored_sample(rng, n):
@@ -124,6 +170,57 @@ class TestCvScore:
         a = cv_score(Estimator.CR, s, KernelKind.GAUSSIAN, 0.6)
         b = cv_score(Estimator.CR, doubled, KernelKind.GAUSSIAN, 0.6)
         assert a != b
+
+
+class TestFoldResponses:
+    @settings(max_examples=200, deadline=None)
+    @given(awkward_samples(), st.sampled_from((-1, 1, 2)))
+    def test_closed_form_matches_refit(self, sample, order):
+        # the same DataError and, when none is raised, the same warning and
+        # responses; after a DataError the refit's warnings depend on the
+        # order in which it visits the folds, so they are not compared
+        got, got_warned = outcome(lambda: _workspace(sample, (order,)).tau[order])
+        want, want_warned = outcome(lambda: refit_fold_responses(sample, order))
+        if isinstance(want, DataError):
+            assert isinstance(got, DataError)
+        else:
+            assert not isinstance(got, DataError), got
+            assert got_warned == want_warned
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_inverse_moment_at_zero_raises(self):
+        s = CensoredSample([0.0, 1.0, 2.0], [1, 1, 0], [0.0, 0.5, 1.0])
+        with pytest.raises(DataError, match="inverse moment"):
+            cv_score(Estimator.LLRER, s, KernelKind.GAUSSIAN, 0.5)
+        # order -1 is the plain response, so LLCR and CR accept the zero
+        assert np.isfinite(cv_score(Estimator.CR, s, KernelKind.GAUSSIAN, 0.5))
+
+    def test_warns_on_negative_uncensored(self):
+        s = CensoredSample([-1.0, 1.0, 2.0], [1, 1, 0], [0.0, 0.5, 1.0])
+        with pytest.warns(NonPositiveResponseWarning):
+            cv_score(Estimator.LLRER, s, KernelKind.GAUSSIAN, 0.5)
+
+
+class TestSelectBandwidths:
+    SUBSETS = [c for r in (1, 2, 3) for c in itertools.combinations(Estimator, r)]
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    @pytest.mark.parametrize("subset", SUBSETS, ids=lambda c: "+".join(e.value for e in c))
+    def test_joint_equals_single_bit_for_bit(self, subset, kernel):
+        rng = np.random.default_rng(64)
+        s = random_censored_sample(rng, 30)
+        grid = BandwidthGrid(0.1, 1.5, 0.1)
+        joint = select_bandwidths(subset, s, kernel, grid)
+        assert list(joint) == list(subset)
+        for est in subset:
+            alone = select_bandwidth(est, s, kernel, grid)
+            assert joint[est].h_opt == alone.h_opt
+            assert traces_bits(joint[est]) == traces_bits(alone)
+
+    def test_rejects_empty(self):
+        s = CensoredSample([1.0, 2.0], [1, 1], [0.0, 1.0])
+        with pytest.raises(ConfigError):
+            select_bandwidths((), s, KernelKind.GAUSSIAN)
 
 
 class TestSelectBandwidth:

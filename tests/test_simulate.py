@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import llrer.simulate
 from llrer import (
     BandwidthGrid,
     CalibrationError,
@@ -20,6 +21,7 @@ from llrer import (
     monte_carlo_run,
     ratio_second_order,
     theoretical_curve,
+    write_curves_csv,
 )
 
 SD_DIFF = math.sqrt(5.04)  # var(T) + var(C) = 4.04 + 1
@@ -290,6 +292,39 @@ class TestMonteCarloRun:
         for ra, rb in zip(serial.results, parallel.results):
             assert ra.rep == rb.rep
             assert np.array_equal(ra.curves[Estimator.LLRER].values, rb.curves[Estimator.LLRER].values)
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(64, 8, 3), (2, 8, 2), (64, 2, 2), (64, None, None), (1, 8, None), (4, 1, None)],
+    )
+    def test_worker_pool_capped(self, monkeypatch, tmp_path, jobs, cpus, workers):
+        # the pool is replaced by an in-process stand-in that records its size,
+        # so no worker process is ever started
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(llrer.simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(llrer.simulate.os, "cpu_count", lambda: cpus)
+        cfg = SimulationConfig(
+            n=25, replications=3, seed=9, c=-2.0, h=0.5,
+            estimators=(Estimator.CR,), grid=np.linspace(1.0, 2.0, 5),
+        )
+        write_curves_csv(monte_carlo_run(cfg, jobs=jobs), tmp_path / "pooled.csv")
+        assert created == ([] if workers is None else [workers])
+        write_curves_csv(monte_carlo_run(cfg), tmp_path / "serial.csv")
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_failed_replication_recorded_not_fatal(self):
         # n = 1 cannot cross-validate, so every replication fails but the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from llrer import (
@@ -9,6 +11,7 @@ from llrer import (
     DataError,
     NonPositiveResponseWarning,
     km_censoring_survival,
+    loo_censoring_survival,
     read_sample_csv,
     survival_eval,
     synthetic_transform,
@@ -21,6 +24,36 @@ def make(y, delta, x=None):
     if x is None:
         x = np.zeros_like(y)
     return CensoredSample(y, np.asarray(delta), x)
+
+
+@st.composite
+def tied_samples(draw, pool=st.floats(0.01, 10.0)):
+    """Small samples with tied responses, optional outlier scaling and one of
+    three censoring patterns: random, all censored or a single uncensored record."""
+    n = draw(st.integers(2, 12))
+    values = draw(st.lists(pool, min_size=1, max_size=n))
+    y = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    pattern = draw(st.sampled_from(("random", "all_censored", "one_uncensored")))
+    if pattern == "random":
+        delta = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    else:
+        delta = np.zeros(n, dtype=int)
+        if pattern == "one_uncensored":
+            delta[draw(st.integers(0, n - 1))] = 1
+    scaled = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    y = np.where(scaled, y * draw(st.sampled_from((50.0, 1e6))), y)
+    return make(y, delta)
+
+
+def refit_left_limits(sample):
+    """Row i: left limits at every y of Kaplan-Meier refitted without record i."""
+    idx = np.arange(sample.n)
+    rows = []
+    for i in range(sample.n):
+        keep = idx != i
+        sub = CensoredSample(sample.y[keep], sample.delta[keep], sample.x[keep])
+        rows.append(km_censoring_survival(sub).eval(sample.y, side="left"))
+    return np.array(rows)
 
 
 class TestCensoredSample:
@@ -120,6 +153,27 @@ class TestKaplanMeier:
         a = km_censoring_survival(make(y, d))
         b = km_censoring_survival(make(np.exp(y), d))
         assert np.array_equal(a.values, b.values)
+
+
+class TestLeaveOneOutSurvival:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_samples())
+    def test_matches_refit_per_fold(self, sample):
+        np.testing.assert_allclose(loo_censoring_survival(sample), refit_left_limits(sample), rtol=1e-12, atol=0.0)
+
+    def test_hand_values(self):
+        # fold 0 keeps the uncensored 2 (nothing below it); fold 1 keeps only
+        # the censored 1, whose step is 0 from y = 1 on
+        got = loo_censoring_survival(make([1.0, 2.0], [0, 1]))
+        assert np.array_equal(got, [[1.0, 1.0], [1.0, 0.0]])
+
+    def test_ties_across_delta(self):
+        s = make([1.0, 2.0, 2.0, 2.0, 3.0], [0, 0, 1, 0, 1])
+        np.testing.assert_allclose(loo_censoring_survival(s), refit_left_limits(s), rtol=1e-12, atol=0.0)
+
+    def test_rejects_single_observation(self):
+        with pytest.raises(DataError):
+            loo_censoring_survival(make([1.0], [1]))
 
 
 class TestSurvivalEval:
