@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import KernelKind, kernel_eval
-from .loclin import DEFAULT_EPSILON, Estimator, required_orders
+from .loclin import DEFAULT_EPSILON, Estimator, _masked_ratio, _ratio_terms, required_orders
 from .survival import (
     CensoredSample,
     km_censoring_survival,
@@ -101,40 +101,6 @@ def _workspace(sample: CensoredSample, orders: Iterable[int]) -> _Workspace:
     return _Workspace(dx, dx * dx, target, tau)
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row sums of a * b without the n x n product."""
-    return np.einsum("ij,ij->i", a, b)
-
-
-def _fold_ratios(ws: _Workspace, estimators, kernel: KernelKind, h: float) -> dict:
-    """Per-fold (numerator, denominator, degeneracy scale) of each estimator.
-
-    One kernel matrix serves every estimator; LLCR and CR share the row sums
-    of tau[-1] * w and of w.
-    """
-    w = kernel_eval(kernel, ws.dx / h)
-    np.fill_diagonal(w, 0.0)
-    out = {}
-    if Estimator.LLRER in estimators:
-        a = ws.tau[1] * w
-        s10, s11 = a.sum(axis=1), _row_dot(a, ws.dx)
-        np.multiply(ws.tau[2], w, out=a)
-        s20, s21, s22 = a.sum(axis=1), _row_dot(a, ws.dx), _row_dot(a, ws.dx2)
-        out[Estimator.LLRER] = (s22 * s10 - s21 * s11, s22 * s20 - s21 * s21, np.abs(s22 * s20))
-    if Estimator.LLCR in estimators or Estimator.CR in estimators:
-        a = ws.tau[-1] * w
-        t0 = a.sum(axis=1)
-        p0 = w.sum(axis=1)
-        if Estimator.LLCR in estimators:
-            t1 = _row_dot(a, ws.dx)
-            p1 = _row_dot(w, ws.dx)
-            p2 = _row_dot(w, ws.dx2)
-            out[Estimator.LLCR] = (p2 * t0 - p1 * t1, p2 * p0 - p1 * p1, np.abs(p2 * p0))
-        if Estimator.CR in estimators:
-            out[Estimator.CR] = (t0, p0, np.ones_like(p0))
-    return out
-
-
 def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: float) -> dict:
     """Trace of (h, score, degenerate_folds) over hs for each estimator."""
     estimators = tuple(dict.fromkeys(estimators))
@@ -150,10 +116,10 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     ws = _workspace(sample, orders)
     traces = {e: [] for e in estimators}
     for h in hs:
-        for e, (num, den, scale) in _fold_ratios(ws, estimators, kernel, h).items():
-            degenerate = np.abs(den) <= eps * scale
-            pred = np.zeros_like(den)
-            np.divide(num, den, out=pred, where=~degenerate)
+        w = kernel_eval(kernel, ws.dx / h)
+        np.fill_diagonal(w, 0.0)
+        for e, terms in _ratio_terms(estimators, w, ws.dx, ws.dx2, ws.tau).items():
+            pred, degenerate = _masked_ratio(*terms, eps)
             resid = ws.target - pred
             traces[e].append(CVPoint(h, float(np.sum(resid * resid)), int(degenerate.sum())))
     return {e: tuple(trace) for e, trace in traces.items()}

@@ -2,7 +2,8 @@
 campaigns and censoring calibration with file-based I/O.
 
 Exit codes are a stable contract: 0 success, 2 input data error, 3
-configuration error, 4 I/O error (unwritable outputs). All randomness flows
+configuration error, 4 I/O error (unwritable outputs), 5 simulate wrote its
+outputs but at least one replication failed. All randomness flows
 from a seed: the --seed flag for calibrate, the config file's seed (or the
 --seed override) for simulate; estimation and bandwidth selection are
 deterministic and take none.
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
+EXIT_REPLICATION = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -208,7 +210,7 @@ def _cmd_simulate(args) -> int:
     for r in failures:
         print(f"replication {r.rep} failed: {r.error}", file=sys.stderr)
     print(f"wrote {outdir} ({config.replications} replications, {len(failures)} failed)")
-    return EXIT_OK
+    return EXIT_REPLICATION if failures else EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:

@@ -41,10 +41,19 @@ def kernel_eval(kind: KernelKind, u):
     kernel is never truncated.
     """
     u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape)
+    # one buffer, in the operation order of norm * exp(-0.5 * u * u) and 0.75 * max(1 - u * u, 0)
     if kind is KernelKind.GAUSSIAN:
-        out = _GAUSS_NORM * np.exp(-0.5 * u * u)
+        np.multiply(u, -0.5, out=out)
+        out *= u
+        np.exp(out, out=out)
+        out *= _GAUSS_NORM
     elif kind is KernelKind.EPANECHNIKOV:
-        out = np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+        # fmax maps a nan u to 0, as it does every |u| > 1
+        np.multiply(u, u, out=out)
+        np.subtract(1.0, out, out=out)
+        np.fmax(out, 0.0, out=out)
+        out *= 0.75
     else:
         raise ConfigError(f"unknown kernel kind: {kind!r}")
     return float(out) if out.ndim == 0 else out

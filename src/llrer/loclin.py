@@ -1,10 +1,11 @@
 """Point estimators on censored samples: LLRER, LLCR and CR.
 
-LLRER is the local linear fit under squared relative error, evaluated
-through one-pass moment statistics in O(n) per point. LLCR is the classical
-local linear fit on the synthetic responses, and CR the Nadaraya-Watson
-form. The quadratic double-sum forms of LLRER and LLCR are shipped
-alongside as permanent cross-checks for the moment-statistics path.
+LLRER is the local linear fit under squared relative error, LLCR the
+classical local linear fit on the synthetic responses and CR the
+Nadaraya-Watson form. Point estimates, curves and cross-validation share one
+ratio path, _ratio_terms, with one evaluation point per row. The quadratic
+double-sum forms of LLRER and LLCR are shipped alongside as permanent
+cross-checks for that path.
 
 A point where the fit's denominator vanishes is degenerate: it reports the
 value 0 together with an explicit flag, so downstream metrics can exclude
@@ -21,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import KernelKind, scaled_kernel
+from .kernels import KernelKind, kernel_eval, scaled_kernel
 from .survival import CensoredSample, SurvivalStep, SyntheticResponses, km_censoring_survival, synthetic_transform
 
 DEFAULT_EPSILON = 1e-12
@@ -115,10 +116,85 @@ def moment_statistics(
     return MomentStatistics(float(x), kernel_moments, response_moments)
 
 
-def _ratio_estimate(num: float, den: float, scale: float, eps: float) -> PointEstimate:
-    if abs(den) <= eps * scale:
-        return PointEstimate(0.0, True)
-    return PointEstimate(float(num / den), False)
+_REQUIRED_ORDERS = {
+    Estimator.LLRER: (1, 2),
+    Estimator.LLCR: (-1,),
+    Estimator.CR: (-1,),
+}
+
+
+def required_orders(estimator: Estimator) -> tuple:
+    """Synthetic-response orders an estimator consumes."""
+    return _REQUIRED_ORDERS[estimator]
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row sums of a * b without the product array.
+
+    numpy sums a lone row longer than 8192 in another order than the rows of
+    a taller array; reading it twice keeps points equal to curve values.
+    """
+    if a.shape[0] == 1:
+        shape = (2, a.shape[1])
+        return np.einsum("ij,ij->i", np.broadcast_to(a, shape), np.broadcast_to(b, shape))[:1]
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _ratio_terms(estimators, w: np.ndarray, dx: np.ndarray, dx2: np.ndarray, tau) -> dict:
+    """Per-row (numerator, denominator, degeneracy scale) of each estimator.
+
+    Row r holds evaluation point r: weights w, offsets dx = x_j - point and
+    dx2 = dx * dx. tau[order] is per row (leave-one-out folds) or 1-d and
+    shared by every row. LLCR and CR share the row sums of tau[-1] * w and w.
+    """
+    out = {}
+    if Estimator.LLRER in estimators:
+        a = tau[1] * w
+        s10, s11 = a.sum(axis=1), _row_dot(a, dx)
+        np.multiply(tau[2], w, out=a)
+        s20, s21, s22 = a.sum(axis=1), _row_dot(a, dx), _row_dot(a, dx2)
+        out[Estimator.LLRER] = (s22 * s10 - s21 * s11, s22 * s20 - s21 * s21, np.abs(s22 * s20))
+    if Estimator.LLCR in estimators or Estimator.CR in estimators:
+        a = tau[-1] * w
+        t0 = a.sum(axis=1)
+        p0 = w.sum(axis=1)
+        if Estimator.LLCR in estimators:
+            t1 = _row_dot(a, dx)
+            p1 = _row_dot(w, dx)
+            p2 = _row_dot(w, dx2)
+            out[Estimator.LLCR] = (p2 * t0 - p1 * t1, p2 * p0 - p1 * p1, np.abs(p2 * p0))
+        if Estimator.CR in estimators:
+            out[Estimator.CR] = (t0, p0, np.ones_like(p0))
+    return out
+
+
+def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: float):
+    """(num / den, degenerate): degenerate where |den| <= eps * scale, with value 0."""
+    degenerate = np.abs(den) <= eps * scale
+    value = np.zeros_like(den)
+    np.divide(num, den, out=value, where=~degenerate)
+    return value, degenerate
+
+
+# fit_curve evaluates at most this many (grid point, observation) pairs, or
+# one grid point, at once, so its memory stays O(n) for any grid length
+_BLOCK_ENTRIES = 2**20
+
+
+def _estimates(estimator, sample, step, config, points, responses=None):
+    """Estimates and degenerate flags at each of points, in blocks of rows."""
+    rmap = _response_map(sample, step, responses, required_orders(estimator))
+    tau = {o: rmap[o].values for o in required_orders(estimator)}
+    values = np.empty(points.size)
+    degenerate = np.empty(points.size, dtype=bool)
+    rows = max(1, _BLOCK_ENTRIES // sample.n)
+    for lo in range(0, points.size, rows):
+        block = slice(lo, lo + rows)
+        dx = sample.x[None, :] - points[block, None]
+        w = kernel_eval(config.kernel, dx / config.bandwidth)
+        terms = _ratio_terms((estimator,), w, dx, dx * dx, tau)[estimator]
+        values[block], degenerate[block] = _masked_ratio(*terms, config.denominator_epsilon)
+    return values, degenerate
 
 
 def _response_map(sample, step, responses, orders) -> Mapping[int, SyntheticResponses]:
@@ -128,7 +204,17 @@ def _response_map(sample, step, responses, orders) -> Mapping[int, SyntheticResp
     missing = [o for o in orders if o not in mapping]
     if missing:
         raise ConfigError(f"synthetic responses missing for orders {missing}")
+    if any(mapping[o].values.shape != sample.y.shape for o in orders):
+        raise DataError("synthetic responses do not match the sample length")
     return mapping
+
+
+def _first_point(values, degenerate) -> PointEstimate:
+    return PointEstimate(float(values[0]), bool(degenerate[0]))
+
+
+def _point(estimator, sample, step, config, x, responses) -> PointEstimate:
+    return _first_point(*_estimates(estimator, sample, step, config, np.array([float(x)]), responses))
 
 
 def llrer_point(
@@ -143,13 +229,7 @@ def llrer_point(
     Needs synthetic responses of orders 1 and 2; they are computed from the
     step when not supplied.
     """
-    rmap = _response_map(sample, step, responses, (1, 2))
-    m = moment_statistics(sample, (rmap[1], rmap[2]), config, x)
-    s1 = m.response_moments[1]
-    s2 = m.response_moments[2]
-    num = s2[2] * s1[0] - s2[1] * s1[1]
-    den = s2[2] * s2[0] - s2[1] * s2[1]
-    return _ratio_estimate(num, den, abs(s2[2] * s2[0]), config.denominator_epsilon)
+    return _point(Estimator.LLRER, sample, step, config, x, responses)
 
 
 def llrer_point_naive(
@@ -174,7 +254,7 @@ def llrer_point_naive(
     num = float((base * tau1[None, :]).sum())
     den = float((base * tau2[None, :]).sum())
     lead = float(((d * d * k * tau2)[:, None] * (k * tau2)[None, :]).sum())
-    return _ratio_estimate(num, den, abs(lead), config.denominator_epsilon)
+    return _first_point(*_masked_ratio(np.array([num]), np.array([den]), abs(lead), config.denominator_epsilon))
 
 
 def llcr_point(
@@ -185,13 +265,7 @@ def llcr_point(
     responses: Iterable[SyntheticResponses] | None = None,
 ) -> PointEstimate:
     """Classical local linear estimate on the synthetic responses at x."""
-    rmap = _response_map(sample, step, responses, (-1,))
-    m = moment_statistics(sample, (rmap[-1],), config, x)
-    p = m.kernel_moments
-    t = m.response_moments[-1]
-    num = p[2] * t[0] - p[1] * t[1]
-    den = p[2] * p[0] - p[1] * p[1]
-    return _ratio_estimate(num, den, abs(p[2] * p[0]), config.denominator_epsilon)
+    return _point(Estimator.LLCR, sample, step, config, x, responses)
 
 
 def llcr_point_naive(
@@ -210,7 +284,7 @@ def llcr_point_naive(
     num = float((v * tau[None, :]).sum())
     den = float(v.sum())
     lead = float(((d * d * k)[:, None] * k[None, :]).sum())
-    return _ratio_estimate(num, den, abs(lead), config.denominator_epsilon)
+    return _first_point(*_masked_ratio(np.array([num]), np.array([den]), abs(lead), config.denominator_epsilon))
 
 
 def cr_point(
@@ -221,29 +295,7 @@ def cr_point(
     responses: Iterable[SyntheticResponses] | None = None,
 ) -> PointEstimate:
     """Nadaraya-Watson estimate on the synthetic responses at x."""
-    rmap = _response_map(sample, step, responses, (-1,))
-    m = moment_statistics(sample, (rmap[-1],), config, x)
-    num = m.response_moments[-1][0]
-    den = m.kernel_moments[0]
-    return _ratio_estimate(num, den, 1.0, config.denominator_epsilon)
-
-
-_POINT_FUNCS = {
-    Estimator.LLRER: llrer_point,
-    Estimator.LLCR: llcr_point,
-    Estimator.CR: cr_point,
-}
-
-_REQUIRED_ORDERS = {
-    Estimator.LLRER: (1, 2),
-    Estimator.LLCR: (-1,),
-    Estimator.CR: (-1,),
-}
-
-
-def required_orders(estimator: Estimator) -> tuple:
-    """Synthetic-response orders an estimator consumes."""
-    return _REQUIRED_ORDERS[estimator]
+    return _point(Estimator.CR, sample, step, config, x, responses)
 
 
 @dataclass(frozen=True)
@@ -268,23 +320,16 @@ class FittedCurve:
 def fit_curve(estimator: Estimator, sample: CensoredSample, config: EstimatorConfig, grid) -> FittedCurve:
     """Evaluate one estimator over an ascending grid.
 
-    The Kaplan-Meier step and the synthetic responses are computed once and
-    reused across all grid points.
+    The Kaplan-Meier step and the synthetic responses are computed once; the
+    grid is evaluated in blocks of rows through the same ratio path as point
+    estimates and cross-validation.
     """
     grid = np.array(grid, dtype=float, ndmin=1)
     if grid.size == 0:
         raise ConfigError("evaluation grid is empty")
     if np.any(np.diff(grid) <= 0):
         raise ConfigError("evaluation grid must be strictly ascending")
-    step = km_censoring_survival(sample)
-    responses = [synthetic_transform(sample, step, o) for o in required_orders(estimator)]
-    point_fn = _POINT_FUNCS[estimator]
-    values = np.empty(grid.size)
-    degenerate = np.empty(grid.size, dtype=bool)
-    for i, xi in enumerate(grid):
-        est = point_fn(sample, step, config, float(xi), responses=responses)
-        values[i] = est.value
-        degenerate[i] = est.degenerate
+    values, degenerate = _estimates(estimator, sample, km_censoring_survival(sample), config, grid)
     return FittedCurve(grid, values, degenerate)
 
 

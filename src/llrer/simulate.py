@@ -236,6 +236,8 @@ class SimulationConfig:
         object.__setattr__(self, "estimators", ests)
         if (self.target_cp is None) == (self.c is None):
             raise ConfigError("exactly one of target_cp and c is required")
+        if self.c is not None and not np.isfinite(self.c):
+            raise ConfigError(f"c must be finite, got {self.c!r}")
         if self.target_cp is not None and not 0.0 < float(self.target_cp) < 1.0:
             raise ConfigError(f"target_cp must be in (0, 1), got {self.target_cp}")
         if not 0 <= int(self.outlier_count) <= self.n:
@@ -260,10 +262,10 @@ class SimulationConfig:
             object.__setattr__(self, "h", float(self.h))
         elif self.cv_grid is None:
             object.__setattr__(self, "cv_grid", DEFAULT_BANDWIDTH_GRID)
-        if self.denominator_epsilon < 0.0:
-            raise ConfigError("denominator_epsilon must be >= 0")
-        if self.calibration_tolerance <= 0.0:
-            raise ConfigError("calibration_tolerance must be > 0")
+        if not np.isfinite(self.denominator_epsilon) or self.denominator_epsilon < 0.0:
+            raise ConfigError(f"denominator_epsilon must be >= 0, got {self.denominator_epsilon!r}")
+        if not np.isfinite(self.calibration_tolerance) or self.calibration_tolerance <= 0.0:
+            raise ConfigError(f"calibration_tolerance must be > 0, got {self.calibration_tolerance!r}")
 
 
 @dataclass(frozen=True)

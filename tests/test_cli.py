@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from llrer import read_curve_csv
-from llrer.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, bundled_config_names, main
+import llrer.simulate
+from llrer.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REPLICATION, bundled_config_names, main
 
 HAND_CSV = "y,delta,x\n1.0,1,0.0\n2.0,1,0.5\n3.0,1,1.0\n"
 
@@ -184,6 +185,39 @@ class TestSimulate:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 10\nreplications = 0\nseed = 1\nc = -2\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "line",
+        ["c = nan", "c = inf", "denominator_epsilon = nan", "denominator_epsilon = inf",
+         "calibration_tolerance = nan"],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        body = SMALL_CFG.replace("c = -2\n", "") if line.startswith("c =") else SMALL_CFG
+        cfg.write_text(body + line + "\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_replication_sets_exit_code(self, tmp_path, monkeypatch, capsys):
+        run_replication = llrer.simulate._run_replication
+
+        def fail_second(config, c, rep):
+            if rep == 1:
+                raise RuntimeError("forced failure")
+            return run_replication(config, c, rep)
+
+        monkeypatch.setattr(llrer.simulate, "_run_replication", fail_second)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == EXIT_REPLICATION
+        assert EXIT_REPLICATION == 5
+        assert len((out / "curves.csv").read_text().splitlines()) == 1 + 2 * 6
+        assert (out / "summary.csv").is_file()
+        manifest = (out / "manifest.txt").read_text()
+        assert "replication_0_status = ok" in manifest
+        assert "replication_1_status = failed: RuntimeError: forced failure" in manifest
+        assert "1 failed" in capsys.readouterr().out
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

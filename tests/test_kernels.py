@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,3 +70,39 @@ def test_kernel_names():
     assert KernelKind.from_name(" Epanechnikov ") is KernelKind.EPANECHNIKOV
     with pytest.raises(ConfigError):
         KernelKind.from_name("tricube")
+
+
+def _formula(kind, u):
+    """The kernels written as one expression each, the reference for the in-place build."""
+    if kind is KernelKind.GAUSSIAN:
+        return 1.0 / math.sqrt(2.0 * math.pi) * np.exp(-0.5 * u * u)
+    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_in_place_build_matches_formula_bit_for_bit(kind):
+    one_up, one_down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    edges = [1.0, -1.0, 0.0, -0.0, one_up, -one_up, one_down, -one_down, np.inf, -np.inf]
+    u = np.concatenate([np.random.default_rng(5).normal(scale=2.0, size=5000), edges])
+    keep = u.copy()
+    with np.errstate(over="ignore"):
+        got = kernel_eval(kind, u)
+        want = _formula(kind, u)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(u.view(np.int64), keep.view(np.int64))  # the caller's u is left alone
+    for x in edges:
+        want = np.float64(_formula(kind, np.float64(x)))
+        assert np.float64(kernel_eval(kind, x)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_kernel_allocates_about_one_output_array(kind):
+    u = np.linspace(-3.0, 3.0, 2000 * 2000).reshape(2000, 2000)
+    tracemalloc.start()
+    try:
+        out = kernel_eval(kind, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == u.shape
+    assert peak <= 1.1 * u.nbytes

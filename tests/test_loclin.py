@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llrer import (
     CensoredSample,
@@ -17,7 +20,9 @@ from llrer import (
     llcr_point_naive,
     llrer_point,
     llrer_point_naive,
+    generate_sample,
     moment_statistics,
+    required_orders,
     read_curve_csv,
     synthetic_transform,
     write_curve_csv,
@@ -28,12 +33,45 @@ def gauss(u):
     return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
 
+POINT_FN = {Estimator.LLRER: llrer_point, Estimator.LLCR: llcr_point, Estimator.CR: cr_point}
+ORACLE = {Estimator.LLRER: llrer_point_naive, Estimator.LLCR: llcr_point_naive, Estimator.CR: cr_point}
+
+
 def random_censored_sample(rng, n):
     y = rng.lognormal(mean=0.5, sigma=0.6, size=n)
     delta = rng.integers(0, 2, n)
     delta[rng.integers(0, n)] = 1  # keep at least one uncensored
     x = rng.normal(size=n)
     return CensoredSample(y, delta, x)
+
+
+def condition_number(est, sample, step, config, x):
+    """|leading product| / |denominator| of the local linear fit at x (1 for CR)."""
+    if est is Estimator.CR:
+        return 1.0
+    m = moment_statistics(sample, [synthetic_transform(sample, step, o) for o in required_orders(est)], config, x)
+    s = m.response_moments[2] if est is Estimator.LLRER else m.kernel_moments
+    den = abs(s[2] * s[0] - s[1] * s[1])
+    return abs(s[2] * s[0]) / den if den > 0.0 else math.inf
+
+
+@st.composite
+def curve_cases(draw):
+    """Samples on a coarse lattice (ties in x and y, all-censored allowed) and
+    grids running past the data into tails that are degenerate for the
+    Epanechnikov kernel. Gaussian grids stay within a few bandwidths, where
+    no denominator falls near the degeneracy threshold by rounding alone."""
+    n = draw(st.integers(2, 25))
+    x = draw(st.lists(st.integers(-10, 10), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(2, 16), min_size=n, max_size=n))
+    delta = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    kernel = draw(st.sampled_from(list(KernelKind)))
+    h = draw(st.sampled_from((0.3, 0.5, 1.0) if kernel is KernelKind.EPANECHNIKOV else (0.5, 1.0)))
+    est = draw(st.sampled_from(list(Estimator)))
+    reach = 2.6 if kernel is KernelKind.EPANECHNIKOV else 1.2
+    grid = np.linspace(-reach, reach, draw(st.integers(1, 31))) + 0.0123
+    sample = CensoredSample(np.array(y) / 4.0, np.array(delta), np.array(x) / 10.0)
+    return sample, est, EstimatorConfig(h, kernel), grid
 
 
 class TestEstimatorConfig:
@@ -317,6 +355,61 @@ class TestFitCurve:
         b = fit_curve(Estimator.LLRER, s, cfg, grid)
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.degenerate, b.degenerate)
+
+    def test_one_point_grid_is_point_estimate_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        s = random_censored_sample(rng, 30)
+        step = km_censoring_survival(s)
+        for kernel in KernelKind:
+            cfg = EstimatorConfig(0.4, kernel)
+            for est, fn in POINT_FN.items():
+                for x0 in (-3.0, -0.2, 0.0, 0.9, 5.0):
+                    curve = fit_curve(est, s, cfg, [x0])
+                    point = fn(s, step, cfg, x0)
+                    assert np.float64(curve.values[0]).tobytes() == np.float64(point.value).tobytes()
+                    assert curve.degenerate[0] == point.degenerate
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    def test_long_rows_match_points(self):
+        # numpy reduces a lone row of more than 8192 entries differently from
+        # a taller array; a point must still equal its curve value
+        s = generate_sample(9000, -1.0, seed=405).sample
+        step = km_censoring_survival(s)
+        cfg = EstimatorConfig(0.3)
+        grid = np.linspace(1.0, 4.0, 9)
+        for est, fn in POINT_FN.items():
+            curve = fit_curve(est, s, cfg, grid)
+            for i, x0 in enumerate(grid):
+                point = fn(s, step, cfg, float(x0))
+                assert curve.values[i] == point.value
+                assert curve.degenerate[i] == point.degenerate
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(curve_cases())
+    def test_matches_naive_oracles(self, case):
+        s, est, cfg, grid = case
+        curve = fit_curve(est, s, cfg, grid)
+        step = km_censoring_survival(s)
+        for x0, value, flag in zip(grid, curve.values, curve.degenerate):
+            want = ORACLE[est](s, step, cfg, float(x0))
+            assert flag == want.degenerate, (x0, value, want)
+            if not flag:
+                cond = condition_number(est, s, step, cfg, float(x0))
+                assert value == pytest.approx(want.value, rel=1e-9 * max(1.0, cond), abs=1e-300), (x0, cond)
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    def test_memory_stays_below_one_grid_by_n_array(self):
+        s = generate_sample(200_000, -1.0, seed=406).sample
+        grid = np.linspace(1.0, 4.0, 61)
+        full_block = grid.size * s.n * 8
+        for est in Estimator:
+            tracemalloc.start()
+            try:
+                fit_curve(est, s, EstimatorConfig(0.3), grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * full_block, (est, peak)
 
     def test_rejects_unsorted_grid(self):
         s = CensoredSample([1.0, 2.0], [1, 1], [0.0, 1.0])
