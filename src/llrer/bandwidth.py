@@ -3,13 +3,24 @@
 Each fold removes one observation from both the smoother and the
 censoring-survival estimate, refits at the held-out covariate and scores the
 squared gap to that observation's full-sample synthetic response. The folds'
-Kaplan-Meier estimates come in closed form from loo_censoring_survival, with
-the same semantics as a refit per fold. A fold whose fit is degenerate
+Kaplan-Meier estimates come in the closed form of loo_censoring_survival,
+one block of rows at a time, with the same semantics as a refit per fold. A fold whose fit is degenerate
 predicts 0 (the shared convention) and is counted in the trace, so
 pathological bandwidths stay visible.
 
-select_bandwidths scores several estimators in one pass: one workspace per
-sample and one kernel evaluation per bandwidth, shared by every estimator.
+select_bandwidths scores several estimators in one pass, shared by every
+estimator. The folds are taken in blocks of at most loclin._BLOCK_ENTRIES
+(fold, observation) pairs: each block builds its rows of the leave-one-out
+responses once, then scores every bandwidth, so the workspace is
+O(n * block) instead of O(n^2), next to one stored prediction per fold,
+bandwidth and estimator. For a compact kernel (Epanechnikov) folds and
+observations are sorted by x, and each bandwidth evaluates only the window
+of columns within its support of the block, a superset of the non-zero
+weights. For the Gaussian kernel the window is every column, folds and
+columns stay in input order, and scores do not depend on the block size.
+Predictions are put back in input order, and each score is one sum in that
+order.
+
 cv_score and select_bandwidth go through the same pass, so a traced score
 always equals the score of a standalone call, alone or alongside others.
 """
@@ -25,13 +36,23 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import KernelKind, kernel_eval
-from .loclin import DEFAULT_EPSILON, Estimator, _masked_ratio, _ratio_terms, required_orders
+from .loclin import (
+    DEFAULT_EPSILON,
+    Estimator,
+    _block_rows,
+    _column_order,
+    _masked_ratio,
+    _ratio_terms,
+    _window,
+    required_orders,
+)
 from .survival import (
     CensoredSample,
+    _check_responses,
+    _divide_by_survival,
+    _loo_survival_rows,
     km_censoring_survival,
-    loo_censoring_survival,
     synthetic_transform,
-    synthetic_values,
 )
 
 
@@ -76,33 +97,38 @@ class BandwidthSelection(NamedTuple):
     trace: tuple
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """Precomputed leave-one-out structures, reusable across bandwidths.
+def _fold_blocks(sample: CensoredSample, orders, cols: np.ndarray):
+    """Blocks of leave-one-out folds in column order, with their responses.
 
-    Row i of each matrix describes the fold that drops observation i: dx[i, j]
-    is x_j - x_i and tau[order][i, j] the order-`order` synthetic response of
-    observation j under the Kaplan-Meier estimate that excludes i (0 at
-    j = i). target is the full-sample synthetic response of order -1.
+    Yields (block, tau): the folds are observations cols[block], at most
+    _block_rows(n) of them, and tau[order][r, c] is the order-`order`
+    synthetic response of observation cols[c] under the Kaplan-Meier
+    estimate that excludes cols[block][r] (0 for the fold itself). The
+    checks on the responses alone run once, before the first block; every
+    block checks its survival values and overflow over all columns.
     """
-
-    dx: np.ndarray
-    dx2: np.ndarray
-    target: np.ndarray
-    tau: dict
-
-
-def _workspace(sample: CensoredSample, orders: Iterable[int]) -> _Workspace:
-    target = synthetic_transform(sample, km_censoring_survival(sample), -1).values
-    gbar = loo_censoring_survival(sample)
-    in_fold = (sample.delta == 1)[None, :] & ~np.eye(sample.n, dtype=bool)
-    tau = {o: synthetic_values(sample.y, in_fold, o, gbar) for o in orders}
-    dx = sample.x[None, :] - sample.x[:, None]
-    return _Workspace(dx, dx * dx, target, tau)
+    uncensored = sample.delta == 1
+    # with n >= 2 every observation lies in some fold, so the folds' response
+    # checks are those of the whole sample
+    _check_responses(sample.y, uncensored, orders)
+    survival_rows = _loo_survival_rows(sample)
+    y, uncensored = sample.y[cols], uncensored[cols]
+    rows = _block_rows(sample.n)
+    for lo in range(0, sample.n, rows):
+        block = slice(lo, lo + rows)
+        gbar = survival_rows(cols[block], cols)
+        in_fold = uncensored[None, :] & (cols[None, :] != cols[block, None])
+        yield block, {o: _divide_by_survival(y, in_fold, o, gbar) for o in orders}
 
 
 def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: float) -> dict:
-    """Trace of (h, score, degenerate_folds) over hs for each estimator."""
+    """Trace of (h, score, degenerate_folds) over hs for each estimator.
+
+    The blocks of folds are outermost and the bandwidths inside, so each
+    block's workspace is built once. For a compact kernel the folds and
+    columns are in x order and each bandwidth reads only the window of
+    columns its support reaches from the block.
+    """
     estimators = tuple(dict.fromkeys(estimators))
     if not estimators:
         raise ConfigError("cross-validation needs at least one estimator")
@@ -113,15 +139,33 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
         if not math.isfinite(h) or h <= 0.0:
             raise ConfigError(f"bandwidth h must satisfy h > 0, got {h!r}")
     orders = dict.fromkeys(o for e in estimators for o in required_orders(e))
-    ws = _workspace(sample, orders)
+    target = synthetic_transform(sample, km_censoring_survival(sample), -1).values
+    cols = _column_order(kernel, sample.x)
+    xs = sample.x[cols]
+    preds = {e: np.empty((len(hs), sample.n)) for e in estimators}  # folds in column order
+    degenerate = {e: [0] * len(hs) for e in estimators}
+    for block, tau in _fold_blocks(sample, orders, cols):
+        x = xs[block]  # ascending where the window depends on it
+        # dx and dx2 cover the columns the largest bandwidth reaches; each
+        # bandwidth reads its own window of them as a view
+        outer = _window(kernel, max(hs), xs, x[0], x[-1])
+        dx = xs[None, outer] - x[:, None]
+        dx2 = dx * dx
+        for k, h in enumerate(hs):
+            win = _window(kernel, h, xs, x[0], x[-1])
+            inner = slice(win.start - outer.start, win.stop - outer.start)
+            w = kernel_eval(kernel, dx[:, inner] / h)
+            np.fill_diagonal(w[:, block.start - win.start :], 0.0)  # each fold's own weight
+            terms = _ratio_terms(estimators, w, dx[:, inner], dx2[:, inner], {o: t[:, win] for o, t in tau.items()})
+            for e, (num, den, scale) in terms.items():
+                preds[e][k, block], flags = _masked_ratio(num, den, scale, eps)
+                degenerate[e][k] += int(flags.sum())
+    column_of = np.argsort(cols)
     traces = {e: [] for e in estimators}
-    for h in hs:
-        w = kernel_eval(kernel, ws.dx / h)
-        np.fill_diagonal(w, 0.0)
-        for e, terms in _ratio_terms(estimators, w, ws.dx, ws.dx2, ws.tau).items():
-            pred, degenerate = _masked_ratio(*terms, eps)
-            resid = ws.target - pred
-            traces[e].append(CVPoint(h, float(np.sum(resid * resid)), int(degenerate.sum())))
+    for e, trace in traces.items():
+        for k, h in enumerate(hs):
+            resid = target - preds[e][k][column_of]  # back to input order
+            trace.append(CVPoint(h, float(np.sum(resid * resid)), degenerate[e][k]))
     return {e: tuple(trace) for e, trace in traces.items()}
 
 

@@ -33,6 +33,11 @@ class KernelKind(Enum):
             raise ConfigError(f"unknown kernel {name!r}; expected one of: {choices}") from None
 
 
+# Half-width of each kernel's support: kernel_eval is exactly 0 at and beyond
+# |u| = KERNEL_SUPPORT[kind], so weights outside it need not be computed.
+KERNEL_SUPPORT = {KernelKind.GAUSSIAN: math.inf, KernelKind.EPANECHNIKOV: 1.0}
+
+
 def kernel_eval(kind: KernelKind, u):
     """Evaluate the kernel at u (scalar or array).
 

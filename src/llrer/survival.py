@@ -160,6 +160,16 @@ def loo_censoring_survival(sample: CensoredSample) -> np.ndarray:
     The left limit at y_j multiplies the factors before the start s_j of
     j's tie group.
     """
+    every = np.arange(sample.n)
+    return _loo_survival_rows(sample)(every, every)
+
+
+def _loo_survival_rows(sample: CensoredSample):
+    """Function (rows, cols) -> G[rows][:, cols] of loo_censoring_survival.
+
+    The prefix products are computed once, so blocks of rows cost
+    O(rows * cols) each.
+    """
     n = sample.n
     if n < 2:
         raise DataError("leave-one-out survival needs at least 2 observations")
@@ -175,13 +185,18 @@ def loo_censoring_survival(sample: CensoredSample) -> np.ndarray:
     # factors p_i+1 .. s_j-1 are plain: reduced[p_i] * plain[s_j] / plain[p_i+1];
     # the last sorted record has no later group, so its ratio is never used
     rescale = reduced[p] / plain[np.minimum(p + 1, n - 1)]
-    later = s[None, :] > p[:, None]
-    gbar = np.where(later, rescale[:, None] * plain[s][None, :], reduced[s][None, :])
-    if ys[-1] > ys[-2]:
-        # a unique largest response lies beyond its own fold's largest
-        # observation, where the step is 0
-        gbar[order[-1], order[-1]] = 0.0
-    return gbar
+    plain_s, reduced_s = plain[s], reduced[s]
+    # a unique largest response lies beyond its own fold's largest
+    # observation, where the step is 0
+    lone_max = order[-1] if ys[-1] > ys[-2] else -1
+
+    def block(rows, cols):
+        later = s[None, cols] > p[rows, None]
+        gbar = np.where(later, rescale[rows, None] * plain_s[None, cols], reduced_s[None, cols])
+        gbar[np.ix_(rows == lone_max, cols == lone_max)] = 0.0
+        return gbar
+
+    return block
 
 
 def survival_eval(step: SurvivalStep, t, side: str = "right"):
@@ -197,14 +212,24 @@ def synthetic_values(y, delta, order: int, gbar) -> np.ndarray:
     values when the censoring distribution is known. The three inputs
     broadcast, so one call can transform every leave-one-out fold.
     """
-    if order not in SYNTHETIC_ORDERS:
-        raise ConfigError(f"order must be one of {SYNTHETIC_ORDERS}, got {order!r}")
-    y = np.asarray(y, dtype=float)
     uncensored = np.asarray(delta) == 1
-    gbar = np.asarray(gbar, dtype=float)
-    if order in (1, 2):
+    _check_responses(y, uncensored, (order,))
+    return _divide_by_survival(y, uncensored, order, gbar)
+
+
+def _check_responses(y, uncensored, orders) -> None:
+    """The checks of synthetic_values that depend on the responses alone.
+
+    One call covers several orders and raises or warns at most once.
+    """
+    for order in orders:
+        if order not in SYNTHETIC_ORDERS:
+            raise ConfigError(f"order must be one of {SYNTHETIC_ORDERS}, got {order!r}")
+    inverse = [o for o in orders if o in (1, 2)]
+    if inverse:
+        y = np.asarray(y, dtype=float)
         if np.any(uncensored & (y == 0.0)):
-            raise DataError(f"inverse moment of order {order} undefined at an uncensored zero response")
+            raise DataError(f"inverse moment of order {inverse[0]} undefined at an uncensored zero response")
         if np.any(uncensored & (y < 0.0)):
             warnings.warn(
                 "uncensored non-positive responses: the relative-error framework "
@@ -212,6 +237,12 @@ def synthetic_values(y, delta, order: int, gbar) -> np.ndarray:
                 NonPositiveResponseWarning,
                 stacklevel=2,
             )
+
+
+def _divide_by_survival(y, uncensored, order: int, gbar) -> np.ndarray:
+    """synthetic_values after _check_responses: the survival and overflow checks."""
+    y = np.asarray(y, dtype=float)
+    gbar = np.asarray(gbar, dtype=float)
     if np.any(uncensored & (gbar <= 0.0)):
         raise DataError("censoring survival is zero at an uncensored response")
     with np.errstate(divide="ignore", over="ignore"):

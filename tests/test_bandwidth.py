@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from llrer import (
     NonPositiveResponseWarning,
     cr_point,
     cv_score,
+    generate_sample,
     km_censoring_survival,
     llcr_point,
     llrer_point,
@@ -26,7 +29,8 @@ from llrer import (
     synthetic_transform,
     write_cv_trace_csv,
 )
-from llrer.bandwidth import _workspace
+import llrer.loclin
+from llrer.bandwidth import _fold_blocks
 
 POINT_FN = {Estimator.LLRER: llrer_point, Estimator.LLCR: llcr_point, Estimator.CR: cr_point}
 
@@ -59,15 +63,34 @@ def refit_fold_responses(sample, order):
     return out
 
 
-def outcome(fn):
-    """(value or DataError raised, whether a NonPositiveResponseWarning was emitted)."""
+def block_rows(n, rows):
+    """Force blocks of `rows` folds on a sample of n observations."""
+    return mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * n)
+
+
+def recorded(fn):
+    """(value or DataError raised, number of NonPositiveResponseWarnings)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             value = fn()
         except DataError as exc:
             value = exc
-    return value, any(issubclass(w.category, NonPositiveResponseWarning) for w in caught)
+    return value, sum(issubclass(w.category, NonPositiveResponseWarning) for w in caught)
+
+
+def fold_responses(sample, order):
+    """Row i: the order-`order` fold responses that cross-validation builds for fold i."""
+    out = np.empty((sample.n, sample.n))
+    for block, tau in _fold_blocks(sample, (order,), np.arange(sample.n)):
+        out[block] = tau[order]
+    return out
+
+
+def outcome(fn):
+    """(value or DataError raised, whether a NonPositiveResponseWarning was emitted)."""
+    value, warned = recorded(fn)
+    return value, warned > 0
 
 
 @st.composite
@@ -179,7 +202,7 @@ class TestFoldResponses:
         # the same DataError and, when none is raised, the same warning and
         # responses; after a DataError the refit's warnings depend on the
         # order in which it visits the folds, so they are not compared
-        got, got_warned = outcome(lambda: _workspace(sample, (order,)).tau[order])
+        got, got_warned = outcome(lambda: fold_responses(sample, order))
         want, want_warned = outcome(lambda: refit_fold_responses(sample, order))
         if isinstance(want, DataError):
             assert isinstance(got, DataError)
@@ -280,3 +303,114 @@ def test_trace_csv(tmp_path):
     assert float(h) == selection.trace[0].h
     assert float(score) == selection.trace[0].score
     assert int(degs) == selection.trace[0].degenerate_folds
+
+
+@st.composite
+def epanechnikov_cv_cases(draw):
+    """Samples whose x lie on a lattice of 0.25 (so windows end exactly at
+    tied x with a zero weight) or in a cluster of 0.0625 steps narrower than
+    most bandwidths; tied y, all-censored samples and n = 2 included."""
+    n = draw(st.integers(2, 12))
+    step = draw(st.sampled_from((0.25, 0.0625)))
+    x = np.array(draw(st.lists(st.integers(0, 12 if step == 0.25 else 4), min_size=n, max_size=n))) * step
+    y = draw(st.lists(st.sampled_from((0.75, 1.5)) | st.floats(0.5, 3.0), min_size=n, max_size=n))
+    censored = draw(st.booleans())
+    delta = [0] * n if censored else draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    # below every lattice gap, lattice multiples, and wider than any x range
+    grid = draw(st.sampled_from((BandwidthGrid(0.1, 1.0, 0.15), BandwidthGrid(0.1, 0.1, 1.0), BandwidthGrid(0.25, 1.0, 0.25), BandwidthGrid(5.0, 5.0, 1.0))))
+    rows = draw(st.sampled_from((1, 2, 7, n)))
+    return CensoredSample(np.array(y), np.array(delta), x), grid, rows
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("rows", (1, 2, 7))
+    def test_gaussian_traces_equal_one_block_bit_for_bit(self, rows):
+        rng = np.random.default_rng(65)
+        s = random_censored_sample(rng, 23)
+        grid = BandwidthGrid(0.1, 1.5, 0.2)
+        whole = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, grid)
+        with block_rows(s.n, rows):
+            split = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, grid)
+        for est in Estimator:
+            assert traces_bits(split[est]) == traces_bits(whole[est])
+
+    @pytest.mark.parametrize("rows", (1, 2, 7))
+    def test_epanechnikov_traces_agree_with_one_block(self, rows):
+        rng = np.random.default_rng(66)
+        s = random_censored_sample(rng, 23)
+        grid = BandwidthGrid(0.1, 1.5, 0.2)
+        whole = select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV, grid)
+        with block_rows(s.n, rows):
+            split = select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV, grid)
+        for est in Estimator:
+            for a, b in zip(split[est].trace, whole[est].trace):
+                assert a.h == b.h
+                assert a.score == pytest.approx(b.score, rel=1e-9)
+                assert a.degenerate_folds == b.degenerate_folds
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(epanechnikov_cv_cases())
+    def test_epanechnikov_matches_independent_loop(self, case):
+        s, grid, rows = case
+        with block_rows(s.n, rows):
+            joint = select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV, grid)
+        for est in Estimator:
+            for point in joint[est].trace:
+                want, degenerate = loo_score_oracle(est, s, KernelKind.EPANECHNIKOV, point.h)
+                assert point.score == pytest.approx(want, rel=1e-9), (est, point)
+                assert point.degenerate_folds == degenerate, (est, point)
+
+    def test_bandwidth_below_every_gap_leaves_every_fold_degenerate(self):
+        s = CensoredSample([1.0, 2.0, 0.5, 1.5], [1, 0, 1, 1], [0.0, 0.25, 0.5, 1.0])
+        joint = select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV, BandwidthGrid(0.2, 0.25, 0.05))
+        for est in Estimator:
+            assert [p.degenerate_folds for p in joint[est].trace] == [4, 4]
+
+    @pytest.mark.parametrize("rows", (1, 2, 7))
+    @pytest.mark.parametrize(
+        "y, match",
+        [([0.0, 1.0, 2.0, 3.0, 0.7, 1.1, 1.3, 0.9, 2.2], "inverse moment"), ([1e-170] + [1.0] * 8, "overflow")],
+    )
+    def test_data_errors_with_many_blocks(self, rows, y, match):
+        s = CensoredSample(y, [1, 1, 0, 1, 1, 0, 1, 1, 1], np.linspace(-1.0, 1.0, 9))
+        for kernel in KernelKind:
+            with block_rows(s.n, rows), pytest.raises(DataError, match=match):
+                cv_score(Estimator.LLRER, s, kernel, 0.5)
+
+    @pytest.mark.parametrize("rows", (1, 2, 7))
+    def test_warns_once_per_call_with_many_blocks(self, rows):
+        s = CensoredSample([-1.0, 1.0, 2.0, 0.5, -0.3, 1.2, 0.8, 2.5, 1.7], [1, 1, 0, 1, 1, 1, 0, 1, 1], np.linspace(0, 2, 9))
+        grid = BandwidthGrid(0.3, 0.9, 0.3)
+        with block_rows(s.n, rows):
+            _, count = recorded(lambda: select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV, grid))
+            assert count == 1
+            _, count = recorded(lambda: cv_score(Estimator.LLRER, s, KernelKind.GAUSSIAN, 0.5))
+            assert count == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(awkward_samples(), st.sampled_from((1, 2, 7)))
+    def test_blocks_raise_and_warn_as_one_block(self, sample, rows):
+        def run():
+            return select_bandwidths(Estimator, sample, KernelKind.GAUSSIAN, BandwidthGrid(0.5, 1.0, 0.5))
+
+        want, want_warnings = recorded(run)
+        with block_rows(sample.n, rows):
+            got, got_warnings = recorded(run)
+        assert got_warnings == want_warnings <= 1
+        if isinstance(want, DataError):
+            assert isinstance(got, DataError)
+        else:
+            assert {e: traces_bits(sel) for e, sel in got.items()} == {e: traces_bits(sel) for e, sel in want.items()}
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_memory_stays_below_one_n_by_n_array(self, kernel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonPositiveResponseWarning)
+            s = generate_sample(2000, -1.0, seed=7).sample
+            tracemalloc.start()
+            try:
+                select_bandwidths(Estimator, s, kernel, BandwidthGrid(0.25, 0.5, 0.25))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < s.n * s.n * 8, peak

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from llrer import ConfigError, KernelKind, kernel_eval, scaled_kernel
+from llrer.kernels import KERNEL_SUPPORT
 
 
 def test_gaussian_at_zero():
@@ -106,3 +107,17 @@ def test_kernel_allocates_about_one_output_array(kind):
         tracemalloc.stop()
     assert out.shape == u.shape
     assert peak <= 1.1 * u.nbytes
+
+
+@pytest.mark.parametrize("kind", [k for k in KernelKind if math.isfinite(KERNEL_SUPPORT[k])])
+def test_zero_at_and_beyond_the_support(kind):
+    # the CV and curve windows leave out every column at |u| >= support,
+    # which is safe only if those weights are exactly 0
+    r = KERNEL_SUPPORT[kind]
+    edge = [r, np.nextafter(r, np.inf), r * (1.0 + 1e-12), 2.0 * r, 1e300, np.inf]
+    u = np.array(edge + [-v for v in edge])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(kernel_eval(kind, u), np.zeros(u.size))
+    assert kernel_eval(kind, np.nextafter(r, 0.0)) > 0.0
+    assert kernel_eval(kind, -np.nextafter(r, 0.0)) > 0.0
+

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from llrer import (
     synthetic_transform,
     write_curve_csv,
 )
+import llrer.loclin
+from llrer.kernels import kernel_eval
+from llrer.loclin import _column_order, _window
 
 
 def gauss(u):
@@ -43,6 +47,11 @@ def random_censored_sample(rng, n):
     delta[rng.integers(0, n)] = 1  # keep at least one uncensored
     x = rng.normal(size=n)
     return CensoredSample(y, delta, x)
+
+
+def block_rows(n, rows):
+    """Force blocks of `rows` evaluation points on a sample of n observations."""
+    return mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * n)
 
 
 def condition_number(est, sample, step, config, x):
@@ -411,6 +420,40 @@ class TestFitCurve:
                 tracemalloc.stop()
             assert peak < 0.5 * full_block, (est, peak)
 
+    @pytest.mark.parametrize("rows", (1, 2, 7))
+    def test_blocks_of_rows(self, rows):
+        # Gaussian blocks read every column, so values cannot depend on the
+        # block size; Epanechnikov blocks read only their window
+        rng = np.random.default_rng(42)
+        s = random_censored_sample(rng, 40)
+        step = km_censoring_survival(s)
+        grid = np.linspace(-2.5, 2.5, 23)
+        gauss, epan = EstimatorConfig(0.6, KernelKind.GAUSSIAN), EstimatorConfig(0.3, KernelKind.EPANECHNIKOV)
+        for est in Estimator:
+            whole = fit_curve(est, s, gauss, grid)
+            with block_rows(s.n, rows):
+                split = fit_curve(est, s, gauss, grid)
+                banded = fit_curve(est, s, epan, grid)
+            assert whole.values.tobytes() == split.values.tobytes()
+            assert np.array_equal(whole.degenerate, split.degenerate)
+            for x0, value, flag in zip(grid, banded.values, banded.degenerate):
+                want = ORACLE[est](s, step, epan, float(x0))
+                assert flag == want.degenerate, (est, x0)
+                if not flag:
+                    cond = condition_number(est, s, step, epan, float(x0))
+                    assert value == pytest.approx(want.value, rel=1e-9 * max(1.0, cond)), (est, x0)
+
+    def test_rejects_nan_in_grid(self):
+        # blocks assume an ascending grid, and comparisons with a nan are false
+        s = CensoredSample([1.0, 2.0], [1, 1], [0.0, 1.0])
+        for grid in ([np.nan, 0.5, 1.0], [0.0, np.nan, -1.0], [0.0, 1.0, np.nan]):
+            with pytest.raises(ConfigError):
+                fit_curve(Estimator.CR, s, EstimatorConfig(1.0, KernelKind.EPANECHNIKOV), grid)
+        # a lone nan point, or infinite ends, have no weight and are degenerate
+        cfg = EstimatorConfig(1.0, KernelKind.EPANECHNIKOV)
+        assert list(fit_curve(Estimator.CR, s, cfg, [np.nan]).degenerate) == [True]
+        assert list(fit_curve(Estimator.CR, s, cfg, [-np.inf, 0.5, np.inf]).degenerate) == [True, False, True]
+
     def test_rejects_unsorted_grid(self):
         s = CensoredSample([1.0, 2.0], [1, 1], [0.0, 1.0])
         with pytest.raises(ConfigError):
@@ -432,3 +475,24 @@ class TestCurveCsv:
         assert np.array_equal(back.grid, curve.grid)
         assert np.array_equal(back.values, curve.values)
         assert np.array_equal(back.degenerate, curve.degenerate)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-1e6, 1e6) | st.sampled_from((0.0, 0.5, 1.0, 1.5)), min_size=1, max_size=30),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from((1e-9, 0.25, 0.5, 1.0, 3.0, 1e7)),
+)
+def test_window_holds_every_non_zero_weight(x, a, b, h):
+    # every column left out of a block's window weighs exactly 0 at every
+    # point of the block, including points and columns at the window's edges
+    for kind in KernelKind:
+        xs = np.array(x)[_column_order(kind, np.array(x))]
+        lo = xs[int(a * (xs.size - 1))]
+        hi = max(lo, xs[int(b * (xs.size - 1))])
+        win = _window(kind, h, xs, lo, hi)
+        outside = np.r_[xs[: win.start], xs[win.stop :]]
+        for p in (lo, hi, 0.5 * (lo + hi), np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)):
+            if lo <= p <= hi:
+                assert not np.any(kernel_eval(kind, (outside - p) / h)), (kind, p, win)
