@@ -35,17 +35,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import KernelKind, kernel_eval
-from .loclin import (
-    DEFAULT_EPSILON,
-    Estimator,
-    _block_rows,
-    _column_order,
-    _masked_ratio,
-    _ratio_terms,
-    _window,
-    required_orders,
-)
+from .kernels import KERNEL_SUPPORT, KernelKind, kernel_eval
+from .loclin import DEFAULT_EPSILON, Estimator, _block_rows, _masked_ratio, _ratio_terms, required_orders
 from .survival import (
     CensoredSample,
     _check_responses,
@@ -95,6 +86,33 @@ class CVPoint(NamedTuple):
 class BandwidthSelection(NamedTuple):
     h_opt: float
     trace: tuple
+
+
+# Relative widening of a compact kernel's reach, so that rounding in x - x0
+# and in the division by h cannot put a non-zero weight outside the window
+_REACH_SLACK = 1e-9
+
+
+def _column_order(kernel: KernelKind, x: np.ndarray) -> np.ndarray:
+    """Order of the observations as folds and columns: by x for a compact
+    kernel, else as given, so an unbounded kernel sums in the input order."""
+    if math.isinf(KERNEL_SUPPORT[kernel]):
+        return np.arange(x.size)
+    return np.argsort(x, kind="stable")
+
+
+def _window(kernel: KernelKind, h: float, xs: np.ndarray, lo: float, hi: float) -> slice:
+    """Columns that can weigh on points in [lo, hi] at bandwidth h.
+
+    xs holds the covariates in _column_order. For a compact kernel the
+    columns are ascending and the slice covers every x within the slightly
+    widened reach h * support of [lo, hi], a superset of the non-zero
+    weights; an unbounded kernel takes every column.
+    """
+    reach = KERNEL_SUPPORT[kernel] * h * (1.0 + _REACH_SLACK)
+    if math.isinf(reach):
+        return slice(0, xs.size)
+    return slice(int(np.searchsorted(xs, lo - reach, "left")), int(np.searchsorted(xs, hi + reach, "right")))
 
 
 def _fold_blocks(sample: CensoredSample, orders, cols: np.ndarray):

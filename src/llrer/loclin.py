@@ -15,7 +15,6 @@ it instead of silently averaging zeros.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import KERNEL_SUPPORT, KernelKind, kernel_eval, scaled_kernel
+from .kernels import KernelKind, kernel_eval, scaled_kernel
 from .survival import CensoredSample, SurvivalStep, SyntheticResponses, km_censoring_survival, synthetic_transform
 
 DEFAULT_EPSILON = 1e-12
@@ -133,8 +132,7 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row sums of a * b without the product array.
 
     numpy sums a lone row longer than 8192 in another order than the rows of
-    a taller array; reading it twice keeps a point equal to the same row in
-    a taller block over the same columns.
+    a taller array; reading it twice keeps points equal to curve values.
     """
     if a.shape[0] == 1:
         shape = (2, a.shape[1])
@@ -183,53 +181,24 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: floa
 # any number of points
 _BLOCK_ENTRIES = 2**18
 
-# Relative widening of a compact kernel's reach, so that rounding in x - x0
-# and in the division by h cannot put a non-zero weight outside the window
-_REACH_SLACK = 1e-9
-
 
 def _block_rows(n: int) -> int:
     """Points per block of at most _BLOCK_ENTRIES pairs with n observations."""
     return max(1, _BLOCK_ENTRIES // n)
 
 
-def _column_order(kernel: KernelKind, x: np.ndarray) -> np.ndarray:
-    """Order of the observations as columns: by x for a compact kernel,
-    else as given, so an unbounded kernel sums in the input order."""
-    if math.isinf(KERNEL_SUPPORT[kernel]):
-        return np.arange(x.size)
-    return np.argsort(x, kind="stable")
-
-
-def _window(kernel: KernelKind, h: float, xs: np.ndarray, lo: float, hi: float) -> slice:
-    """Columns that can weigh on points in [lo, hi] at bandwidth h.
-
-    xs holds the covariates in _column_order. For a compact kernel the
-    columns are ascending and the slice covers every x within the slightly
-    widened reach h * support of [lo, hi], a superset of the non-zero
-    weights; an unbounded kernel takes every column.
-    """
-    reach = KERNEL_SUPPORT[kernel] * h * (1.0 + _REACH_SLACK)
-    if math.isinf(reach):
-        return slice(0, xs.size)
-    return slice(int(np.searchsorted(xs, lo - reach, "left")), int(np.searchsorted(xs, hi + reach, "right")))
-
-
 def _estimates(estimator, sample, step, config, points, responses=None):
-    """Estimates and degenerate flags at ascending points, in blocks of rows."""
+    """Estimates and degenerate flags at each of points, in blocks of rows."""
     rmap = _response_map(sample, step, responses, required_orders(estimator))
-    cols = _column_order(config.kernel, sample.x)
-    xs = sample.x[cols]
-    tau = {o: rmap[o].values[cols] for o in required_orders(estimator)}
+    tau = {o: rmap[o].values for o in required_orders(estimator)}
     values = np.empty(points.size)
     degenerate = np.empty(points.size, dtype=bool)
     rows = _block_rows(sample.n)
     for lo in range(0, points.size, rows):
         block = slice(lo, lo + rows)
-        win = _window(config.kernel, config.bandwidth, xs, points[lo], points[block][-1])
-        dx = xs[None, win] - points[block, None]
+        dx = sample.x[None, :] - points[block, None]
         w = kernel_eval(config.kernel, dx / config.bandwidth)
-        terms = _ratio_terms((estimator,), w, dx, dx * dx, {o: t[win] for o, t in tau.items()})[estimator]
+        terms = _ratio_terms((estimator,), w, dx, dx * dx, tau)[estimator]
         values[block], degenerate[block] = _masked_ratio(*terms, config.denominator_epsilon)
     return values, degenerate
 
@@ -358,13 +327,13 @@ def fit_curve(estimator: Estimator, sample: CensoredSample, config: EstimatorCon
     """Evaluate one estimator over an ascending grid.
 
     The Kaplan-Meier step and the synthetic responses are computed once; the
-    grid is evaluated in blocks of rows through the same ratio path, blocks
-    and kernel windows as point estimates and cross-validation.
+    grid is evaluated in blocks of rows through the same ratio path as point
+    estimates and cross-validation.
     """
     grid = np.array(grid, dtype=float, ndmin=1)
     if grid.size == 0:
         raise ConfigError("evaluation grid is empty")
-    # written so that a nan fails it: blocks rely on ascending points
+    # written so that a nan, which compares false, fails it
     if not np.all(np.diff(grid) > 0):
         raise ConfigError("evaluation grid must be strictly ascending")
     values, degenerate = _estimates(estimator, sample, km_censoring_survival(sample), config, grid)

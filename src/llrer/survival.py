@@ -213,14 +213,16 @@ def synthetic_values(y, delta, order: int, gbar) -> np.ndarray:
     broadcast, so one call can transform every leave-one-out fold.
     """
     uncensored = np.asarray(delta) == 1
-    _check_responses(y, uncensored, (order,))
+    _check_responses(y, uncensored, (order,), stacklevel=3)
     return _divide_by_survival(y, uncensored, order, gbar)
 
 
-def _check_responses(y, uncensored, orders) -> None:
+def _check_responses(y, uncensored, orders, stacklevel: int = 2) -> None:
     """The checks of synthetic_values that depend on the responses alone.
 
-    One call covers several orders and raises or warns at most once.
+    One call covers several orders and raises or warns at most once. The
+    warning is reported `stacklevel` frames up as warnings.warn counts
+    them here: 2 is the caller, 3 the caller's caller.
     """
     for order in orders:
         if order not in SYNTHETIC_ORDERS:
@@ -235,7 +237,7 @@ def _check_responses(y, uncensored, orders) -> None:
                 "uncensored non-positive responses: the relative-error framework "
                 "assumes positive lifetimes",
                 NonPositiveResponseWarning,
-                stacklevel=2,
+                stacklevel=stacklevel,
             )
 
 

@@ -30,7 +30,8 @@ from llrer import (
     write_cv_trace_csv,
 )
 import llrer.loclin
-from llrer.bandwidth import _fold_blocks
+from llrer.bandwidth import _column_order, _fold_blocks, _window
+from llrer.kernels import kernel_eval
 
 POINT_FN = {Estimator.LLRER: llrer_point, Estimator.LLCR: llcr_point, Estimator.CR: cr_point}
 
@@ -79,11 +80,12 @@ def recorded(fn):
     return value, sum(issubclass(w.category, NonPositiveResponseWarning) for w in caught)
 
 
-def fold_responses(sample, order):
-    """Row i: the order-`order` fold responses that cross-validation builds for fold i."""
+def fold_responses(sample, order, cols):
+    """Row i: the order-`order` fold responses that cross-validation builds
+    for fold i, with folds and columns taken in the order cols."""
     out = np.empty((sample.n, sample.n))
-    for block, tau in _fold_blocks(sample, (order,), np.arange(sample.n)):
-        out[block] = tau[order]
+    for block, tau in _fold_blocks(sample, (order,), cols):
+        out[np.ix_(cols[block], cols)] = tau[order]
     return out
 
 
@@ -201,15 +203,21 @@ class TestFoldResponses:
     def test_closed_form_matches_refit(self, sample, order):
         # the same DataError and, when none is raised, the same warning and
         # responses; after a DataError the refit's warnings depend on the
-        # order in which it visits the folds, so they are not compared
-        got, got_warned = outcome(lambda: fold_responses(sample, order))
+        # order in which it visits the folds, so they are not compared. The
+        # folds come in input order and shuffled, as sorting by x shuffles
+        # them, in blocks of 1, 2 and all rows
         want, want_warned = outcome(lambda: refit_fold_responses(sample, order))
-        if isinstance(want, DataError):
-            assert isinstance(got, DataError)
-        else:
-            assert not isinstance(got, DataError), got
-            assert got_warned == want_warned
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        shuffled = np.random.default_rng(0).permutation(sample.n)
+        for cols in (np.arange(sample.n), shuffled):
+            for rows in (1, 2, sample.n):
+                with block_rows(sample.n, rows):
+                    got, got_warned = outcome(lambda: fold_responses(sample, order, cols))
+                if isinstance(want, DataError):
+                    assert isinstance(got, DataError), (cols, rows)
+                else:
+                    assert not isinstance(got, DataError), (got, cols, rows)
+                    assert got_warned == want_warned, (cols, rows)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_inverse_moment_at_zero_raises(self):
         s = CensoredSample([0.0, 1.0, 2.0], [1, 1, 0], [0.0, 0.5, 1.0])
@@ -414,3 +422,24 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert peak < s.n * s.n * 8, peak
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-1e6, 1e6) | st.sampled_from((0.0, 0.5, 1.0, 1.5)), min_size=1, max_size=30),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from((1e-9, 0.25, 0.5, 1.0, 3.0, 1e7)),
+)
+def test_window_holds_every_non_zero_weight(x, a, b, h):
+    # every column left out of a block's window weighs exactly 0 at every
+    # point of the block, including points and columns at the window's edges
+    for kind in KernelKind:
+        xs = np.array(x)[_column_order(kind, np.array(x))]
+        lo = xs[int(a * (xs.size - 1))]
+        hi = max(lo, xs[int(b * (xs.size - 1))])
+        win = _window(kind, h, xs, lo, hi)
+        outside = np.r_[xs[: win.start], xs[win.stop :]]
+        for p in (lo, hi, 0.5 * (lo + hi), np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)):
+            if lo <= p <= hi:
+                assert not np.any(kernel_eval(kind, (outside - p) / h)), (kind, p, win)

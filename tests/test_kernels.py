@@ -111,7 +111,7 @@ def test_kernel_allocates_about_one_output_array(kind):
 
 @pytest.mark.parametrize("kind", [k for k in KernelKind if math.isfinite(KERNEL_SUPPORT[k])])
 def test_zero_at_and_beyond_the_support(kind):
-    # the CV and curve windows leave out every column at |u| >= support,
+    # the CV windows leave out every column at |u| >= support,
     # which is safe only if those weights are exactly 0
     r = KERNEL_SUPPORT[kind]
     edge = [r, np.nextafter(r, np.inf), r * (1.0 + 1e-12), 2.0 * r, 1e300, np.inf]
@@ -120,4 +120,3 @@ def test_zero_at_and_beyond_the_support(kind):
         assert np.array_equal(kernel_eval(kind, u), np.zeros(u.size))
     assert kernel_eval(kind, np.nextafter(r, 0.0)) > 0.0
     assert kernel_eval(kind, -np.nextafter(r, 0.0)) > 0.0
-

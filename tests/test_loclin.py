@@ -29,8 +29,6 @@ from llrer import (
     write_curve_csv,
 )
 import llrer.loclin
-from llrer.kernels import kernel_eval
-from llrer.loclin import _column_order, _window
 
 
 def gauss(u):
@@ -422,29 +420,22 @@ class TestFitCurve:
 
     @pytest.mark.parametrize("rows", (1, 2, 7))
     def test_blocks_of_rows(self, rows):
-        # Gaussian blocks read every column, so values cannot depend on the
-        # block size; Epanechnikov blocks read only their window
+        # every block reads every column, so values cannot depend on the
+        # block size
         rng = np.random.default_rng(42)
         s = random_censored_sample(rng, 40)
-        step = km_censoring_survival(s)
         grid = np.linspace(-2.5, 2.5, 23)
-        gauss, epan = EstimatorConfig(0.6, KernelKind.GAUSSIAN), EstimatorConfig(0.3, KernelKind.EPANECHNIKOV)
-        for est in Estimator:
-            whole = fit_curve(est, s, gauss, grid)
-            with block_rows(s.n, rows):
-                split = fit_curve(est, s, gauss, grid)
-                banded = fit_curve(est, s, epan, grid)
-            assert whole.values.tobytes() == split.values.tobytes()
-            assert np.array_equal(whole.degenerate, split.degenerate)
-            for x0, value, flag in zip(grid, banded.values, banded.degenerate):
-                want = ORACLE[est](s, step, epan, float(x0))
-                assert flag == want.degenerate, (est, x0)
-                if not flag:
-                    cond = condition_number(est, s, step, epan, float(x0))
-                    assert value == pytest.approx(want.value, rel=1e-9 * max(1.0, cond)), (est, x0)
+        for config in (EstimatorConfig(0.6, KernelKind.GAUSSIAN), EstimatorConfig(0.3, KernelKind.EPANECHNIKOV)):
+            for est in Estimator:
+                whole = fit_curve(est, s, config, grid)
+                with block_rows(s.n, rows):
+                    split = fit_curve(est, s, config, grid)
+                assert whole.values.tobytes() == split.values.tobytes()
+                assert np.array_equal(whole.degenerate, split.degenerate)
 
     def test_rejects_nan_in_grid(self):
-        # blocks assume an ascending grid, and comparisons with a nan are false
+        # comparisons with a nan are false, so the ascending check must
+        # be written to fail on one
         s = CensoredSample([1.0, 2.0], [1, 1], [0.0, 1.0])
         for grid in ([np.nan, 0.5, 1.0], [0.0, np.nan, -1.0], [0.0, 1.0, np.nan]):
             with pytest.raises(ConfigError):
@@ -476,23 +467,3 @@ class TestCurveCsv:
         assert np.array_equal(back.values, curve.values)
         assert np.array_equal(back.degenerate, curve.degenerate)
 
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    st.lists(st.floats(-1e6, 1e6) | st.sampled_from((0.0, 0.5, 1.0, 1.5)), min_size=1, max_size=30),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-    st.sampled_from((1e-9, 0.25, 0.5, 1.0, 3.0, 1e7)),
-)
-def test_window_holds_every_non_zero_weight(x, a, b, h):
-    # every column left out of a block's window weighs exactly 0 at every
-    # point of the block, including points and columns at the window's edges
-    for kind in KernelKind:
-        xs = np.array(x)[_column_order(kind, np.array(x))]
-        lo = xs[int(a * (xs.size - 1))]
-        hi = max(lo, xs[int(b * (xs.size - 1))])
-        win = _window(kind, h, xs, lo, hi)
-        outside = np.r_[xs[: win.start], xs[win.stop :]]
-        for p in (lo, hi, 0.5 * (lo + hi), np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)):
-            if lo <= p <= hi:
-                assert not np.any(kernel_eval(kind, (outside - p) / h)), (kind, p, win)

@@ -245,6 +245,11 @@ class TestSyntheticTransform:
             vals = synthetic_transform(s, step, 2).values
         assert vals[0] == 1.0  # (-1)^-2 / 1
 
+    def test_warning_points_at_the_caller_of_synthetic_values(self):
+        with pytest.warns(NonPositiveResponseWarning) as caught:
+            synthetic_values(np.array([-1.0, 2.0]), np.array([1, 1]), 1, np.ones(2))
+        assert caught[0].filename == __file__
+
     def test_rejects_bad_order(self):
         s = make([1.0], [1])
         step = km_censoring_survival(s)
