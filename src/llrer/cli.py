@@ -24,7 +24,10 @@ from .errors import CalibrationError, ConfigError, DataError
 from .kernels import KernelKind
 from .loclin import Estimator, EstimatorConfig, fit_curve, write_curve_csv
 from .simulate import (
+    DEFAULT_CALIBRATION_TOLERANCE,
+    DEFAULT_GRID_SPEC,
     calibrate_censoring,
+    config_lines,
     load_simulation_config,
     monte_carlo_run,
     parse_grid_spec,
@@ -72,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--h", type=float, default=None, help="fixed bandwidth (h > 0)")
     p_est.add_argument("--cv", action="store_true", help="select the bandwidth by cross-validation")
     _add_cv_grid_flags(p_est)
-    p_est.add_argument("--grid", default="1:4:61", help="evaluation grid lo:hi:count (default 1:4:61)")
+    p_est.add_argument("--grid", default=DEFAULT_GRID_SPEC, help="evaluation grid lo:hi:count (default %(default)s)")
     p_est.set_defaults(func=_cmd_estimate)
 
     p_cv = sub.add_parser("cv", help="cross-validate the bandwidth and write the score trace")
@@ -94,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="find the censoring shift c for a target censoring proportion")
     p_cal.add_argument("--target", type=float, required=True, help="target censoring proportion in (0, 1)")
-    p_cal.add_argument("--tol", type=float, default=0.005, help="tolerance on the proportion (default 0.005)")
+    p_cal.add_argument(
+        "--tol", type=float, default=DEFAULT_CALIBRATION_TOLERANCE,
+        help="tolerance on the proportion (default %(default)s)",
+    )
     p_cal.add_argument("--seed", type=int, default=0, help="seed for the calibration draws")
     p_cal.set_defaults(func=_cmd_calibrate)
     return parser
@@ -147,37 +153,16 @@ def _resolve_config(arg: str) -> Path:
 
 
 def _manifest_lines(args, config, report, artifacts, duration: float) -> list:
-    grid = config.grid
-    lines = [
+    lines = config_lines(config) + [
         "command = simulate",
         f"version = {__version__}",
         f"config_file = {args.config}",
         f"jobs = {args.jobs}",
         f"duration_seconds = {duration:.3f}",
-        f"seed = {config.seed}",
-        f"n = {config.n}",
-        f"replications = {config.replications}",
-        f"estimators = {','.join(e.value for e in config.estimators)}",
-        f"kernel = {config.kernel.value}",
-        f"grid = {grid[0]!r}:{grid[-1]!r}:{grid.size}",
-        f"outlier_count = {config.outlier_count}",
-        f"outlier_mc = {config.outlier_mc!r}",
-        f"positive_only = {config.positive_only}",
-        f"denominator_epsilon = {config.denominator_epsilon!r}",
     ]
-    if config.target_cp is not None:
-        lines.append(f"target_cp = {config.target_cp!r}")
-        lines.append(f"calibration_tolerance = {config.calibration_tolerance!r}")
-    lines.append(f"c = {report.c!r}")
-    if config.h is not None:
-        lines.append(f"h = {config.h!r}")
-    else:
-        cv = config.cv_grid
-        lines.append(f"h_lo = {cv.lo!r}")
-        lines.append(f"h_hi = {cv.hi!r}")
-        lines.append(f"h_step = {cv.step!r}")
-    for name in artifacts:
-        lines.append(f"artifact = {name}")
+    if config.c is None:
+        lines.append(f"c = {report.c!r}")
+    lines += [f"artifact = {name}" for name in artifacts]
     for r in report.results:
         if r.error is not None:
             lines.append(f"replication_{r.rep}_status = failed: {r.error}")
@@ -200,9 +185,10 @@ def _cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     report = monte_carlo_run(config, jobs=args.jobs)
-    artifacts = ["curves.csv", "summary.csv"]
+    artifacts = ["curves.csv", "summary.csv", "config.cfg"]
     write_curves_csv(report, outdir / "curves.csv")
     write_summary_csv(report, outdir / "summary.csv")
+    (outdir / "config.cfg").write_text("\n".join(config_lines(config)) + "\n")
     duration = time.monotonic() - started
     lines = _manifest_lines(args, config, report, artifacts, duration)
     (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")

@@ -23,8 +23,8 @@ import csv
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from .errors import CalibrationError, ConfigError
 from .kernels import KernelKind
 from .loclin import DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, fit_curve
 from .survival import CensoredSample, NonPositiveResponseWarning
+
+DEFAULT_GRID_SPEC = "1:4:61"
+DEFAULT_CALIBRATION_TOLERANCE = 0.005
 
 
 def theoretical_curve(x):
@@ -99,7 +102,7 @@ def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> Gene
 
 def calibrate_censoring(
     target_cp: float,
-    tolerance: float = 0.005,
+    tolerance: float = DEFAULT_CALIBRATION_TOLERANCE,
     seed=0,
     draws: int = 1_000_000,
     max_iter: int = 200,
@@ -188,10 +191,6 @@ def error_metrics(curve: FittedCurve, reference) -> ErrorMetrics:
     return ErrorMetrics(sup, mise, count)
 
 
-def _default_grid() -> np.ndarray:
-    return np.linspace(1.0, 4.0, 61)
-
-
 @dataclass(frozen=True)
 class SimulationConfig:
     """Full description of one replication study.
@@ -210,13 +209,13 @@ class SimulationConfig:
     c: float | None = None
     outlier_count: int = 0
     outlier_mc: float = 1.0
-    grid: np.ndarray = field(default_factory=_default_grid)
+    grid: np.ndarray = field(default_factory=lambda: parse_grid_spec(DEFAULT_GRID_SPEC))
     kernel: KernelKind = KernelKind.GAUSSIAN
     h: float | None = None
     cv_grid: BandwidthGrid | None = None
     positive_only: bool = False
     denominator_epsilon: float = DEFAULT_EPSILON
-    calibration_tolerance: float = 0.005
+    calibration_tolerance: float = DEFAULT_CALIBRATION_TOLERANCE
 
     def __post_init__(self):
         if int(self.n) < 1:
@@ -246,8 +245,8 @@ class SimulationConfig:
         if not np.isfinite(self.outlier_mc) or self.outlier_mc <= 0.0:
             raise ConfigError(f"outlier_mc must be a positive real, got {self.outlier_mc!r}")
         grid = np.array(self.grid, dtype=float, ndmin=1)
-        if grid.size == 0 or np.any(np.diff(grid) <= 0):
-            raise ConfigError("grid must be non-empty and strictly ascending")
+        if grid.size == 0 or not np.all(np.isfinite(grid)) or not np.all(np.diff(grid) > 0):
+            raise ConfigError("grid must be non-empty, finite and strictly ascending")
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         if isinstance(self.kernel, str):
@@ -260,6 +259,8 @@ class SimulationConfig:
             if not np.isfinite(self.h) or float(self.h) <= 0.0:
                 raise ConfigError(f"fixed bandwidth h must satisfy h > 0, got {self.h!r}")
             object.__setattr__(self, "h", float(self.h))
+        elif self.n < 2:
+            raise ConfigError(f"cross-validation needs n >= 2, got n = {self.n}; give a fixed h")
         elif self.cv_grid is None:
             object.__setattr__(self, "cv_grid", DEFAULT_BANDWIDTH_GRID)
         if not np.isfinite(self.denominator_epsilon) or self.denominator_epsilon < 0.0:
@@ -394,30 +395,6 @@ def write_summary_csv(report: SimulationReport, path) -> None:
             writer.writerow([est, metric, repr(med), repr(q1), repr(q3)])
 
 
-_CONFIG_KEYS = (
-    "n",
-    "replications",
-    "seed",
-    "estimators",
-    "target_cp",
-    "c",
-    "outlier_count",
-    "outlier_mc",
-    "grid",
-    "kernel",
-    "h",
-    "h_lo",
-    "h_hi",
-    "h_step",
-    "positive_only",
-    "denominator_epsilon",
-    "calibration_tolerance",
-)
-
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
-
 def parse_grid_spec(spec: str) -> np.ndarray:
     """Parse an evaluation-grid spec lo:hi:count into a linspace array."""
     parts = str(spec).split(":")
@@ -428,6 +405,8 @@ def parse_grid_spec(spec: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError:
         raise ConfigError(f"grid spec must be lo:hi:count, got {spec!r}") from None
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"grid needs finite lo and hi, got {spec!r}")
     if count < 1:
         raise ConfigError(f"grid must contain at least one point, got {count}")
     if count == 1:
@@ -439,14 +418,82 @@ def parse_grid_spec(spec: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _grid_spec(grid: np.ndarray) -> str:
+    spec = f"{float(grid[0])!r}:{float(grid[-1])!r}:{grid.size}"
+    if not np.array_equal(parse_grid_spec(spec), grid):
+        raise ConfigError("a config file holds only lo:hi:count linspace grids")
+    return spec
+
+
+def _parse_bool(word: str) -> bool:
+    word = word.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a truth value: {word!r}")
+
+
+def _show_float(value) -> str:
+    return repr(float(value))
+
+
+class _Key(NamedTuple):
+    """A config-file key: how to parse its text and how to print its value.
+    It sets the field of its name, or with a `part` that attribute of cv_grid."""
+
+    name: str
+    parse: Callable[[str], object]
+    show: Callable[[object], str] = str
+    part: str | None = None
+
+
+_KEYS = (
+    _Key("n", int),
+    _Key("replications", int),
+    _Key("seed", int),
+    _Key(
+        "estimators",
+        lambda text: tuple(Estimator.from_name(tok) for tok in text.split(",") if tok.strip()),
+        lambda ests: ",".join(e.value for e in ests),
+    ),
+    _Key("target_cp", float, _show_float),
+    _Key("c", float, _show_float),
+    _Key("kernel", KernelKind.from_name, lambda kernel: kernel.value),
+    _Key("grid", parse_grid_spec, _grid_spec),
+    _Key("outlier_count", int),
+    _Key("outlier_mc", float, _show_float),
+    _Key("h", float, _show_float),
+    _Key("h_lo", float, _show_float, "lo"),
+    _Key("h_hi", float, _show_float, "hi"),
+    _Key("h_step", float, _show_float, "step"),
+    _Key("positive_only", _parse_bool, lambda flag: str(flag).lower()),
+    _Key("denominator_epsilon", float, _show_float),
+    _Key("calibration_tolerance", float, _show_float),
+)
+
+
+def config_lines(config: SimulationConfig) -> list:
+    """Print a config as the `key = value` lines that load_simulation_config
+    reads back to an equal config; keys whose value is None are left out.
+    Raises ConfigError for a grid that no lo:hi:count spec reproduces."""
+    lines = []
+    for key in _KEYS:
+        value = getattr(config.cv_grid, key.part, None) if key.part else getattr(config, key.name)
+        if value is not None:
+            lines.append(f"{key.name} = {key.show(value)}")
+    return lines
+
+
 def load_simulation_config(path) -> SimulationConfig:
     """Parse a plain-text `key = value` config file into a SimulationConfig.
 
-    Blank lines and text after `#` are ignored; keys mirror the
-    SimulationConfig fields, with the bandwidth policy spelled either as
-    `h = <float>` or as `h_lo`/`h_hi`/`h_step`.
+    Blank lines and text after `#` are ignored. The keys are those of
+    `_KEYS`; a cv_grid given in parts takes its missing parts from
+    DEFAULT_BANDWIDTH_GRID. Required keys are the fields without a default.
     """
-    entries: dict[str, str] = {}
+    known = {key.name: key for key in _KEYS}
+    kwargs, cv_parts = {}, {}
     try:
         fh = open(path)
     except OSError as exc:
@@ -456,71 +503,25 @@ def load_simulation_config(path) -> SimulationConfig:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not sep or not key or not value:
+            name, sep, text = (part.strip() for part in line.partition("="))
+            if not sep or not name or not text:
                 raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            if key not in _CONFIG_KEYS:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
-            if key in entries:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {key!r}")
-            entries[key] = value
-
-    def pull(key, conv):
-        if key not in entries:
-            return None
-        try:
-            return conv(entries[key])
-        except (ValueError, TypeError):
-            raise ConfigError(f"{path}: bad value for {key!r}: {entries[key]!r}") from None
-
-    def parse_bool(word):
-        word = word.strip().lower()
-        if word in _TRUE_WORDS:
-            return True
-        if word in _FALSE_WORDS:
-            return False
-        raise ValueError(word)
-
-    for key in ("n", "replications", "seed"):
-        if key not in entries:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-
-    kwargs = {
-        "n": pull("n", int),
-        "replications": pull("replications", int),
-        "seed": pull("seed", int),
-        "target_cp": pull("target_cp", float),
-        "c": pull("c", float),
-        "h": pull("h", float),
-    }
-    if "estimators" in entries:
-        kwargs["estimators"] = tuple(
-            Estimator.from_name(tok) for tok in entries["estimators"].split(",") if tok.strip()
-        )
-    if "grid" in entries:
-        kwargs["grid"] = parse_grid_spec(entries["grid"])
-    if "kernel" in entries:
-        kwargs["kernel"] = KernelKind.from_name(entries["kernel"])
-    if "outlier_count" in entries:
-        kwargs["outlier_count"] = pull("outlier_count", int)
-    if "outlier_mc" in entries:
-        kwargs["outlier_mc"] = pull("outlier_mc", float)
-    if "positive_only" in entries:
-        kwargs["positive_only"] = pull("positive_only", parse_bool)
-    if "denominator_epsilon" in entries:
-        kwargs["denominator_epsilon"] = pull("denominator_epsilon", float)
-    if "calibration_tolerance" in entries:
-        kwargs["calibration_tolerance"] = pull("calibration_tolerance", float)
-
-    cv_keys = [k for k in ("h_lo", "h_hi", "h_step") if k in entries]
-    if cv_keys:
-        if kwargs["h"] is not None:
-            raise ConfigError(f"{path}: give h or h_lo/h_hi/h_step, not both")
-        kwargs["cv_grid"] = BandwidthGrid(
-            pull("h_lo", float) if "h_lo" in entries else DEFAULT_BANDWIDTH_GRID.lo,
-            pull("h_hi", float) if "h_hi" in entries else DEFAULT_BANDWIDTH_GRID.hi,
-            pull("h_step", float) if "h_step" in entries else DEFAULT_BANDWIDTH_GRID.step,
-        )
-    return SimulationConfig(**kwargs)
+            key = known.get(name)
+            if key is None:
+                raise ConfigError(f"{path}: line {lineno}: unknown key {name!r}")
+            target, slot = (cv_parts, key.part) if key.part else (kwargs, name)
+            if slot in target:
+                raise ConfigError(f"{path}: line {lineno}: duplicate key {name!r}")
+            try:
+                target[slot] = key.parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {lineno}: bad value for {name!r}: {exc}") from None
+    for f in fields(SimulationConfig):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
+            raise ConfigError(f"{path}: missing required key {f.name!r}")
+    try:
+        if cv_parts:
+            kwargs["cv_grid"] = replace(DEFAULT_BANDWIDTH_GRID, **cv_parts)
+        return SimulationConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

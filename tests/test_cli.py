@@ -6,9 +6,24 @@ import sys
 import numpy as np
 import pytest
 
-from llrer import read_curve_csv
+from llrer import (
+    DEFAULT_CALIBRATION_TOLERANCE,
+    DEFAULT_GRID_SPEC,
+    load_simulation_config,
+    parse_grid_spec,
+    read_curve_csv,
+)
 import llrer.simulate
-from llrer.cli import EXIT_CONFIG, EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_REPLICATION, bundled_config_names, main
+from llrer.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_REPLICATION,
+    build_parser,
+    bundled_config_names,
+    main,
+)
 
 HAND_CSV = "y,delta,x\n1.0,1,0.0\n2.0,1,0.5\n3.0,1,1.0\n"
 
@@ -160,6 +175,8 @@ SMALL_CFG = (
     "grid = 1:2:6\n"
     "h = 0.6\n"
 )
+# the same study, calibrated and cross-validated
+CALIBRATED_CV_CFG = SMALL_CFG.replace("c = -2\n", "target_cp = 0.5\n").replace("h = 0.6\n", "")
 
 
 class TestSimulate:
@@ -189,14 +206,49 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "line",
         ["c = nan", "c = inf", "denominator_epsilon = nan", "denominator_epsilon = inf",
-         "calibration_tolerance = nan"],
+         "calibration_tolerance = nan", "grid = -inf:0:5", "grid = 1:inf:5", "grid = nan:1:3",
+         "grid = inf:inf:1"],
     )
     def test_non_finite_value_is_config_error(self, tmp_path, line):
         cfg = tmp_path / "run.cfg"
-        body = SMALL_CFG.replace("c = -2\n", "") if line.startswith("c =") else SMALL_CFG
+        key = line.split(" = ")[0]
+        body = "".join(row for row in SMALL_CFG.splitlines(keepends=True) if row.split(" = ")[0] != key)
         cfg.write_text(body + line + "\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
+
+    def test_cross_validation_at_one_observation_is_config_error(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 1\nreplications = 1\nseed = 1\nc = -2\ngrid = 1:2:3\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+        cfg.write_text("n = 1\nreplications = 1\nseed = 1\nc = -2\ngrid = 1:2:3\nh = 0.5\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "body, extra",
+        [(SMALL_CFG, []), (CALIBRATED_CV_CFG, ["--seed", "9"])],
+        ids=["fixed_h", "calibrated_cv_seed_override"],
+    )
+    def test_config_cfg_reruns_itself(self, tmp_path, capsys, body, extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(body)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["simulate", "--config", str(cfg), "--out", str(first)] + extra) == EXIT_OK
+        written = (first / "config.cfg").read_text()
+        if extra:
+            assert "seed = 9\n" in written
+        assert main(["simulate", "--config", str(first / "config.cfg"), "--out", str(second)]) == EXIT_OK
+        for name in ("curves.csv", "summary.csv", "config.cfg"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        manifest = (first / "manifest.txt").read_text().splitlines()
+        config_block = written.splitlines()
+        assert manifest[: len(config_block)] == config_block
+        assert "artifact = config.cfg" in manifest
+        entries = [line.split(" = ", 1) for line in manifest]
+        assert [key for key, _ in entries].count("c") == 1
+        grid_spec = dict(entries)["grid"]
+        assert np.array_equal(parse_grid_spec(grid_spec), load_simulation_config(cfg).grid)
 
     def test_failed_replication_sets_exit_code(self, tmp_path, monkeypatch, capsys):
         run_replication = llrer.simulate._run_replication
@@ -267,6 +319,13 @@ class TestSimulate:
         first = lines[1].split(",")
         last = lines[-1].split(",")
         assert float(first[2]) == 1.0 and float(last[2]) == 4.0
+
+
+def test_defaults_come_from_named_constants():
+    parser = build_parser()
+    estimate = parser.parse_args(["estimate", "--input", "d.csv", "--out", "c.csv", "--estimator", "cr", "--h", "1"])
+    assert estimate.grid == DEFAULT_GRID_SPEC
+    assert parser.parse_args(["calibrate", "--target", "0.5"]).tol == DEFAULT_CALIBRATION_TOLERANCE
 
 
 def test_module_entry_point(tmp_path):

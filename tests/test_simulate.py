@@ -1,28 +1,40 @@
+import dataclasses
+import inspect
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import llrer.simulate
 from llrer import (
+    DEFAULT_BANDWIDTH_GRID,
+    DEFAULT_CALIBRATION_TOLERANCE,
+    DEFAULT_GRID_SPEC,
     BandwidthGrid,
     CalibrationError,
     ConfigError,
     Estimator,
     EstimatorConfig,
     FittedCurve,
+    KernelKind,
     SimulationConfig,
     calibrate_censoring,
+    config_lines,
     error_metrics,
     fit_curve,
     generate_sample,
     inject_outliers,
     load_simulation_config,
     monte_carlo_run,
+    parse_grid_spec,
     ratio_second_order,
     theoretical_curve,
     write_curves_csv,
 )
+from llrer.cli import bundled_config_names
 
 SD_DIFF = math.sqrt(5.04)  # var(T) + var(C) = 4.04 + 1
 
@@ -242,6 +254,29 @@ class TestSimulationConfig:
         with pytest.raises(ConfigError):
             SimulationConfig(n=10, replications=1, seed=1, c=-2.0, outlier_count=11)
 
+    def test_cross_validation_needs_two_observations(self):
+        with pytest.raises(ConfigError, match="n >= 2"):
+            SimulationConfig(n=1, replications=1, seed=1, c=-2.0)
+        with pytest.raises(ConfigError, match="n >= 2"):
+            SimulationConfig(n=1, replications=1, seed=1, c=-2.0, cv_grid=BandwidthGrid(0.1, 1.0, 0.1))
+        assert SimulationConfig(n=1, replications=1, seed=1, c=-2.0, h=0.5).h == 0.5
+        assert SimulationConfig(n=2, replications=1, seed=1, c=-2.0).cv_grid == DEFAULT_BANDWIDTH_GRID
+
+    @pytest.mark.parametrize(
+        "grid", [[1.0, float("nan"), 3.0], [float("nan")], [float("inf")], [1.0, float("inf")], [-np.inf, 0.0]]
+    )
+    def test_rejects_non_finite_grid(self, grid):
+        with pytest.raises(ConfigError, match="grid"):
+            SimulationConfig(n=10, replications=1, seed=1, c=-2.0, grid=np.array(grid))
+
+    def test_defaults_have_one_copy(self):
+        cfg = SimulationConfig(n=10, replications=1, seed=1, c=-2.0)
+        assert np.array_equal(cfg.grid, parse_grid_spec(DEFAULT_GRID_SPEC))
+        assert np.array_equal(cfg.grid, np.linspace(1.0, 4.0, 61))
+        assert cfg.calibration_tolerance == DEFAULT_CALIBRATION_TOLERANCE == 0.005
+        tolerance = inspect.signature(calibrate_censoring).parameters["tolerance"].default
+        assert tolerance == DEFAULT_CALIBRATION_TOLERANCE
+
 
 class TestMonteCarloRun:
     @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
@@ -327,12 +362,14 @@ class TestMonteCarloRun:
         assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_failed_replication_recorded_not_fatal(self):
-        # n = 1 cannot cross-validate, so every replication fails but the
-        # run itself completes
-        cfg = SimulationConfig(n=1, replications=2, seed=5, c=-2.0, grid=np.array([1.0, 2.0]))
+        # responses scaled towards zero overflow their synthetic responses,
+        # so every replication fails but the run itself completes
+        cfg = SimulationConfig(
+            n=5, replications=2, seed=5, c=-2.0, outlier_count=5, outlier_mc=1e-300, grid=np.array([1.0, 2.0])
+        )
         report = monte_carlo_run(cfg)
         assert len(report.failures()) == 2
-        assert all("cross-validation" in r.error for r in report.results)
+        assert all("overflow" in r.error for r in report.results)
         assert report.summary_rows() == []
 
     def test_calibrates_when_target_given(self):
@@ -423,4 +460,141 @@ class TestConfigFile:
         p = tmp_path / "run.cfg"
         p.write_text("n 10\n")
         with pytest.raises(ConfigError, match="line 1"):
+            load_simulation_config(p)
+
+
+class TestParseGridSpec:
+    @pytest.mark.parametrize("spec", ["-inf:0:5", "1:inf:5", "nan:1:3", "inf:inf:1", "1:nan:1"])
+    def test_rejects_non_finite_ends(self, spec):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_grid_spec(spec)
+
+    def test_linspace(self):
+        assert np.array_equal(parse_grid_spec("1:2.5:16"), np.linspace(1.0, 2.5, 16))
+        assert np.array_equal(parse_grid_spec("2:2:1"), np.array([2.0]))
+
+
+def assert_same_config(a, b):
+    for f in dataclasses.fields(SimulationConfig):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "grid":
+            assert np.array_equal(x, y)
+        else:
+            assert x == y, f.name
+
+
+def reload_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return load_simulation_config(path)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, **finite)
+
+
+@st.composite
+def simulation_configs(draw):
+    """Valid SimulationConfigs whose grid is a lo:hi:count linspace."""
+    use_h = draw(st.booleans())
+    n = draw(st.integers(1 if use_h else 2, 10**6))
+    count = draw(st.integers(1, 200))
+    lo = draw(st.floats(-1e3, 1e3))
+    hi = lo if count == 1 else lo + draw(st.floats(1e-3, 1e3))
+    if draw(st.booleans()):
+        censoring = {"target_cp": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))}
+    else:
+        censoring = {"c": draw(st.floats(**finite))}
+    if use_h:
+        bandwidth = {"h": draw(positive)}
+    else:
+        h_lo = draw(st.floats(0.0, 1e3, exclude_min=True))
+        bandwidth = {"cv_grid": BandwidthGrid(h_lo, draw(st.floats(h_lo, 2e3)), draw(positive))}
+    return SimulationConfig(
+        n=n,
+        replications=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64)),
+        estimators=tuple(draw(st.lists(st.sampled_from(list(Estimator)), min_size=1, max_size=3, unique=True))),
+        outlier_count=draw(st.integers(0, n)),
+        outlier_mc=draw(positive),
+        grid=np.linspace(lo, hi, count),
+        kernel=draw(st.sampled_from(list(KernelKind))),
+        positive_only=draw(st.booleans()),
+        denominator_epsilon=draw(st.floats(0.0, 1.0)),
+        calibration_tolerance=draw(positive),
+        **censoring,
+        **bandwidth,
+    )
+
+
+class TestConfigLines:
+    @pytest.mark.parametrize("name", bundled_config_names())
+    def test_bundled_configs_round_trip(self, tmp_path, name):
+        cfg = load_simulation_config(resources.files("llrer").joinpath("configs", name))
+        lines = config_lines(cfg)
+        again = reload_lines(tmp_path / name, lines)
+        assert_same_config(cfg, again)
+        assert config_lines(again) == lines
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(simulation_configs())
+    def test_round_trip(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+        lines = config_lines(cfg)
+        again = reload_lines(path, lines)
+        assert_same_config(cfg, again)
+        assert config_lines(again) == lines
+
+    def test_absent_values_are_left_out(self):
+        keys = lambda cfg: [line.split(" = ")[0] for line in config_lines(cfg)]
+        fixed = keys(SimulationConfig(n=10, replications=1, seed=1, c=-2.0, h=0.5))
+        assert "c" in fixed and "h" in fixed
+        assert not {"target_cp", "h_lo", "h_hi", "h_step"} & set(fixed)
+        cv = keys(SimulationConfig(n=10, replications=1, seed=1, target_cp=0.5))
+        assert {"target_cp", "h_lo", "h_hi", "h_step"} <= set(cv)
+        assert not {"c", "h"} & set(cv)
+
+    def test_prints_plain_floats(self):
+        cfg = SimulationConfig(
+            n=10, replications=1, seed=1, c=np.float64(-2.5), outlier_mc=np.float32(0.5), grid=np.linspace(1.0, 4.0, 61)
+        )
+        lines = config_lines(cfg)
+        assert "grid = 1.0:4.0:61" in lines
+        assert "c = -2.5" in lines and "outlier_mc = 0.5" in lines
+        assert not any("np." in line for line in lines)
+
+    def test_rejects_grid_a_spec_cannot_hold(self):
+        cfg = SimulationConfig(n=10, replications=1, seed=1, c=-2.0, grid=np.array([1.0, 2.0, 4.0]))
+        with pytest.raises(ConfigError, match="lo:hi:count"):
+            config_lines(cfg)
+
+
+class TestConfigFileErrors:
+    def test_bad_value_names_line_and_key(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("n = 10\nreplications = many\nseed = 1\nc = -2\n")
+        with pytest.raises(ConfigError, match="line 2: bad value for 'replications'"):
+            load_simulation_config(p)
+
+    def test_bad_flag(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("n = 10\nreplications = 1\nseed = 1\nc = -2\npositive_only = maybe\n")
+        with pytest.raises(ConfigError, match="line 5: bad value for 'positive_only'"):
+            load_simulation_config(p)
+
+    def test_duplicate_bandwidth_part(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("n = 10\nreplications = 1\nseed = 1\nc = -2\nh_lo = 0.1\nh_lo = 0.2\n")
+        with pytest.raises(ConfigError, match="line 6: duplicate key 'h_lo'"):
+            load_simulation_config(p)
+
+    def test_missing_bandwidth_parts_take_defaults(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("n = 10\nreplications = 1\nseed = 1\nc = -2\nh_hi = 0.5\n")
+        grid = load_simulation_config(p).cv_grid
+        assert grid == BandwidthGrid(DEFAULT_BANDWIDTH_GRID.lo, 0.5, DEFAULT_BANDWIDTH_GRID.step)
+
+    def test_invalid_config_names_file(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("n = 1\nreplications = 1\nseed = 1\nc = -2\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg: cross-validation needs n >= 2"):
             load_simulation_config(p)
