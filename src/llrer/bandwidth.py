@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import KERNEL_SUPPORT, KernelKind, kernel_eval
-from .loclin import DEFAULT_EPSILON, Estimator, _block_rows, _masked_ratio, _ratio_terms, required_orders
+from .loclin import DEFAULT_EPSILON, Estimator, _block_rows, _masked_ratio, _ratio_terms, _union_orders
 from .survival import (
     CensoredSample,
     _check_responses,
@@ -156,7 +156,7 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     for h in hs:
         if not math.isfinite(h) or h <= 0.0:
             raise ConfigError(f"bandwidth h must satisfy h > 0, got {h!r}")
-    orders = dict.fromkeys(o for e in estimators for o in required_orders(e))
+    orders = _union_orders(estimators)
     target = synthetic_transform(sample, km_censoring_survival(sample), -1).values
     cols = _column_order(kernel, sample.x)
     xs = sample.x[cols]

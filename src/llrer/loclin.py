@@ -128,6 +128,11 @@ def required_orders(estimator: Estimator) -> tuple:
     return _REQUIRED_ORDERS[estimator]
 
 
+def _union_orders(estimators) -> tuple:
+    """The orders that any of estimators consumes, in order of first use."""
+    return tuple(dict.fromkeys(o for e in estimators for o in _REQUIRED_ORDERS[e]))
+
+
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row sums of a * b without the product array.
 
@@ -187,20 +192,22 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
-def _estimates(estimator, sample, step, config, points, responses=None):
-    """Estimates and degenerate flags at each of points, in blocks of rows."""
-    rmap = _response_map(sample, step, responses, required_orders(estimator))
-    tau = {o: rmap[o].values for o in required_orders(estimator)}
-    values = np.empty(points.size)
-    degenerate = np.empty(points.size, dtype=bool)
+def _estimates(estimators, sample, step, config, points, responses=None) -> dict:
+    """{estimator: (estimates, degenerate flags)} at each of points, in blocks
+    of rows; each block evaluates the kernel once for every estimator."""
+    orders = _union_orders(estimators)
+    rmap = _response_map(sample, step, responses, orders)
+    tau = {o: rmap[o].values for o in orders}
+    out = {e: (np.empty(points.size), np.empty(points.size, dtype=bool)) for e in estimators}
     rows = _block_rows(sample.n)
     for lo in range(0, points.size, rows):
         block = slice(lo, lo + rows)
         dx = sample.x[None, :] - points[block, None]
         w = kernel_eval(config.kernel, dx / config.bandwidth)
-        terms = _ratio_terms((estimator,), w, dx, dx * dx, tau)[estimator]
-        values[block], degenerate[block] = _masked_ratio(*terms, config.denominator_epsilon)
-    return values, degenerate
+        terms = _ratio_terms(estimators, w, dx, dx * dx, tau)
+        for e, (values, degenerate) in out.items():
+            values[block], degenerate[block] = _masked_ratio(*terms[e], config.denominator_epsilon)
+    return out
 
 
 def _response_map(sample, step, responses, orders) -> Mapping[int, SyntheticResponses]:
@@ -220,7 +227,7 @@ def _first_point(values, degenerate) -> PointEstimate:
 
 
 def _point(estimator, sample, step, config, x, responses) -> PointEstimate:
-    return _first_point(*_estimates(estimator, sample, step, config, np.array([float(x)]), responses))
+    return _first_point(*_estimates((estimator,), sample, step, config, np.array([float(x)]), responses)[estimator])
 
 
 def llrer_point(
@@ -323,21 +330,28 @@ class FittedCurve:
             object.__setattr__(self, name, arr)
 
 
-def fit_curve(estimator: Estimator, sample: CensoredSample, config: EstimatorConfig, grid) -> FittedCurve:
-    """Evaluate one estimator over an ascending grid.
+def fit_curves(estimators, sample: CensoredSample, config: EstimatorConfig, grid, responses=None) -> dict:
+    """{estimator: FittedCurve} of estimators that share one bandwidth, over an ascending grid.
 
-    The Kaplan-Meier step and the synthetic responses are computed once; the
-    grid is evaluated in blocks of rows through the same ratio path as point
-    estimates and cross-validation.
+    The Kaplan-Meier step and the synthetic responses are computed once when
+    not supplied, and each block of grid points evaluates the kernel once.
+    Each curve equals what fit_curve gives for its estimator alone, bit for bit.
     """
+    estimators = tuple(dict.fromkeys(estimators))
     grid = np.array(grid, dtype=float, ndmin=1)
     if grid.size == 0:
         raise ConfigError("evaluation grid is empty")
     # written so that a nan, which compares false, fails it
     if not np.all(np.diff(grid) > 0):
         raise ConfigError("evaluation grid must be strictly ascending")
-    values, degenerate = _estimates(estimator, sample, km_censoring_survival(sample), config, grid)
-    return FittedCurve(grid, values, degenerate)
+    step = km_censoring_survival(sample) if responses is None else None
+    fits = _estimates(estimators, sample, step, config, grid, responses)
+    return {e: FittedCurve(grid, values, degenerate) for e, (values, degenerate) in fits.items()}
+
+
+def fit_curve(estimator: Estimator, sample: CensoredSample, config: EstimatorConfig, grid) -> FittedCurve:
+    """Evaluate one estimator over an ascending grid; see fit_curves."""
+    return fit_curves((estimator,), sample, config, grid)[estimator]
 
 
 def write_curve_csv(curve: FittedCurve, path) -> None:

@@ -24,6 +24,7 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -31,8 +32,8 @@ import numpy as np
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidths
 from .errors import CalibrationError, ConfigError
 from .kernels import KernelKind
-from .loclin import DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, fit_curve
-from .survival import CensoredSample, NonPositiveResponseWarning
+from .loclin import DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _union_orders, fit_curves
+from .survival import CensoredSample, NonPositiveResponseWarning, km_censoring_survival, synthetic_transform
 
 DEFAULT_GRID_SPEC = "1:4:61"
 DEFAULT_CALIBRATION_TOLERANCE = 0.005
@@ -46,19 +47,6 @@ def theoretical_curve(x):
         raise ConfigError("theoretical curve undefined at x = -0.5")
     out = m + 0.04 / m
     return float(out) if x_arr.ndim == 0 else out
-
-
-def ratio_second_order(mu1: float, mu2: float, v1: float, v2: float, v12: float, n: int) -> float:
-    """Second-order approximation to the mean of a ratio of sample means.
-
-    v1 is accepted for interface symmetry; the expansion uses only the
-    denominator variance and the cross covariance.
-    """
-    if mu2 == 0.0:
-        raise ConfigError("mu2 must be nonzero")
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    return mu1 / mu2 + (mu1 * v2 / mu2**3 - v12 / mu2**2) / n
 
 
 @dataclass(frozen=True)
@@ -173,11 +161,12 @@ def error_metrics(curve: FittedCurve, reference) -> ErrorMetrics:
     Degenerate grid points are excluded: the sup runs over non-degenerate
     points and the integral over segments whose two endpoints are both
     non-degenerate. When every point is degenerate the metrics are absent
-    (None) and only the count is reported.
+    (None) and only the count is reported. reference is called once, on the
+    grid array, and returns an array of its shape or a scalar.
     """
     if curve.grid.size == 0:
         raise ConfigError("curve grid is empty")
-    ref = np.array([float(reference(float(xx))) for xx in curve.grid])
+    ref = np.broadcast_to(np.asarray(reference(curve.grid), dtype=float), curve.grid.shape)
     ok = ~curve.degenerate
     count = int(curve.degenerate.sum())
     if not ok.any():
@@ -247,6 +236,7 @@ class SimulationConfig:
         grid = np.array(self.grid, dtype=float, ndmin=1)
         if grid.size == 0 or not np.all(np.isfinite(grid)) or not np.all(np.diff(grid) > 0):
             raise ConfigError("grid must be non-empty, finite and strictly ascending")
+        theoretical_curve(grid)  # every replication's metrics need it defined on the grid
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         if isinstance(self.kernel, str):
@@ -321,21 +311,23 @@ def _run_replication(config: SimulationConfig, c: float, rep: int) -> Replicatio
         sample = inject_outliers(
             sample, config.outlier_count, config.outlier_mc, _replication_seed(config.seed, rep, 1)
         )
-    h_used, curves, metrics = {}, {}, {}
     with warnings.catch_warnings():
         # the per-replication non-positive count already reports this
         warnings.simplefilter("ignore", NonPositiveResponseWarning)
+        h_used = dict.fromkeys(config.estimators, config.h)
         if config.h is None:
             selections = select_bandwidths(
                 config.estimators, sample, config.kernel, config.cv_grid, config.denominator_epsilon
             )
-        for est in config.estimators:
-            h = config.h if config.h is not None else selections[est].h_opt
-            est_config = EstimatorConfig(h, config.kernel, config.denominator_epsilon)
-            curve = fit_curve(est, sample, est_config, config.grid)
-            h_used[est] = float(h)
-            curves[est] = curve
-            metrics[est] = error_metrics(curve, theoretical_curve)
+            h_used = {est: float(selection.h_opt) for est, selection in selections.items()}
+        step = km_censoring_survival(sample)
+        responses = [synthetic_transform(sample, step, o) for o in _union_orders(config.estimators)]
+    curves = {}
+    for h in dict.fromkeys(h_used.values()):  # one kernel pass per distinct bandwidth
+        group = [est for est in config.estimators if h_used[est] == h]
+        est_config = EstimatorConfig(h, config.kernel, config.denominator_epsilon)
+        curves.update(fit_curves(group, sample, est_config, config.grid, responses))
+    metrics = {est: error_metrics(curves[est], theoretical_curve) for est in config.estimators}
     return ReplicationResult(rep, gen.realized_cp, gen.nonpositive_uncensored, h_used, curves, metrics)
 
 
@@ -373,7 +365,8 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
 
 
 def write_curves_csv(report: SimulationReport, path) -> None:
-    """Per-replication curves as CSV rep,estimator,x,estimate,degenerate."""
+    """Per-replication curves on the config's grid as CSV rep,estimator,x,estimate,degenerate."""
+    xs = [repr(x) for x in report.config.grid.tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rep", "estimator", "x", "estimate", "degenerate"])
@@ -382,8 +375,8 @@ def write_curves_csv(report: SimulationReport, path) -> None:
                 continue
             for est in report.config.estimators:
                 curve = result.curves[est]
-                for x, v, flag in zip(curve.grid, curve.values, curve.degenerate):
-                    writer.writerow([result.rep, est.value, repr(float(x)), repr(float(v)), int(flag)])
+                values, flags = map(repr, curve.values.tolist()), curve.degenerate.astype(int).tolist()
+                writer.writerows(zip(repeat(result.rep), repeat(est.value), xs, values, flags))
 
 
 def write_summary_csv(report: SimulationReport, path) -> None:

@@ -199,11 +199,6 @@ def _loo_survival_rows(sample: CensoredSample):
     return block
 
 
-def survival_eval(step: SurvivalStep, t, side: str = "right"):
-    """Evaluate a survival step at t; see SurvivalStep.eval for the side rule."""
-    return step.eval(t, side=side)
-
-
 def synthetic_values(y, delta, order: int, gbar) -> np.ndarray:
     """Core transform delta * y**(-order) / gbar given survival values at y.
 

@@ -217,6 +217,15 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
 
+    def test_grid_through_the_pole_is_config_error(self, tmp_path, capsys):
+        # the theoretical curve is undefined at x = -0.5, so no replication
+        # could score a curve on this grid
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("grid = 1:2:6\n", "grid = -1:0:3\n"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+        assert "x = -0.5" in capsys.readouterr().err
+
     def test_cross_validation_at_one_observation_is_config_error(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n = 1\nreplications = 1\nseed = 1\nc = -2\ngrid = 1:2:3\n")

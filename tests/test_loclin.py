@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -10,12 +12,14 @@ from hypothesis import strategies as st
 from llrer import (
     CensoredSample,
     ConfigError,
+    DataError,
     Estimator,
     EstimatorConfig,
     FittedCurve,
     KernelKind,
     cr_point,
     fit_curve,
+    fit_curves,
     km_censoring_survival,
     llcr_point,
     llcr_point_naive,
@@ -25,6 +29,7 @@ from llrer import (
     moment_statistics,
     required_orders,
     read_curve_csv,
+    SyntheticResponses,
     synthetic_transform,
     write_curve_csv,
 )
@@ -451,6 +456,57 @@ class TestFitCurve:
             fit_curve(Estimator.CR, s, EstimatorConfig(1.0), [1.0, 0.5])
         with pytest.raises(ConfigError):
             fit_curve(Estimator.CR, s, EstimatorConfig(1.0), [])
+
+
+ESTIMATOR_ORDERS = [p for k in (1, 2, 3) for p in itertools.permutations(Estimator, k)]
+
+
+class TestFitCurves:
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @pytest.mark.parametrize("rows", (None, 1, 2, 7))
+    def test_equals_fit_curve_bit_for_bit(self, rows):
+        s = generate_sample(50, -1.0, seed=407).sample
+        grid = np.linspace(-2.5, 3.0, 23)
+        step = km_censoring_survival(s)
+        responses = [synthetic_transform(s, step, o) for o in (2, -1, 1)]
+        blocks = mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * s.n) if rows else contextlib.nullcontext()
+        for config in (EstimatorConfig(0.5, KernelKind.GAUSSIAN), EstimatorConfig(0.4, KernelKind.EPANECHNIKOV)):
+            alone = {est: fit_curve(est, s, config, grid) for est in Estimator}
+            with blocks:
+                for ests in ESTIMATOR_ORDERS:
+                    for given_responses in (None, responses):
+                        curves = fit_curves(ests, s, config, grid, given_responses)
+                        assert list(curves) == list(ests)
+                        for est, curve in curves.items():
+                            assert curve.grid.tobytes() == alone[est].grid.tobytes()
+                            assert curve.values.tobytes() == alone[est].values.tobytes(), (ests, est)
+                            assert np.array_equal(curve.degenerate, alone[est].degenerate)
+            # the Epanechnikov tails are degenerate, so the flags are exercised too
+            assert any(c.degenerate.any() for c in alone.values()) == (config.kernel is KernelKind.EPANECHNIKOV)
+
+    def test_computes_the_step_once(self):
+        rng = np.random.default_rng(43)
+        s = random_censored_sample(rng, 30)
+        with mock.patch.object(llrer.loclin, "km_censoring_survival", wraps=km_censoring_survival) as km:
+            fit_curves(Estimator, s, EstimatorConfig(0.6), [0.0, 0.5])
+            assert km.call_count == 1
+            responses = [synthetic_transform(s, km_censoring_survival(s), o) for o in (-1, 1, 2)]
+            fit_curves(Estimator, s, EstimatorConfig(0.6), [0.0, 0.5], responses)
+            assert km.call_count == 1
+
+    def test_rejects_bad_responses(self):
+        rng = np.random.default_rng(44)
+        s = random_censored_sample(rng, 30)
+        step = km_censoring_survival(s)
+        cfg = EstimatorConfig(0.6)
+        order_one = [synthetic_transform(s, step, 1)]
+        with pytest.raises(ConfigError, match="missing"):
+            fit_curves((Estimator.CR, Estimator.LLRER), s, cfg, [0.0], order_one + [synthetic_transform(s, step, -1)])
+        short = [SyntheticResponses(o, synthetic_transform(s, step, o).values[:-1]) for o in (-1, 1, 2)]
+        with pytest.raises(DataError, match="length"):
+            fit_curves((Estimator.LLCR,), s, cfg, [0.0], short)
+        with pytest.raises(ConfigError):
+            fit_curves(Estimator, s, cfg, [1.0, 0.5])
 
 
 class TestCurveCsv:

@@ -1,13 +1,16 @@
+import csv
 import dataclasses
 import inspect
 import math
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import llrer.loclin
 import llrer.simulate
 from llrer import (
     DEFAULT_BANDWIDTH_GRID,
@@ -20,23 +23,36 @@ from llrer import (
     EstimatorConfig,
     FittedCurve,
     KernelKind,
+    ReplicationResult,
     SimulationConfig,
+    SimulationReport,
     calibrate_censoring,
     config_lines,
     error_metrics,
     fit_curve,
     generate_sample,
     inject_outliers,
+    km_censoring_survival,
     load_simulation_config,
     monte_carlo_run,
     parse_grid_spec,
-    ratio_second_order,
+    select_bandwidth,
     theoretical_curve,
     write_curves_csv,
 )
 from llrer.cli import bundled_config_names
 
 SD_DIFF = math.sqrt(5.04)  # var(T) + var(C) = 4.04 + 1
+
+
+def per_point(reference):
+    """reference evaluated one grid point at a time, as error_metrics once did."""
+    return lambda grid: np.array([float(reference(float(x))) for x in grid])
+
+
+def replication_seed(master, rep, stream):
+    """Documented spawn keys: (1, r, 0) data and (1, r, 1) outliers of replication r."""
+    return np.random.SeedSequence(entropy=master, spawn_key=(1, rep, stream))
 
 
 def censoring_probability(c):
@@ -57,23 +73,6 @@ class TestTheoreticalCurve:
     def test_above_line_on_unit_interval(self):
         x = np.linspace(1.0, 4.0, 301)
         assert np.all(theoretical_curve(x) >= 2.0 * x + 1.0)
-
-
-class TestRatioSecondOrder:
-    def test_zero_variance(self):
-        assert ratio_second_order(1.0, 1.0, 123.0, 0.0, 0.0, 10) == 1.0
-
-    def test_direct_substitution(self):
-        assert ratio_second_order(1.0, 2.0, 0.0, 4.0, 0.0, 100) == pytest.approx(0.505, rel=1e-15)
-
-    def test_large_n_limit(self):
-        assert ratio_second_order(3.0, 2.0, 1.0, 5.0, 2.0, 10**12) == pytest.approx(1.5, rel=1e-9)
-
-    def test_rejects_zero_denominator_mean(self):
-        with pytest.raises(ConfigError):
-            ratio_second_order(1.0, 0.0, 1.0, 1.0, 0.0, 10)
-        with pytest.raises(ConfigError):
-            ratio_second_order(1.0, 1.0, 1.0, 1.0, 0.0, 0)
 
 
 class TestGenerateSample:
@@ -223,6 +222,19 @@ class TestErrorMetrics:
         m = error_metrics(FittedCurve(grid, np.zeros(2), np.ones(2, dtype=bool)), lambda x: 1.0)
         assert m.sup_error is None and m.mise is None and m.degenerate_count == 2
 
+    def test_theoretical_curve_equals_per_point_loop(self):
+        rng = np.random.default_rng(14)
+        for grid in (np.linspace(1.0, 4.0, 61), np.linspace(-3.0, 2.0, 40), np.array([0.7])):
+            assert theoretical_curve(grid).tobytes() == per_point(theoretical_curve)(grid).tobytes()
+            for flags in (np.zeros(grid.size, dtype=bool), rng.random(grid.size) < 0.3):
+                curve = FittedCurve(grid, 2.0 * grid + 1.0 + rng.normal(0.0, 0.1, grid.size), flags)
+                assert error_metrics(curve, theoretical_curve) == error_metrics(curve, per_point(theoretical_curve))
+
+    def test_scalar_reference(self):
+        grid = np.array([0.0, 1.0, 3.0])
+        m = error_metrics(FittedCurve(grid, np.array([1.5, 0.5, 1.0]), np.zeros(3, dtype=bool)), lambda x: 1.0)
+        assert m == (0.5, 0.5 * 0.25 * 1.0 + 0.5 * 0.25 * 1.0 + 0.5 * 0.25 * 2.0, 0)
+
 
 class TestSimulationConfig:
     def test_requires_exactly_one_censoring_spec(self):
@@ -268,6 +280,13 @@ class TestSimulationConfig:
     def test_rejects_non_finite_grid(self, grid):
         with pytest.raises(ConfigError, match="grid"):
             SimulationConfig(n=10, replications=1, seed=1, c=-2.0, grid=np.array(grid))
+
+    def test_rejects_grid_through_the_pole(self):
+        for grid in (parse_grid_spec("-1:0:3"), np.array([-0.5]), np.array([-2.0, -0.5, 1.0])):
+            with pytest.raises(ConfigError, match="-0.5"):
+                SimulationConfig(n=10, replications=1, seed=1, c=-2.0, h=0.5, grid=grid)
+        near = np.array([np.nextafter(-0.5, -1.0), np.nextafter(-0.5, 0.0)])
+        assert np.array_equal(SimulationConfig(n=10, replications=1, seed=1, c=-2.0, h=0.5, grid=near).grid, near)
 
     def test_defaults_have_one_copy(self):
         cfg = SimulationConfig(n=10, replications=1, seed=1, c=-2.0)
@@ -392,6 +411,110 @@ class TestMonteCarloRun:
         assert med == pytest.approx(float(np.percentile(sups, 50)), rel=1e-12)
         assert q1 == pytest.approx(float(np.percentile(sups, 25)), rel=1e-12)
         assert q3 == pytest.approx(float(np.percentile(sups, 75)), rel=1e-12)
+
+
+def per_estimator_recipe(config, c, rep):
+    """One replication as it was computed before the shared pass: a bandwidth
+    selection, a curve (with its own Kaplan-Meier fit) and a per-point
+    reference loop for each estimator alone. {estimator: (h, curve, metrics)}"""
+    sample = generate_sample(config.n, c, replication_seed(config.seed, rep, 0), config.positive_only).sample
+    if config.outlier_count:
+        sample = inject_outliers(sample, config.outlier_count, config.outlier_mc, replication_seed(config.seed, rep, 1))
+    out = {}
+    for est in config.estimators:
+        h = config.h
+        if h is None:
+            h = select_bandwidth(est, sample, config.kernel, config.cv_grid, config.denominator_epsilon).h_opt
+        curve = fit_curve(est, sample, EstimatorConfig(h, config.kernel, config.denominator_epsilon), config.grid)
+        out[est] = (float(h), curve, error_metrics(curve, per_point(theoretical_curve)))
+    return out
+
+
+def row_by_row_curves_csv(report, path):
+    """write_curves_csv as it was before it wrote a curve per call."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rep", "estimator", "x", "estimate", "degenerate"])
+        for result in report.results:
+            if result.error is not None:
+                continue
+            for est in report.config.estimators:
+                curve = result.curves[est]
+                for x, v, flag in zip(curve.grid, curve.values, curve.degenerate):
+                    writer.writerow([result.rep, est.value, repr(float(x)), repr(float(v)), int(flag)])
+
+
+FIXED_H_STUDY = SimulationConfig(
+    n=80, replications=3, seed=21, c=-1.0, h=0.4, outlier_count=4, outlier_mc=50.0,
+    estimators=(Estimator.LLCR, Estimator.LLRER, Estimator.CR), grid=np.linspace(1.0, 4.0, 61),
+)
+CV_STUDY = SimulationConfig(
+    n=40, replications=4, seed=23, c=-1.0, cv_grid=BandwidthGrid(0.2, 1.0, 0.2),
+    estimators=(Estimator.LLRER, Estimator.LLCR, Estimator.CR), grid=np.linspace(1.0, 4.0, 61),
+)
+
+
+class TestReplication:
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @pytest.mark.parametrize("config", [FIXED_H_STUDY, CV_STUDY], ids=["fixed_h", "cv"])
+    def test_equals_per_estimator_recipe(self, config):
+        groups = set()
+        for rep in range(config.replications):
+            result = llrer.simulate._run_replication(config, -1.0, rep)
+            want = per_estimator_recipe(config, -1.0, rep)
+            for est, (h, curve, metrics) in want.items():
+                assert type(result.h_used[est]) is float and result.h_used[est] == h
+                assert result.curves[est].values.tobytes() == curve.values.tobytes()
+                assert np.array_equal(result.curves[est].degenerate, curve.degenerate)
+                assert result.metrics[est] == metrics
+            groups.add(len(set(result.h_used.values())))
+        # fixed h is one group; this CV study's replications select one, two
+        # and three distinct bandwidths
+        assert groups == ({1} if config.h is not None else {1, 2, 3})
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @pytest.mark.parametrize("config", [FIXED_H_STUDY, CV_STUDY], ids=["fixed_h", "cv"])
+    def test_one_kaplan_meier_fit_for_the_curves(self, config):
+        # cross-validation fits its own target step inside bandwidth
+        km = mock.Mock(wraps=km_censoring_survival)
+        with mock.patch.object(llrer.simulate, "km_censoring_survival", km), mock.patch.object(
+            llrer.loclin, "km_censoring_survival", km
+        ):
+            report = monte_carlo_run(config)
+        assert not report.failures()
+        assert km.call_count == config.replications
+
+
+class TestWriteCurvesCsv:
+    def test_equals_row_by_row_writer_on_edge_floats(self, tmp_path):
+        grid = np.array([-0.0, 5e-324, 1.0, 1e16])
+        config = SimulationConfig(
+            n=5, replications=3, seed=0, c=0.0, h=0.3, estimators=(Estimator.CR, Estimator.LLRER), grid=grid
+        )
+        live = np.zeros(4, dtype=bool)
+        curves = {
+            Estimator.CR: FittedCurve(grid, np.array([-0.0, 5e-324, 1e16, 0.1]), live),
+            Estimator.LLRER: FittedCurve(grid, np.zeros(4), np.array([True, False, True, True])),
+        }
+        results = (
+            ReplicationResult(0, 0.2, 0, dict.fromkeys(curves, 0.3), curves, {}),
+            ReplicationResult(1, float("nan"), 0, {}, {}, {}, error="DataError: forced"),
+            ReplicationResult(2, 0.4, 1, dict.fromkeys(curves, 0.3), dict(reversed(curves.items())), {}),
+        )
+        report = SimulationReport(config, 0.0, results)
+        write_curves_csv(report, tmp_path / "batched.csv")
+        row_by_row_curves_csv(report, tmp_path / "rows.csv")
+        text = (tmp_path / "batched.csv").read_bytes()
+        assert text == (tmp_path / "rows.csv").read_bytes()
+        assert b"\r\n0,cr,-0.0,-0.0,0\r\n0,cr,5e-324,5e-324,0\r\n0,cr,1.0,1e+16,0\r\n" in text
+        assert b"\r\n2,llrer,1e+16,0.0,1\r\n" in text and b"\r\n1," not in text
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    def test_equals_row_by_row_writer_on_a_run(self, tmp_path):
+        report = monte_carlo_run(dataclasses.replace(FIXED_H_STUDY, replications=2))
+        write_curves_csv(report, tmp_path / "batched.csv")
+        row_by_row_curves_csv(report, tmp_path / "rows.csv")
+        assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestConfigFile:

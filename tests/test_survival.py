@@ -13,7 +13,6 @@ from llrer import (
     km_censoring_survival,
     loo_censoring_survival,
     read_sample_csv,
-    survival_eval,
     synthetic_transform,
     synthetic_values,
 )
@@ -179,17 +178,17 @@ class TestLeaveOneOutSurvival:
 class TestSurvivalEval:
     def test_left_limit_at_jump(self):
         step = km_censoring_survival(make([1, 2, 3], [1, 0, 1]))
-        assert survival_eval(step, 2.0, side="right") == 0.5
-        assert survival_eval(step, 2.0, side="left") == 1.0
-        assert survival_eval(step, 3.0, side="left") == 0.5
+        assert step.eval(2.0, side="right") == 0.5
+        assert step.eval(2.0, side="left") == 1.0
+        assert step.eval(3.0, side="left") == 0.5
 
     def test_below_first_jump(self):
         step = km_censoring_survival(make([1, 2, 3], [1, 0, 1]))
-        assert survival_eval(step, -100.0) == 1.0
+        assert step.eval(-100.0) == 1.0
 
     def test_vectorized(self):
         step = km_censoring_survival(make([1, 2, 3], [1, 0, 1]))
-        got = survival_eval(step, np.array([0.0, 2.0, 2.5, 3.0, 9.0]))
+        got = step.eval(np.array([0.0, 2.0, 2.5, 3.0, 9.0]))
         assert np.array_equal(got, [1.0, 0.5, 0.5, 0.0, 0.0])
 
     def test_bad_side(self):
