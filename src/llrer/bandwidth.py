@@ -9,17 +9,16 @@ predicts 0 (the shared convention) and is counted in the trace, so
 pathological bandwidths stay visible.
 
 select_bandwidths scores several estimators in one pass, shared by every
-estimator. The folds are taken in blocks of at most loclin._BLOCK_ENTRIES
-(fold, observation) pairs: each block builds its rows of the leave-one-out
-responses once, then scores every bandwidth, so the workspace is
-O(n * block) instead of O(n^2), next to one stored prediction per fold,
-bandwidth and estimator. For a compact kernel (Epanechnikov) folds and
-observations are sorted by x, and each bandwidth evaluates only the window
-of columns within its support of the block, a superset of the non-zero
-weights. For the Gaussian kernel the window is every column, folds and
-columns stay in input order, and scores do not depend on the block size.
-Predictions are put back in input order, and each score is one sum in that
-order.
+estimator. It sorts the records by (x, y, delta) once and runs on that copy:
+target, folds, columns, predictions and each score's sum. So the traces
+depend on the records but not on their order. The folds are taken in blocks
+of at most loclin._BLOCK_ENTRIES (fold, observation) pairs: each block
+builds its rows of the leave-one-out responses once, then scores every
+bandwidth, so the workspace is O(n * block) instead of O(n^2), next to one
+stored prediction per fold, bandwidth and estimator. Each bandwidth
+evaluates only the window of columns within its kernel's support of the
+block, a superset of the non-zero weights: every column for the Gaussian
+kernel, whose scores do not depend on the block size.
 
 cv_score and select_bandwidth go through the same pass, so a traced score
 always equals the score of a standalone call, alone or alongside others.
@@ -36,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import KERNEL_SUPPORT, KernelKind, kernel_eval
-from .loclin import DEFAULT_EPSILON, Estimator, _block_rows, _masked_ratio, _ratio_terms, _union_orders
+from .loclin import DEFAULT_EPSILON, Estimator, _block_rows, _check_epsilon, _masked_ratio, _ratio_terms, _union_orders
 from .survival import (
     CensoredSample,
     _check_responses,
@@ -93,59 +92,51 @@ class BandwidthSelection(NamedTuple):
 _REACH_SLACK = 1e-9
 
 
-def _column_order(kernel: KernelKind, x: np.ndarray) -> np.ndarray:
-    """Order of the observations as folds and columns: by x for a compact
-    kernel, else as given, so an unbounded kernel sums in the input order."""
-    if math.isinf(KERNEL_SUPPORT[kernel]):
-        return np.arange(x.size)
-    return np.argsort(x, kind="stable")
-
-
 def _window(kernel: KernelKind, h: float, xs: np.ndarray, lo: float, hi: float) -> slice:
     """Columns that can weigh on points in [lo, hi] at bandwidth h.
 
-    xs holds the covariates in _column_order. For a compact kernel the
-    columns are ascending and the slice covers every x within the slightly
-    widened reach h * support of [lo, hi], a superset of the non-zero
-    weights; an unbounded kernel takes every column.
+    xs holds the covariates in ascending order. The slice covers every x
+    within the slightly widened reach h * support of [lo, hi], a superset of
+    the non-zero weights; the infinite reach of an unbounded kernel covers
+    every column.
     """
     reach = KERNEL_SUPPORT[kernel] * h * (1.0 + _REACH_SLACK)
-    if math.isinf(reach):
-        return slice(0, xs.size)
     return slice(int(np.searchsorted(xs, lo - reach, "left")), int(np.searchsorted(xs, hi + reach, "right")))
 
 
-def _fold_blocks(sample: CensoredSample, orders, cols: np.ndarray):
-    """Blocks of leave-one-out folds in column order, with their responses.
+def _fold_blocks(sample: CensoredSample, orders):
+    """Blocks of leave-one-out folds, with their responses.
 
-    Yields (block, tau): the folds are observations cols[block], at most
-    _block_rows(n) of them, and tau[order][r, c] is the order-`order`
-    synthetic response of observation cols[c] under the Kaplan-Meier
-    estimate that excludes cols[block][r] (0 for the fold itself). The
-    checks on the responses alone run once, before the first block; every
-    block checks its survival values and overflow over all columns.
+    Yields (block, tau): the folds are the observations in the slice block,
+    at most _block_rows(n) of them, and tau[order][r, j] is the
+    order-`order` synthetic response of observation j under the Kaplan-Meier
+    estimate that excludes observation block.start + r (0 for the fold
+    itself). The checks on the responses alone run once, before the first
+    block; every block checks its survival values and overflow over all
+    columns.
     """
     uncensored = sample.delta == 1
     # with n >= 2 every observation lies in some fold, so the folds' response
     # checks are those of the whole sample
     _check_responses(sample.y, uncensored, orders)
     survival_rows = _loo_survival_rows(sample)
-    y, uncensored = sample.y[cols], uncensored[cols]
+    every = np.arange(sample.n)
     rows = _block_rows(sample.n)
     for lo in range(0, sample.n, rows):
         block = slice(lo, lo + rows)
-        gbar = survival_rows(cols[block], cols)
-        in_fold = uncensored[None, :] & (cols[None, :] != cols[block, None])
-        yield block, {o: _divide_by_survival(y, in_fold, o, gbar) for o in orders}
+        gbar = survival_rows(block)
+        in_fold = uncensored & (every != every[block, None])
+        yield block, {o: _divide_by_survival(sample.y, in_fold, o, gbar) for o in orders}
 
 
 def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: float) -> dict:
     """Trace of (h, score, degenerate_folds) over hs for each estimator.
 
-    The blocks of folds are outermost and the bandwidths inside, so each
-    block's workspace is built once. For a compact kernel the folds and
-    columns are in x order and each bandwidth reads only the window of
-    columns its support reaches from the block.
+    The records are sorted by (x, y, delta) once, and the whole pass runs on
+    that copy, so the traces do not depend on the order of the records. The
+    blocks of folds are outermost and the bandwidths inside, so each block's
+    workspace is built once, and each bandwidth reads only the window of
+    columns its kernel's support reaches from the block.
     """
     estimators = tuple(dict.fromkeys(estimators))
     if not estimators:
@@ -156,21 +147,22 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     for h in hs:
         if not math.isfinite(h) or h <= 0.0:
             raise ConfigError(f"bandwidth h must satisfy h > 0, got {h!r}")
+    eps = _check_epsilon(eps)
+    records = np.lexsort((sample.delta, sample.y, sample.x))
+    sample = CensoredSample(sample.y[records], sample.delta[records], sample.x[records])
     orders = _union_orders(estimators)
     target = synthetic_transform(sample, km_censoring_survival(sample), -1).values
-    cols = _column_order(kernel, sample.x)
-    xs = sample.x[cols]
-    preds = {e: np.empty((len(hs), sample.n)) for e in estimators}  # folds in column order
+    preds = {e: np.empty((len(hs), sample.n)) for e in estimators}
     degenerate = {e: [0] * len(hs) for e in estimators}
-    for block, tau in _fold_blocks(sample, orders, cols):
-        x = xs[block]  # ascending where the window depends on it
+    for block, tau in _fold_blocks(sample, orders):
+        x = sample.x[block]  # ascending, so x[0] and x[-1] bound the block
         # dx and dx2 cover the columns the largest bandwidth reaches; each
         # bandwidth reads its own window of them as a view
-        outer = _window(kernel, max(hs), xs, x[0], x[-1])
-        dx = xs[None, outer] - x[:, None]
+        outer = _window(kernel, max(hs), sample.x, x[0], x[-1])
+        dx = sample.x[None, outer] - x[:, None]
         dx2 = dx * dx
         for k, h in enumerate(hs):
-            win = _window(kernel, h, xs, x[0], x[-1])
+            win = _window(kernel, h, sample.x, x[0], x[-1])
             inner = slice(win.start - outer.start, win.stop - outer.start)
             w = kernel_eval(kernel, dx[:, inner] / h)
             np.fill_diagonal(w[:, block.start - win.start :], 0.0)  # each fold's own weight
@@ -178,11 +170,10 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
             for e, (num, den, scale) in terms.items():
                 preds[e][k, block], flags = _masked_ratio(num, den, scale, eps)
                 degenerate[e][k] += int(flags.sum())
-    column_of = np.argsort(cols)
     traces = {e: [] for e in estimators}
     for e, trace in traces.items():
         for k, h in enumerate(hs):
-            resid = target - preds[e][k][column_of]  # back to input order
+            resid = target - preds[e][k]
             trace.append(CVPoint(h, float(np.sum(resid * resid)), degenerate[e][k]))
     return {e: tuple(trace) for e, trace in traces.items()}
 

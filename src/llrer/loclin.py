@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .kernels import KernelKind, kernel_eval, scaled_kernel
-from .survival import CensoredSample, SurvivalStep, SyntheticResponses, km_censoring_survival, synthetic_transform
+from .survival import CensoredSample, SurvivalStep, SyntheticResponses, _synthetic_responses, km_censoring_survival
 
 DEFAULT_EPSILON = 1e-12
 
@@ -66,10 +66,15 @@ class EstimatorConfig:
         object.__setattr__(self, "bandwidth", h)
         if not isinstance(self.kernel, KernelKind):
             raise ConfigError(f"kernel must be a KernelKind, got {self.kernel!r}")
-        eps = float(self.denominator_epsilon)
-        if not np.isfinite(eps) or eps < 0.0:
-            raise ConfigError(f"denominator_epsilon must be >= 0, got {self.denominator_epsilon!r}")
-        object.__setattr__(self, "denominator_epsilon", eps)
+        object.__setattr__(self, "denominator_epsilon", _check_epsilon(self.denominator_epsilon))
+
+
+def _check_epsilon(value) -> float:
+    """value as a float, or a ConfigError unless it is finite and >= 0."""
+    eps = float(value)
+    if not np.isfinite(eps) or eps < 0.0:
+        raise ConfigError(f"denominator_epsilon must be >= 0, got {value!r}")
+    return eps
 
 
 class PointEstimate(NamedTuple):
@@ -212,7 +217,7 @@ def _estimates(estimators, sample, step, config, points, responses=None) -> dict
 
 def _response_map(sample, step, responses, orders) -> Mapping[int, SyntheticResponses]:
     if responses is None:
-        return {o: synthetic_transform(sample, step, o) for o in orders}
+        return _synthetic_responses(sample, step, orders)
     mapping = {r.order: r for r in responses}
     missing = [o for o in orders if o not in mapping]
     if missing:

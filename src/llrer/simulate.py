@@ -32,11 +32,14 @@ import numpy as np
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidths
 from .errors import CalibrationError, ConfigError
 from .kernels import KernelKind
-from .loclin import DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _union_orders, fit_curves
-from .survival import CensoredSample, NonPositiveResponseWarning, km_censoring_survival, synthetic_transform
+from .loclin import DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _union_orders, fit_curves
+from .survival import CensoredSample, NonPositiveResponseWarning, _synthetic_responses, km_censoring_survival
 
 DEFAULT_GRID_SPEC = "1:4:61"
 DEFAULT_CALIBRATION_TOLERANCE = 0.005
+# calibrate_censoring's fixed draws and bisection budget
+_DRAWS = 1_000_000
+_MAX_ITER = 200
 
 
 def theoretical_curve(x):
@@ -88,35 +91,27 @@ def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> Gene
     return GeneratedSample(CensoredSample(y, delta, x), t, censor)
 
 
-def calibrate_censoring(
-    target_cp: float,
-    tolerance: float = DEFAULT_CALIBRATION_TOLERANCE,
-    seed=0,
-    draws: int = 1_000_000,
-    max_iter: int = 200,
-) -> float:
+def calibrate_censoring(target_cp: float, tolerance: float = DEFAULT_CALIBRATION_TOLERANCE, seed=0) -> float:
     """Bisect the censoring shift c to a target censoring proportion.
 
-    One fixed set of draws is reused across bisection steps, so the Monte
-    Carlo censoring proportion is monotone non-increasing in c and the
+    One fixed set of _DRAWS draws is reused across bisection steps, so the
+    Monte Carlo censoring proportion is monotone non-increasing in c and the
     bisection is well behaved. Raises CalibrationError when the tolerance is
-    unattainable within the iteration budget (with 1e6 draws the estimate
-    moves in steps of 1e-6, so tolerances below that cannot be met).
+    unattainable within _MAX_ITER steps (the estimate moves in steps of
+    1 / _DRAWS, so tolerances below that cannot be met).
     """
     if not 0.0 < target_cp < 1.0:
         raise ConfigError(f"target censoring proportion must be in (0, 1), got {target_cp}")
-    if tolerance <= 0.0:
-        raise ConfigError(f"tolerance must be > 0, got {tolerance}")
-    if draws < 1_000_000:
-        raise ConfigError(f"calibration needs at least 1e6 draws, got {draws}")
+    if not np.isfinite(tolerance) or tolerance <= 0.0:
+        raise ConfigError(f"tolerance must be finite and > 0, got {tolerance}")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(draws)
-    noise = rng.standard_normal(draws)
-    z = rng.standard_normal(draws)
+    x = rng.standard_normal(_DRAWS)
+    noise = rng.standard_normal(_DRAWS)
+    z = rng.standard_normal(_DRAWS)
     # T > C  <=>  (T - 3 - z) > c with C = 3 + c + z
     margin = 2.0 * x + 1.0 + 0.2 * noise - 3.0 - z
     lo, hi = -60.0, 60.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         cp = float(np.mean(margin > mid))
         if abs(cp - target_cp) <= tolerance:
@@ -127,7 +122,7 @@ def calibrate_censoring(
             hi = mid
     raise CalibrationError(
         f"could not reach censoring proportion {target_cp} within +/-{tolerance} "
-        f"in {max_iter} bisection steps"
+        f"in {_MAX_ITER} bisection steps"
     )
 
 
@@ -253,8 +248,7 @@ class SimulationConfig:
             raise ConfigError(f"cross-validation needs n >= 2, got n = {self.n}; give a fixed h")
         elif self.cv_grid is None:
             object.__setattr__(self, "cv_grid", DEFAULT_BANDWIDTH_GRID)
-        if not np.isfinite(self.denominator_epsilon) or self.denominator_epsilon < 0.0:
-            raise ConfigError(f"denominator_epsilon must be >= 0, got {self.denominator_epsilon!r}")
+        _check_epsilon(self.denominator_epsilon)
         if not np.isfinite(self.calibration_tolerance) or self.calibration_tolerance <= 0.0:
             raise ConfigError(f"calibration_tolerance must be > 0, got {self.calibration_tolerance!r}")
 
@@ -320,13 +314,12 @@ def _run_replication(config: SimulationConfig, c: float, rep: int) -> Replicatio
                 config.estimators, sample, config.kernel, config.cv_grid, config.denominator_epsilon
             )
             h_used = {est: float(selection.h_opt) for est, selection in selections.items()}
-        step = km_censoring_survival(sample)
-        responses = [synthetic_transform(sample, step, o) for o in _union_orders(config.estimators)]
+        responses = _synthetic_responses(sample, km_censoring_survival(sample), _union_orders(config.estimators))
     curves = {}
     for h in dict.fromkeys(h_used.values()):  # one kernel pass per distinct bandwidth
         group = [est for est in config.estimators if h_used[est] == h]
         est_config = EstimatorConfig(h, config.kernel, config.denominator_epsilon)
-        curves.update(fit_curves(group, sample, est_config, config.grid, responses))
+        curves.update(fit_curves(group, sample, est_config, config.grid, responses.values()))
     metrics = {est: error_metrics(curves[est], theoretical_curve) for est in config.estimators}
     return ReplicationResult(rep, gen.realized_cp, gen.nonpositive_uncensored, h_used, curves, metrics)
 

@@ -160,15 +160,15 @@ def loo_censoring_survival(sample: CensoredSample) -> np.ndarray:
     The left limit at y_j multiplies the factors before the start s_j of
     j's tie group.
     """
-    every = np.arange(sample.n)
-    return _loo_survival_rows(sample)(every, every)
+    return _loo_survival_rows(sample)(slice(0, sample.n))
 
 
 def _loo_survival_rows(sample: CensoredSample):
-    """Function (rows, cols) -> G[rows][:, cols] of loo_censoring_survival.
+    """Function folds -> G[folds] of loo_censoring_survival, for a contiguous
+    slice of folds over every column.
 
-    The prefix products are computed once, so blocks of rows cost
-    O(rows * cols) each.
+    The prefix products are computed once, so a block of rows costs
+    O(rows * n).
     """
     n = sample.n
     if n < 2:
@@ -188,12 +188,13 @@ def _loo_survival_rows(sample: CensoredSample):
     plain_s, reduced_s = plain[s], reduced[s]
     # a unique largest response lies beyond its own fold's largest
     # observation, where the step is 0
-    lone_max = order[-1] if ys[-1] > ys[-2] else -1
+    lone_max = int(order[-1]) if ys[-1] > ys[-2] else -1
 
-    def block(rows, cols):
-        later = s[None, cols] > p[rows, None]
-        gbar = np.where(later, rescale[rows, None] * plain_s[None, cols], reduced_s[None, cols])
-        gbar[np.ix_(rows == lone_max, cols == lone_max)] = 0.0
+    def block(folds: slice):
+        later = s > p[folds, None]
+        gbar = np.where(later, rescale[folds, None] * plain_s, reduced_s)
+        if folds.start <= lone_max < folds.stop:
+            gbar[lone_max - folds.start, lone_max] = 0.0
         return gbar
 
     return block
@@ -256,8 +257,14 @@ def synthetic_transform(sample: CensoredSample, step: SurvivalStep, order: int) 
 
     The step must have been estimated from the same sample (not verified).
     """
+    return _synthetic_responses(sample, step, (order,))[order]
+
+
+def _synthetic_responses(sample: CensoredSample, step: SurvivalStep, orders) -> dict:
+    """{order: synthetic_transform(sample, step, order)}, evaluating the
+    step's left limits once for every order."""
     gbar = step.eval(sample.y, side="left")
-    return SyntheticResponses(order, synthetic_values(sample.y, sample.delta, order, gbar))
+    return {o: SyntheticResponses(o, synthetic_values(sample.y, sample.delta, o, gbar)) for o in orders}
 
 
 def read_sample_csv(path) -> CensoredSample:

@@ -30,7 +30,7 @@ from llrer import (
     write_cv_trace_csv,
 )
 import llrer.loclin
-from llrer.bandwidth import _column_order, _fold_blocks, _window
+from llrer.bandwidth import _fold_blocks, _window
 from llrer.kernels import kernel_eval
 
 POINT_FN = {Estimator.LLRER: llrer_point, Estimator.LLCR: llcr_point, Estimator.CR: cr_point}
@@ -80,12 +80,12 @@ def recorded(fn):
     return value, sum(issubclass(w.category, NonPositiveResponseWarning) for w in caught)
 
 
-def fold_responses(sample, order, cols):
+def fold_responses(sample, order):
     """Row i: the order-`order` fold responses that cross-validation builds
-    for fold i, with folds and columns taken in the order cols."""
+    for fold i of sample."""
     out = np.empty((sample.n, sample.n))
-    for block, tau in _fold_blocks(sample, (order,), cols):
-        out[np.ix_(cols[block], cols)] = tau[order]
+    for block, tau in _fold_blocks(sample, (order,)):
+        out[block] = tau[order]
     return out
 
 
@@ -187,6 +187,24 @@ class TestCvScore:
         b = cv_score(Estimator.LLRER, shuffled, KernelKind.GAUSSIAN, 0.6)
         assert a == pytest.approx(b, rel=1e-9)
 
+    @pytest.mark.parametrize("eps", (float("nan"), -1e-12, float("inf")), ids=("nan", "negative", "inf"))
+    def test_rejects_invalid_denominator_epsilon(self, eps):
+        # the rule and message of EstimatorConfig; a nan would otherwise
+        # score nan and pin h_opt to the grid floor without a message
+        rng = np.random.default_rng(67)
+        s = random_censored_sample(rng, 10)
+        grid = BandwidthGrid(0.5, 1.0, 0.5)
+        with pytest.raises(ConfigError) as want:
+            EstimatorConfig(0.5, KernelKind.EPANECHNIKOV, eps)
+        for call in (
+            lambda: cv_score(Estimator.LLRER, s, KernelKind.EPANECHNIKOV, 0.5, eps),
+            lambda: select_bandwidth(Estimator.LLRER, s, KernelKind.EPANECHNIKOV, grid, eps),
+            lambda: select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV, grid, eps),
+        ):
+            with pytest.raises(ConfigError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
     def test_duplicating_records_changes_score(self):
         # documentation example: no invariance under duplication is claimed
         rng = np.random.default_rng(58)
@@ -204,20 +222,21 @@ class TestFoldResponses:
         # the same DataError and, when none is raised, the same warning and
         # responses; after a DataError the refit's warnings depend on the
         # order in which it visits the folds, so they are not compared. The
-        # folds come in input order and shuffled, as sorting by x shuffles
+        # records come in input order and shuffled, as sorting them shuffles
         # them, in blocks of 1, 2 and all rows
         want, want_warned = outcome(lambda: refit_fold_responses(sample, order))
         shuffled = np.random.default_rng(0).permutation(sample.n)
         for cols in (np.arange(sample.n), shuffled):
+            permuted = CensoredSample(sample.y[cols], sample.delta[cols], sample.x[cols])
             for rows in (1, 2, sample.n):
                 with block_rows(sample.n, rows):
-                    got, got_warned = outcome(lambda: fold_responses(sample, order, cols))
+                    got, got_warned = outcome(lambda: fold_responses(permuted, order))
                 if isinstance(want, DataError):
                     assert isinstance(got, DataError), (cols, rows)
                 else:
                     assert not isinstance(got, DataError), (got, cols, rows)
                     assert got_warned == want_warned, (cols, rows)
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+                    np.testing.assert_allclose(got, want[np.ix_(cols, cols)], rtol=1e-12, atol=0.0)
 
     def test_inverse_moment_at_zero_raises(self):
         s = CensoredSample([0.0, 1.0, 2.0], [1, 1, 0], [0.0, 0.5, 1.0])
@@ -330,6 +349,35 @@ def epanechnikov_cv_cases(draw):
     return CensoredSample(np.array(y), np.array(delta), x), grid, rows
 
 
+@st.composite
+def permuted_samples(draw):
+    """A sample with tied x and tied y (all-censored samples and n = 2
+    included), a permutation of its records and a forced block size."""
+    n = draw(st.integers(2, 12))
+    x = draw(st.lists(st.sampled_from((-0.5, 0.0, 0.25, 1.0)) | st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    y = draw(st.lists(st.sampled_from((0.75, 1.5)) | st.floats(0.5, 3.0), min_size=n, max_size=n))
+    censored = draw(st.booleans())
+    delta = [0] * n if censored else draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    perm = np.array(draw(st.permutations(range(n))))
+    rows = draw(st.sampled_from((1, 2, 7)))
+    return CensoredSample(np.array(y), np.array(delta), np.array(x)), perm, rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(permuted_samples())
+def test_traces_do_not_depend_on_record_order(case):
+    s, perm, rows = case
+    shuffled = CensoredSample(s.y[perm], s.delta[perm], s.x[perm])
+    grid = BandwidthGrid(0.1, 1.3, 0.3)
+    for kernel in KernelKind:
+        with block_rows(s.n, rows):
+            want = select_bandwidths(Estimator, s, kernel, grid)
+            got = select_bandwidths(Estimator, shuffled, kernel, grid)
+        for est in Estimator:
+            assert got[est].h_opt == want[est].h_opt
+            assert traces_bits(got[est]) == traces_bits(want[est]), (kernel, est)
+
+
 class TestBlocks:
     @pytest.mark.parametrize("rows", (1, 2, 7))
     def test_gaussian_traces_equal_one_block_bit_for_bit(self, rows):
@@ -435,7 +483,7 @@ def test_window_holds_every_non_zero_weight(x, a, b, h):
     # every column left out of a block's window weighs exactly 0 at every
     # point of the block, including points and columns at the window's edges
     for kind in KernelKind:
-        xs = np.array(x)[_column_order(kind, np.array(x))]
+        xs = np.sort(x)
         lo = xs[int(a * (xs.size - 1))]
         hi = max(lo, xs[int(b * (xs.size - 1))])
         win = _window(kind, h, xs, lo, hi)

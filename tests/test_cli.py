@@ -159,6 +159,13 @@ class TestCalibrate:
     def test_out_of_range_target(self, capsys):
         assert main(["calibrate", "--target", "1.5", "--seed", "11"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance(self, capsys, tol):
+        assert main(["calibrate", "--target", "0.5", "--tol", tol, "--seed", "11"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite" in captured.err
+
     def test_reproducible(self, capsys):
         main(["calibrate", "--target", "0.65", "--tol", "0.005", "--seed", "7"])
         first = capsys.readouterr().out

@@ -29,6 +29,7 @@ from llrer import (
     moment_statistics,
     required_orders,
     read_curve_csv,
+    SurvivalStep,
     SyntheticResponses,
     synthetic_transform,
     write_curve_csv,
@@ -493,6 +494,14 @@ class TestFitCurves:
             responses = [synthetic_transform(s, km_censoring_survival(s), o) for o in (-1, 1, 2)]
             fit_curves(Estimator, s, EstimatorConfig(0.6), [0.0, 0.5], responses)
             assert km.call_count == 1
+
+    def test_evaluates_the_left_limits_once(self):
+        rng = np.random.default_rng(45)
+        s = random_censored_sample(rng, 30)
+        with mock.patch.object(SurvivalStep, "eval", autospec=True, side_effect=SurvivalStep.eval) as evals:
+            for calls in (1, 2):
+                fit_curves(Estimator, s, EstimatorConfig(0.6), [0.0, 0.5])
+                assert evals.call_count == calls
 
     def test_rejects_bad_responses(self):
         rng = np.random.default_rng(44)

@@ -26,6 +26,7 @@ from llrer import (
     ReplicationResult,
     SimulationConfig,
     SimulationReport,
+    SurvivalStep,
     calibrate_censoring,
     config_lines,
     error_metrics,
@@ -147,10 +148,6 @@ class TestCalibrateCensoring:
         # off-grid target cannot be met
         with pytest.raises(CalibrationError):
             calibrate_censoring(1.0 / 3.0, 1e-10, seed=2)
-
-    def test_rejects_too_few_draws(self):
-        with pytest.raises(ConfigError):
-            calibrate_censoring(0.5, 0.005, seed=1, draws=1000)
 
 
 class TestInjectOutliers:
@@ -483,6 +480,14 @@ class TestReplication:
             report = monte_carlo_run(config)
         assert not report.failures()
         assert km.call_count == config.replications
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    def test_one_left_limit_evaluation_per_fixed_h_replication(self):
+        assert len(FIXED_H_STUDY.estimators) == 3
+        with mock.patch.object(SurvivalStep, "eval", autospec=True, side_effect=SurvivalStep.eval) as evals:
+            report = monte_carlo_run(FIXED_H_STUDY)
+        assert not report.failures()
+        assert evals.call_count == FIXED_H_STUDY.replications
 
 
 class TestWriteCurvesCsv:
