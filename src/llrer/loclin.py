@@ -96,9 +96,6 @@ class MomentStatistics:
     kernel_moments: np.ndarray
     response_moments: dict
 
-    def s(self, order: int, gamma: int) -> float:
-        return float(self.response_moments[order][gamma])
-
 
 def moment_statistics(
     sample: CensoredSample,
@@ -367,24 +364,3 @@ def write_curve_csv(curve: FittedCurve, path) -> None:
         for x, v, flag in zip(curve.grid, curve.values, curve.degenerate):
             writer.writerow([repr(float(x)), repr(float(v)), int(flag)])
 
-
-def read_curve_csv(path) -> FittedCurve:
-    """Read back a curve written by write_curve_csv."""
-    xs, vs, flags = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["x", "estimate", "degenerate"]:
-            raise DataError(f"{path}: header must be x,estimate,degenerate")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise DataError(f"{path}: row {lineno}: expected 3 columns")
-            try:
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
-                flags.append(bool(int(row[2])))
-            except ValueError:
-                raise DataError(f"{path}: row {lineno}: could not parse values") from None
-    if not xs:
-        raise DataError(f"{path}: no data rows")
-    return FittedCurve(np.array(xs), np.array(vs), np.array(flags))

@@ -91,6 +91,17 @@ def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> Gene
     return GeneratedSample(CensoredSample(y, delta, x), t, censor)
 
 
+def _check_calibration(target_cp, tolerance, seed) -> None:
+    """calibrate_censoring's input rules, shared with SimulationConfig; a
+    target_cp of None (a config that gives c) is not checked."""
+    if target_cp is not None and not 0.0 < float(target_cp) < 1.0:
+        raise ConfigError(f"target censoring proportion must be in (0, 1), got {target_cp}")
+    if not np.isfinite(tolerance) or tolerance <= 0.0:
+        raise ConfigError(f"calibration tolerance must be finite and > 0, got {tolerance}")
+    if not isinstance(seed, np.random.SeedSequence) and not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def calibrate_censoring(target_cp: float, tolerance: float = DEFAULT_CALIBRATION_TOLERANCE, seed=0) -> float:
     """Bisect the censoring shift c to a target censoring proportion.
 
@@ -100,10 +111,7 @@ def calibrate_censoring(target_cp: float, tolerance: float = DEFAULT_CALIBRATION
     unattainable within _MAX_ITER steps (the estimate moves in steps of
     1 / _DRAWS, so tolerances below that cannot be met).
     """
-    if not 0.0 < target_cp < 1.0:
-        raise ConfigError(f"target censoring proportion must be in (0, 1), got {target_cp}")
-    if not np.isfinite(tolerance) or tolerance <= 0.0:
-        raise ConfigError(f"tolerance must be finite and > 0, got {tolerance}")
+    _check_calibration(target_cp, tolerance, seed)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(_DRAWS)
     noise = rng.standard_normal(_DRAWS)
@@ -209,8 +217,6 @@ class SimulationConfig:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "seed", int(self.seed))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         ests = tuple(Estimator.from_name(e) if isinstance(e, str) else e for e in self.estimators)
         if not ests or not all(isinstance(e, Estimator) for e in ests):
             raise ConfigError(f"estimators must name at least one of llrer, llcr, cr, got {self.estimators!r}")
@@ -221,8 +227,6 @@ class SimulationConfig:
             raise ConfigError("exactly one of target_cp and c is required")
         if self.c is not None and not np.isfinite(self.c):
             raise ConfigError(f"c must be finite, got {self.c!r}")
-        if self.target_cp is not None and not 0.0 < float(self.target_cp) < 1.0:
-            raise ConfigError(f"target_cp must be in (0, 1), got {self.target_cp}")
         if not 0 <= int(self.outlier_count) <= self.n:
             raise ConfigError(f"outlier_count must be in [0, n], got {self.outlier_count}")
         object.__setattr__(self, "outlier_count", int(self.outlier_count))
@@ -249,8 +253,7 @@ class SimulationConfig:
         elif self.cv_grid is None:
             object.__setattr__(self, "cv_grid", DEFAULT_BANDWIDTH_GRID)
         _check_epsilon(self.denominator_epsilon)
-        if not np.isfinite(self.calibration_tolerance) or self.calibration_tolerance <= 0.0:
-            raise ConfigError(f"calibration_tolerance must be > 0, got {self.calibration_tolerance!r}")
+        _check_calibration(self.target_cp, self.calibration_tolerance, self.seed)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ response finite.
 from __future__ import annotations
 
 import csv
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -200,25 +201,12 @@ def _loo_survival_rows(sample: CensoredSample):
     return block
 
 
-def synthetic_values(y, delta, order: int, gbar) -> np.ndarray:
-    """Core transform delta * y**(-order) / gbar given survival values at y.
-
-    gbar holds the censoring survival evaluated at each response: pass
-    Kaplan-Meier left limits for the feasible transform, or exact survival
-    values when the censoring distribution is known. The three inputs
-    broadcast, so one call can transform every leave-one-out fold.
-    """
-    uncensored = np.asarray(delta) == 1
-    _check_responses(y, uncensored, (order,), stacklevel=3)
-    return _divide_by_survival(y, uncensored, order, gbar)
-
-
-def _check_responses(y, uncensored, orders, stacklevel: int = 2) -> None:
-    """The checks of synthetic_values that depend on the responses alone.
+def _check_responses(y, uncensored, orders) -> None:
+    """The checks of the synthetic responses that depend on the responses alone.
 
     One call covers several orders and raises or warns at most once. The
-    warning is reported `stacklevel` frames up as warnings.warn counts
-    them here: 2 is the caller, 3 the caller's caller.
+    warning names the first frame outside the package's modules, so it points
+    at the user's call however deep inside the package the check runs.
     """
     for order in orders:
         if order not in SYNTHETIC_ORDERS:
@@ -229,16 +217,22 @@ def _check_responses(y, uncensored, orders, stacklevel: int = 2) -> None:
         if np.any(uncensored & (y == 0.0)):
             raise DataError(f"inverse moment of order {inverse[0]} undefined at an uncensored zero response")
         if np.any(uncensored & (y < 0.0)):
+            frame, level = sys._getframe(), 1
+            while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith("llrer."):
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 "uncensored non-positive responses: the relative-error framework "
                 "assumes positive lifetimes",
                 NonPositiveResponseWarning,
-                stacklevel=stacklevel,
+                stacklevel=level,
             )
 
 
 def _divide_by_survival(y, uncensored, order: int, gbar) -> np.ndarray:
-    """synthetic_values after _check_responses: the survival and overflow checks."""
+    """delta * y**(-order) / gbar with uncensored = (delta == 1), after
+    _check_responses. gbar is the censoring survival at each response:
+    Kaplan-Meier left limits, or exact values when the censoring distribution
+    is known. The inputs broadcast, so one call transforms a block of folds."""
     y = np.asarray(y, dtype=float)
     gbar = np.asarray(gbar, dtype=float)
     if np.any(uncensored & (gbar <= 0.0)):
@@ -261,10 +255,12 @@ def synthetic_transform(sample: CensoredSample, step: SurvivalStep, order: int) 
 
 
 def _synthetic_responses(sample: CensoredSample, step: SurvivalStep, orders) -> dict:
-    """{order: synthetic_transform(sample, step, order)}, evaluating the
-    step's left limits once for every order."""
+    """{order: synthetic_transform(sample, step, order)}, checking the
+    responses and evaluating the step's left limits once for every order."""
+    uncensored = sample.delta == 1
+    _check_responses(sample.y, uncensored, orders)
     gbar = step.eval(sample.y, side="left")
-    return {o: SyntheticResponses(o, synthetic_values(sample.y, sample.delta, o, gbar)) for o in orders}
+    return {o: SyntheticResponses(o, _divide_by_survival(sample.y, uncensored, o, gbar)) for o in orders}
 
 
 def read_sample_csv(path) -> CensoredSample:

@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 import subprocess
@@ -11,7 +12,6 @@ from llrer import (
     DEFAULT_GRID_SPEC,
     load_simulation_config,
     parse_grid_spec,
-    read_curve_csv,
 )
 import llrer.simulate
 from llrer.cli import (
@@ -34,6 +34,14 @@ def write_hand_csv(tmp_path):
     return p
 
 
+def read_curve_rows(path):
+    """The (x, estimate, degenerate) rows of a curve CSV, after its header."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "estimate", "degenerate"]
+    return [(float(x), float(v), int(flag)) for x, v, flag in rows[1:]]
+
+
 def gauss(u):
     return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
@@ -47,12 +55,12 @@ class TestEstimate:
             "--estimator", "cr", "--kernel", "gaussian", "--h", "1", "--grid", "0.5:0.5:1",
         ])
         assert code == EXIT_OK
-        curve = read_curve_csv(out)
+        [(x, value, degenerate)] = read_curve_rows(out)
         k = [gauss(-0.5), gauss(0.0), gauss(0.5)]
         expected = (1.0 * k[0] + 2.0 * k[1] + 3.0 * k[2]) / (k[0] + k[1] + k[2])
-        assert curve.grid[0] == 0.5
-        assert curve.values[0] == pytest.approx(expected, rel=1e-12)
-        assert not curve.degenerate[0]
+        assert x == 0.5
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert degenerate == 0
 
     def test_zero_bandwidth_is_config_error(self, tmp_path, capsys):
         data = write_hand_csv(tmp_path)
@@ -100,7 +108,7 @@ class TestEstimate:
         printed = capsys.readouterr().out
         assert printed.startswith("h_opt=")
         assert float(printed.split("=", 1)[1]) in (0.5, 0.75, 1.0)
-        assert read_curve_csv(out).grid.size == 5
+        assert len(read_curve_rows(out)) == 5
 
     def test_unknown_flag_value(self, tmp_path, capsys):
         data = write_hand_csv(tmp_path)
@@ -165,6 +173,12 @@ class TestCalibrate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "tolerance must be finite" in captured.err
+
+    def test_negative_seed(self, capsys):
+        assert main(["calibrate", "--target", "0.5", "--seed", "-1"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be a non-negative integer" in captured.err
 
     def test_reproducible(self, capsys):
         main(["calibrate", "--target", "0.65", "--tol", "0.005", "--seed", "7"])
@@ -354,7 +368,7 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert read_curve_csv(out).grid.size == 3
+    assert len(read_curve_rows(out)) == 3
 
 
 def test_version_flag(capsys):

@@ -132,6 +132,20 @@ class TestCalibrateCensoring:
             with pytest.raises(ConfigError):
                 calibrate_censoring(t, 0.005, seed=1)
 
+    @pytest.mark.parametrize(
+        "target_cp, tolerance, seed",
+        [
+            (0.5, 0.0, 1), (0.5, -0.1, 1), (0.5, math.inf, 1), (0.5, math.nan, 1),
+            (0.0, 0.005, 1), (1.0, 0.005, 1), (math.nan, 0.005, 1), (0.5, 0.005, -1),
+        ],
+    )
+    def test_same_message_as_simulation_config(self, target_cp, tolerance, seed):
+        with pytest.raises(ConfigError) as direct:
+            calibrate_censoring(target_cp, tolerance, seed=seed)
+        with pytest.raises(ConfigError) as config:
+            SimulationConfig(n=10, replications=1, seed=seed, target_cp=target_cp, calibration_tolerance=tolerance)
+        assert str(config.value) == str(direct.value)
+
     def test_deterministic(self):
         assert calibrate_censoring(0.65, 0.005, seed=4) == calibrate_censoring(0.65, 0.005, seed=4)
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,15 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import llrer.survival
 from llrer import (
+    BandwidthGrid,
     CensoredSample,
     DataError,
+    Estimator,
+    EstimatorConfig,
+    KernelKind,
     NonPositiveResponseWarning,
+    cv_score,
+    fit_curve,
+    fit_curves,
     km_censoring_survival,
+    llrer_point,
     loo_censoring_survival,
     read_sample_csv,
+    select_bandwidth,
+    select_bandwidths,
     synthetic_transform,
-    synthetic_values,
 )
 
 
@@ -199,6 +210,19 @@ class TestSurvivalEval:
             step.eval(1.0, side="middle")
 
 
+CV_GRID = BandwidthGrid(0.5, 1.0, 0.5)
+# public entry points that compute inverse-moment responses, one call each
+WARNING_CALLS = {
+    "llrer_point": lambda s: llrer_point(s, km_censoring_survival(s), EstimatorConfig(0.8), 0.0),
+    "fit_curve": lambda s: fit_curve(Estimator.LLRER, s, EstimatorConfig(0.8), [0.0, 0.5]),
+    "fit_curves": lambda s: fit_curves(tuple(Estimator), s, EstimatorConfig(0.8), [0.0, 0.5]),
+    "select_bandwidth": lambda s: select_bandwidth(Estimator.LLRER, s, KernelKind.GAUSSIAN, CV_GRID),
+    "select_bandwidths": lambda s: select_bandwidths(tuple(Estimator), s, KernelKind.GAUSSIAN, CV_GRID),
+    "cv_score": lambda s: cv_score(Estimator.LLRER, s, KernelKind.GAUSSIAN, 0.8),
+    "synthetic_transform": lambda s: synthetic_transform(s, km_censoring_survival(s), 2),
+}
+
+
 class TestSyntheticTransform:
     def test_all_censored_gives_zeros(self):
         s = make([1, 2, 3], [0, 0, 0])
@@ -244,10 +268,13 @@ class TestSyntheticTransform:
             vals = synthetic_transform(s, step, 2).values
         assert vals[0] == 1.0  # (-1)^-2 / 1
 
-    def test_warning_points_at_the_caller_of_synthetic_values(self):
-        with pytest.warns(NonPositiveResponseWarning) as caught:
-            synthetic_values(np.array([-1.0, 2.0]), np.array([1, 1]), 1, np.ones(2))
-        assert caught[0].filename == __file__
+    @pytest.mark.parametrize("call", list(WARNING_CALLS.values()), ids=list(WARNING_CALLS))
+    def test_one_warning_per_call_at_the_caller(self, call):
+        sample = make([-1.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5], [1, 1, 0, 1, 1, 0, 1, 1], np.linspace(-1.0, 1.0, 8))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(sample)
+        assert [w.filename for w in caught if issubclass(w.category, NonPositiveResponseWarning)] == [__file__]
 
     def test_rejects_bad_order(self):
         s = make([1.0], [1])
@@ -270,7 +297,7 @@ class TestSyntheticTransform:
         delta = (t <= c).astype(int)
         gbar = np.exp(-rate * y)
         for order in (1, 2):
-            vals = synthetic_values(y, delta, order, gbar)
+            vals = llrer.survival._divide_by_survival(y, delta == 1, order, gbar)
             truth, _ = quad(
                 lambda z: math.exp(-order * sigma * z) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi),
                 -12.0,
