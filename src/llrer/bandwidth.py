@@ -3,10 +3,10 @@
 Each fold removes one observation from both the smoother and the
 censoring-survival estimate, refits at the held-out covariate and scores the
 squared gap to that observation's full-sample synthetic response. The folds'
-Kaplan-Meier estimates come in the closed form of loo_censoring_survival,
-one block of rows at a time, with the same semantics as a refit per fold. A fold whose fit is degenerate
-predicts 0 (the shared convention) and is counted in the trace, so
-pathological bandwidths stay visible.
+Kaplan-Meier estimates come in closed form (survival._loo_survival_rows), one
+block of rows at a time, with the same semantics as a refit per fold. A fold
+whose fit is degenerate predicts 0 (the shared convention) and is counted in
+the trace, so pathological bandwidths stay visible.
 
 select_bandwidths scores several estimators in one pass, shared by every
 estimator. It sorts the records by (x, y, delta) once and runs on that copy:
@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import KERNEL_SUPPORT, KernelKind, kernel_eval
+from .kernels import KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, kernel_eval
 from .loclin import DEFAULT_EPSILON, Estimator, _block_rows, _check_epsilon, _masked_ratio, _ratio_terms, _union_orders
 from .survival import (
     CensoredSample,
@@ -143,10 +143,8 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
         raise ConfigError("cross-validation needs at least one estimator")
     if sample.n < 2:
         raise ConfigError("cross-validation needs at least 2 observations")
-    hs = [float(h) for h in hs]
-    for h in hs:
-        if not math.isfinite(h) or h <= 0.0:
-            raise ConfigError(f"bandwidth h must satisfy h > 0, got {h!r}")
+    hs = [_check_bandwidth(h) for h in hs]
+    _check_kernel(kernel)
     eps = _check_epsilon(eps)
     records = np.lexsort((sample.delta, sample.y, sample.x))
     sample = CensoredSample(sample.y[records], sample.delta[records], sample.x[records])

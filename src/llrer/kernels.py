@@ -26,11 +26,29 @@ class KernelKind(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "KernelKind":
-        try:
-            return cls(str(name).strip().lower())
-        except ValueError:
-            choices = ", ".join(k.value for k in cls)
-            raise ConfigError(f"unknown kernel {name!r}; expected one of: {choices}") from None
+        return _member_named(cls, name, "kernel")
+
+
+def _member_named(enum: type, name: str, noun: str):
+    """The member of enum valued name (case and blanks ignored), or a ConfigError."""
+    try:
+        return enum(str(name).strip().lower())
+    except ValueError:
+        choices = ", ".join(m.value for m in enum)
+        raise ConfigError(f"unknown {noun} {name!r}; expected one of: {choices}") from None
+
+
+def _check_kernel(kernel) -> None:
+    """A ConfigError unless kernel is a KernelKind."""
+    if not isinstance(kernel, KernelKind):
+        raise ConfigError(f"kernel must be a KernelKind, got {kernel!r}")
+
+
+def _check_bandwidth(h) -> float:
+    """h as a float, or a ConfigError unless 0 < h < inf (so a nan fails)."""
+    if not 0.0 < float(h) < math.inf:
+        raise ConfigError(f"bandwidth h must satisfy h > 0, got {h!r}")
+    return float(h)
 
 
 # Half-width of each kernel's support: kernel_eval is exactly 0 at and beyond
@@ -45,6 +63,7 @@ def kernel_eval(kind: KernelKind, u):
     The Epanechnikov kernel is exactly zero outside [-1, 1]; the Gaussian
     kernel is never truncated.
     """
+    _check_kernel(kind)
     u = np.asarray(u, dtype=float)
     out = np.empty(u.shape)
     # one buffer, in the operation order of norm * exp(-0.5 * u * u) and 0.75 * max(1 - u * u, 0)
@@ -53,20 +72,15 @@ def kernel_eval(kind: KernelKind, u):
         out *= u
         np.exp(out, out=out)
         out *= _GAUSS_NORM
-    elif kind is KernelKind.EPANECHNIKOV:
+    else:  # KernelKind.EPANECHNIKOV
         # fmax maps a nan u to 0, as it does every |u| > 1
         np.multiply(u, u, out=out)
         np.subtract(1.0, out, out=out)
         np.fmax(out, 0.0, out=out)
         out *= 0.75
-    else:
-        raise ConfigError(f"unknown kernel kind: {kind!r}")
     return float(out) if out.ndim == 0 else out
 
 
 def scaled_kernel(kind: KernelKind, h, u):
     """Evaluate K(u / h) for a bandwidth h > 0 (no 1/h factor, see module note)."""
-    h = float(h)
-    if not math.isfinite(h) or h <= 0.0:
-        raise ConfigError(f"bandwidth h must satisfy h > 0, got {h!r}")
-    return kernel_eval(kind, np.asarray(u, dtype=float) / h)
+    return kernel_eval(kind, np.asarray(u, dtype=float) / _check_bandwidth(h))

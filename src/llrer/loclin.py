@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import KernelKind, kernel_eval, scaled_kernel
+from .kernels import KernelKind, _check_bandwidth, _check_kernel, _member_named, kernel_eval, scaled_kernel
 from .survival import CensoredSample, SurvivalStep, SyntheticResponses, _synthetic_responses, km_censoring_survival
 
 DEFAULT_EPSILON = 1e-12
@@ -37,11 +37,7 @@ class Estimator(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Estimator":
-        try:
-            return cls(str(name).strip().lower())
-        except ValueError:
-            choices = ", ".join(e.value for e in cls)
-            raise ConfigError(f"unknown estimator {name!r}; expected one of: {choices}") from None
+        return _member_named(cls, name, "estimator")
 
 
 @dataclass(frozen=True)
@@ -60,12 +56,8 @@ class EstimatorConfig:
     denominator_epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        h = float(self.bandwidth)
-        if not np.isfinite(h) or h <= 0.0:
-            raise ConfigError(f"bandwidth h must satisfy h > 0, got {self.bandwidth!r}")
-        object.__setattr__(self, "bandwidth", h)
-        if not isinstance(self.kernel, KernelKind):
-            raise ConfigError(f"kernel must be a KernelKind, got {self.kernel!r}")
+        object.__setattr__(self, "bandwidth", _check_bandwidth(self.bandwidth))
+        _check_kernel(self.kernel)
         object.__setattr__(self, "denominator_epsilon", _check_epsilon(self.denominator_epsilon))
 
 
@@ -109,12 +101,10 @@ def moment_statistics(
     wd = w * d
     wd2 = wd * d
     kernel_moments = np.array([w.sum(), wd.sum(), wd2.sum()])
-    response_moments = {}
-    for resp in responses:
-        tau = resp.values
-        if tau.shape != sample.y.shape:
-            raise DataError("synthetic responses do not match the sample length")
-        response_moments[resp.order] = np.array([(tau * w).sum(), (tau * wd).sum(), (tau * wd2).sum()])
+    response_moments = {
+        o: np.array([(r.values * w).sum(), (r.values * wd).sum(), (r.values * wd2).sum()])
+        for o, r in _response_map(sample, None, responses, ()).items()
+    }
     return MomentStatistics(float(x), kernel_moments, response_moments)
 
 
@@ -176,8 +166,8 @@ def _ratio_terms(estimators, w: np.ndarray, dx: np.ndarray, dx2: np.ndarray, tau
 
 
 def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: float):
-    """(num / den, degenerate): degenerate where |den| <= eps * scale, with value 0."""
-    degenerate = np.abs(den) <= eps * scale
+    """(num / den, degenerate): degenerate, with value 0, unless |den| > eps * scale (so at a nan den)."""
+    degenerate = ~(np.abs(den) > eps * scale)
     value = np.zeros_like(den)
     np.divide(num, den, out=value, where=~degenerate)
     return value, degenerate
@@ -219,7 +209,7 @@ def _response_map(sample, step, responses, orders) -> Mapping[int, SyntheticResp
     missing = [o for o in orders if o not in mapping]
     if missing:
         raise ConfigError(f"synthetic responses missing for orders {missing}")
-    if any(mapping[o].values.shape != sample.y.shape for o in orders):
+    if any(r.values.shape != sample.y.shape for r in mapping.values()):
         raise DataError("synthetic responses do not match the sample length")
     return mapping
 
@@ -332,6 +322,14 @@ class FittedCurve:
             object.__setattr__(self, name, arr)
 
 
+def _check_grid(grid) -> np.ndarray:
+    """grid as a 1-d float array, or a ConfigError unless non-empty and strictly ascending."""
+    grid = np.array(grid, dtype=float, ndmin=1)
+    if grid.size == 0 or not np.all(np.diff(grid) > 0):  # a nan compares false, so it fails
+        raise ConfigError("evaluation grid must be non-empty and strictly ascending")
+    return grid
+
+
 def fit_curves(estimators, sample: CensoredSample, config: EstimatorConfig, grid, responses=None) -> dict:
     """{estimator: FittedCurve} of estimators that share one bandwidth, over an ascending grid.
 
@@ -340,12 +338,7 @@ def fit_curves(estimators, sample: CensoredSample, config: EstimatorConfig, grid
     Each curve equals what fit_curve gives for its estimator alone, bit for bit.
     """
     estimators = tuple(dict.fromkeys(estimators))
-    grid = np.array(grid, dtype=float, ndmin=1)
-    if grid.size == 0:
-        raise ConfigError("evaluation grid is empty")
-    # written so that a nan, which compares false, fails it
-    if not np.all(np.diff(grid) > 0):
-        raise ConfigError("evaluation grid must be strictly ascending")
+    grid = _check_grid(grid)
     step = km_censoring_survival(sample) if responses is None else None
     fits = _estimates(estimators, sample, step, config, grid, responses)
     return {e: FittedCurve(grid, values, degenerate) for e, (values, degenerate) in fits.items()}

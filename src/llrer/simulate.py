@@ -29,10 +29,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidths
+from .bandwidth import DEFAULT_BANDWIDTH_GRID, DEFAULT_EPSILON, BandwidthGrid, select_bandwidths
 from .errors import CalibrationError, ConfigError
-from .kernels import KernelKind
-from .loclin import DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _union_orders, fit_curves
+from .kernels import KernelKind, _check_bandwidth, _check_kernel
+from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _union_orders, fit_curves
 from .survival import CensoredSample, NonPositiveResponseWarning, _synthetic_responses, km_censoring_survival
 
 DEFAULT_GRID_SPEC = "1:4:61"
@@ -70,11 +70,8 @@ class GeneratedSample:
         return int(np.sum((self.sample.delta == 1) & (self.sample.y <= 0.0)))
 
 
-def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> GeneratedSample:
-    """Draw one sample of the built-in process; deterministic given seed."""
-    if n < 1:
-        raise ConfigError(f"sample size must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
+def _draw_event_times(rng: np.random.Generator, n: int, positive_only: bool):
+    """(X, T) of n draws of the built-in process; with positive_only, (X, e) is redrawn where T <= 0."""
     x = rng.standard_normal(n)
     noise = rng.standard_normal(n)
     t = 2.0 * x + 1.0 + 0.2 * noise
@@ -85,6 +82,15 @@ def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> Gene
             noise[bad] = rng.standard_normal(bad.size)
             t[bad] = 2.0 * x[bad] + 1.0 + 0.2 * noise[bad]
             bad = bad[t[bad] <= 0.0]
+    return x, t
+
+
+def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> GeneratedSample:
+    """Draw one sample of the built-in process; deterministic given seed."""
+    if n < 1:
+        raise ConfigError(f"sample size must be >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    x, t = _draw_event_times(rng, n, positive_only)
     censor = 3.0 + c + rng.standard_normal(n)
     y = np.minimum(t, censor)
     delta = (t <= censor).astype(int)
@@ -102,22 +108,24 @@ def _check_calibration(target_cp, tolerance, seed) -> None:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def calibrate_censoring(target_cp: float, tolerance: float = DEFAULT_CALIBRATION_TOLERANCE, seed=0) -> float:
+def calibrate_censoring(
+    target_cp: float, tolerance: float = DEFAULT_CALIBRATION_TOLERANCE, seed=0, positive_only: bool = False
+) -> float:
     """Bisect the censoring shift c to a target censoring proportion.
 
-    One fixed set of _DRAWS draws is reused across bisection steps, so the
-    Monte Carlo censoring proportion is monotone non-increasing in c and the
-    bisection is well behaved. Raises CalibrationError when the tolerance is
-    unattainable within _MAX_ITER steps (the estimate moves in steps of
-    1 / _DRAWS, so tolerances below that cannot be met).
+    One fixed set of _DRAWS draws of generate_sample's process, positive_only
+    included, is reused across bisection steps, so the Monte Carlo censoring
+    proportion is monotone non-increasing in c and the bisection is well
+    behaved. Raises CalibrationError when the tolerance is unattainable within
+    _MAX_ITER steps (the estimate moves in steps of 1 / _DRAWS, so tolerances
+    below that cannot be met).
     """
     _check_calibration(target_cp, tolerance, seed)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(_DRAWS)
-    noise = rng.standard_normal(_DRAWS)
+    t = _draw_event_times(rng, _DRAWS, positive_only)[1]
     z = rng.standard_normal(_DRAWS)
     # T > C  <=>  (T - 3 - z) > c with C = 3 + c + z
-    margin = 2.0 * x + 1.0 + 0.2 * noise - 3.0 - z
+    margin = t - 3.0 - z
     lo, hi = -60.0, 60.0
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -134,15 +142,21 @@ def calibrate_censoring(target_cp: float, tolerance: float = DEFAULT_CALIBRATION
     )
 
 
+def _check_outliers(count, multiplier, n: int) -> int:
+    """count as an int, or a ConfigError unless it is an integer in [0, n] and 0 < multiplier < inf."""
+    if not (float(count).is_integer() and 0 <= float(count) <= n):
+        raise ConfigError(f"outlier count must be an integer in [0, n], got {count!r} with n = {n}")
+    if not 0.0 < multiplier < np.inf:
+        raise ConfigError(f"outlier multiplier must be a positive real, got {multiplier!r}")
+    return int(count)
+
+
 def inject_outliers(sample: CensoredSample, count: int, multiplier: float, seed) -> CensoredSample:
     """Scale `count` uniformly chosen responses by `multiplier`.
 
     Indices are drawn without replacement; delta and x are untouched.
     """
-    if not 0 <= count <= sample.n:
-        raise ConfigError(f"outlier count must be in [0, n], got {count} with n={sample.n}")
-    if not np.isfinite(multiplier) or multiplier <= 0.0:
-        raise ConfigError(f"outlier multiplier must be a positive real, got {multiplier!r}")
+    count = _check_outliers(count, multiplier, sample.n)
     if count == 0:
         return sample
     rng = np.random.default_rng(seed)
@@ -167,8 +181,7 @@ def error_metrics(curve: FittedCurve, reference) -> ErrorMetrics:
     (None) and only the count is reported. reference is called once, on the
     grid array, and returns an array of its shape or a scalar.
     """
-    if curve.grid.size == 0:
-        raise ConfigError("curve grid is empty")
+    _check_grid(curve.grid)
     ref = np.broadcast_to(np.asarray(reference(curve.grid), dtype=float), curve.grid.shape)
     ok = ~curve.degenerate
     count = int(curve.degenerate.sum())
@@ -227,27 +240,20 @@ class SimulationConfig:
             raise ConfigError("exactly one of target_cp and c is required")
         if self.c is not None and not np.isfinite(self.c):
             raise ConfigError(f"c must be finite, got {self.c!r}")
-        if not 0 <= int(self.outlier_count) <= self.n:
-            raise ConfigError(f"outlier_count must be in [0, n], got {self.outlier_count}")
-        object.__setattr__(self, "outlier_count", int(self.outlier_count))
-        if not np.isfinite(self.outlier_mc) or self.outlier_mc <= 0.0:
-            raise ConfigError(f"outlier_mc must be a positive real, got {self.outlier_mc!r}")
-        grid = np.array(self.grid, dtype=float, ndmin=1)
-        if grid.size == 0 or not np.all(np.isfinite(grid)) or not np.all(np.diff(grid) > 0):
-            raise ConfigError("grid must be non-empty, finite and strictly ascending")
+        object.__setattr__(self, "outlier_count", _check_outliers(self.outlier_count, self.outlier_mc, self.n))
+        grid = _check_grid(self.grid)
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError("evaluation grid must be finite")
         theoretical_curve(grid)  # every replication's metrics need it defined on the grid
         grid.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         if isinstance(self.kernel, str):
             object.__setattr__(self, "kernel", KernelKind.from_name(self.kernel))
-        if not isinstance(self.kernel, KernelKind):
-            raise ConfigError(f"kernel must be a KernelKind, got {self.kernel!r}")
+        _check_kernel(self.kernel)
         if self.h is not None and self.cv_grid is not None:
             raise ConfigError("give a fixed h or a cv_grid, not both")
         if self.h is not None:
-            if not np.isfinite(self.h) or float(self.h) <= 0.0:
-                raise ConfigError(f"fixed bandwidth h must satisfy h > 0, got {self.h!r}")
-            object.__setattr__(self, "h", float(self.h))
+            object.__setattr__(self, "h", _check_bandwidth(self.h))
         elif self.n < 2:
             raise ConfigError(f"cross-validation needs n >= 2, got n = {self.n}; give a fixed h")
         elif self.cv_grid is None:
@@ -349,6 +355,7 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
             config.target_cp,
             config.calibration_tolerance,
             seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)),
+            positive_only=config.positive_only,
         )
     tasks = [(config, c, rep) for rep in range(config.replications)]
     workers = min(jobs, config.replications, os.cpu_count() or 1)
@@ -396,15 +403,9 @@ def parse_grid_spec(spec: str) -> np.ndarray:
         raise ConfigError(f"grid spec must be lo:hi:count, got {spec!r}") from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError(f"grid needs finite lo and hi, got {spec!r}")
-    if count < 1:
-        raise ConfigError(f"grid must contain at least one point, got {count}")
-    if count == 1:
-        if hi != lo:
-            raise ConfigError("a single-point grid needs lo == hi")
-        return np.array([lo])
-    if hi <= lo:
-        raise ConfigError(f"grid needs hi > lo, got {spec!r}")
-    return np.linspace(lo, hi, count)
+    if count == 1 and hi != lo:
+        raise ConfigError("a single-point grid needs lo == hi")
+    return _check_grid(np.linspace(lo, hi, max(count, 0)))  # a count < 0 gives an empty grid
 
 
 def _grid_spec(grid: np.ndarray) -> str:

@@ -117,8 +117,7 @@ class SyntheticResponses:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.order not in SYNTHETIC_ORDERS:
-            raise ConfigError(f"order must be one of {SYNTHETIC_ORDERS}, got {self.order!r}")
+        _check_order(self.order)
         values = np.array(self.values, dtype=float, ndmin=1)
         if not np.isfinite(values).all():
             raise DataError("synthetic responses must be finite")
@@ -149,27 +148,19 @@ def km_censoring_survival(sample: CensoredSample) -> SurvivalStep:
     return SurvivalStep(times[keep], vals[keep])
 
 
-def loo_censoring_survival(sample: CensoredSample) -> np.ndarray:
+def _loo_survival_rows(sample: CensoredSample):
     """Leave-one-out left-limit censoring survival at every response.
 
-    Returns the n x n matrix G with G[i, j] the left limit at y_j of
-    km_censoring_survival refitted without observation i, computed from two
-    prefix products instead of n refits. Dropping i from the sorted sample
-    keeps the order of the rest and lowers the at-risk count by one before
-    i's sorted position p_i, so those factors become 1 - (1-d_k)/(n-1-k);
-    the factors after p_i are the plain ones, and i's own factor is gone.
-    The left limit at y_j multiplies the factors before the start s_j of
-    j's tie group.
-    """
-    return _loo_survival_rows(sample)(slice(0, sample.n))
-
-
-def _loo_survival_rows(sample: CensoredSample):
-    """Function folds -> G[folds] of loo_censoring_survival, for a contiguous
-    slice of folds over every column.
-
-    The prefix products are computed once, so a block of rows costs
-    O(rows * n).
+    Returns a function folds -> G[folds] for a contiguous slice of folds over
+    every column, where G[i, j] is the left limit at y_j of
+    km_censoring_survival refitted without observation i. It is computed
+    from two prefix products instead of n refits. Dropping i from the sorted
+    sample keeps the order of the rest and lowers the at-risk count by one
+    before i's sorted position p_i, so those factors become
+    1 - (1-d_k)/(n-1-k); the factors after p_i are the plain ones, and i's
+    own factor is gone. The left limit at y_j multiplies the factors before
+    the start s_j of j's tie group. The prefix products are computed once,
+    so a block of rows costs O(rows * n).
     """
     n = sample.n
     if n < 2:
@@ -201,6 +192,12 @@ def _loo_survival_rows(sample: CensoredSample):
     return block
 
 
+def _check_order(order) -> None:
+    """A ConfigError unless order is one of SYNTHETIC_ORDERS."""
+    if order not in SYNTHETIC_ORDERS:
+        raise ConfigError(f"order must be one of {SYNTHETIC_ORDERS}, got {order!r}")
+
+
 def _check_responses(y, uncensored, orders) -> None:
     """The checks of the synthetic responses that depend on the responses alone.
 
@@ -209,8 +206,7 @@ def _check_responses(y, uncensored, orders) -> None:
     at the user's call however deep inside the package the check runs.
     """
     for order in orders:
-        if order not in SYNTHETIC_ORDERS:
-            raise ConfigError(f"order must be one of {SYNTHETIC_ORDERS}, got {order!r}")
+        _check_order(order)
     inverse = [o for o in orders if o in (1, 2)]
     if inverse:
         y = np.asarray(y, dtype=float)

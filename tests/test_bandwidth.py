@@ -205,6 +205,33 @@ class TestCvScore:
                 call()
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("kernel", ("gaussian", None, 0))
+    def test_rejects_kernel_that_is_not_a_kernel_kind(self, kernel):
+        # the rule and message of EstimatorConfig, not a KeyError from the
+        # kernel's support table
+        rng = np.random.default_rng(68)
+        s = random_censored_sample(rng, 10)
+        grid = BandwidthGrid(0.5, 1.0, 0.5)
+        with pytest.raises(ConfigError) as want:
+            EstimatorConfig(0.5, kernel)
+        for call in (
+            lambda: cv_score(Estimator.LLRER, s, kernel, 0.5),
+            lambda: select_bandwidth(Estimator.LLRER, s, kernel, grid),
+            lambda: select_bandwidths(Estimator, s, kernel, grid),
+        ):
+            with pytest.raises(ConfigError) as got:
+                call()
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("h", (0.0, -0.5, float("inf"), float("nan")))
+    def test_bandwidth_rule_of_estimator_config(self, h):
+        s = CensoredSample([1.0, 2.0], [1, 1], [0.0, 1.0])
+        with pytest.raises(ConfigError) as want:
+            EstimatorConfig(h)
+        with pytest.raises(ConfigError) as got:
+            cv_score(Estimator.LLRER, s, KernelKind.GAUSSIAN, h)
+        assert str(got.value) == str(want.value)
+
     def test_duplicating_records_changes_score(self):
         # documentation example: no invariance under duplication is claimed
         rng = np.random.default_rng(58)

@@ -286,6 +286,16 @@ class TestDegenerateConvention:
         assert est.degenerate and est.value == 0.0
 
 
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_nan_point_degenerate(self, kernel):
+        # every sum is nan there, and a nan denominator counts as degenerate
+        s = CensoredSample([1.0, 2.0, 3.0], [1, 1, 0], [0.0, 0.5, 1.0])
+        step = km_censoring_survival(s)
+        cfg = EstimatorConfig(1.0, kernel)
+        for point in (llrer_point, llrer_point_naive, llcr_point, llcr_point_naive, cr_point):
+            assert point(s, step, cfg, math.nan) == (0.0, True)
+
+
 class TestEquivariance:
     def test_scale_in_y(self):
         rng = np.random.default_rng(36)
@@ -445,10 +455,21 @@ class TestFitCurve:
         for grid in ([np.nan, 0.5, 1.0], [0.0, np.nan, -1.0], [0.0, 1.0, np.nan]):
             with pytest.raises(ConfigError):
                 fit_curve(Estimator.CR, s, EstimatorConfig(1.0, KernelKind.EPANECHNIKOV), grid)
-        # a lone nan point, or infinite ends, have no weight and are degenerate
-        cfg = EstimatorConfig(1.0, KernelKind.EPANECHNIKOV)
-        assert list(fit_curve(Estimator.CR, s, cfg, [np.nan]).degenerate) == [True]
-        assert list(fit_curve(Estimator.CR, s, cfg, [-np.inf, 0.5, np.inf]).degenerate) == [True, False, True]
+        # a lone nan point, infinite ends and a point whose dx * dx overflows
+        # have no weight or a nan denominator, and are degenerate for every
+        # estimator and kernel
+        for kernel in KernelKind:
+            cfg = EstimatorConfig(1.0, kernel)
+            for est in Estimator:
+                lone = fit_curve(est, s, cfg, [np.nan])
+                assert list(lone.degenerate) == [True] and list(lone.values) == [0.0]
+                ends = fit_curve(est, s, cfg, [-np.inf, 0.5, np.inf])
+                assert list(ends.degenerate) == [True, False, True]
+                assert ends.values[0] == ends.values[2] == 0.0
+                with pytest.warns(RuntimeWarning, match="overflow"):
+                    far = fit_curve(est, s, cfg, [-np.inf, 0.5, 1e308, np.inf])
+                assert list(far.degenerate) == [True, False, True, True]
+                assert list(far.values[[0, 2, 3]]) == [0.0, 0.0, 0.0]
 
     def test_rejects_unsorted_grid(self):
         s = CensoredSample([1.0, 2.0], [1, 1], [0.0, 1.0])

@@ -200,6 +200,22 @@ class TestInjectOutliers:
         with pytest.raises(ConfigError):
             inject_outliers(s, -1, 100.0, 1)
 
+    def test_integral_float_count(self):
+        s = self.sample()
+        assert np.array_equal(inject_outliers(s, 15.0, 100.0, 5).y, inject_outliers(s, 15, 100.0, 5).y)
+
+    @pytest.mark.parametrize(
+        "count, multiplier",
+        [(2.5, 50.0), (-1, 50.0), (11, 50.0), (math.nan, 50.0), (2, 0.0), (2, -1.0), (2, math.inf), (2, math.nan)],
+    )
+    def test_same_message_as_simulation_config(self, count, multiplier):
+        s = generate_sample(10, -1.0, 77).sample
+        with pytest.raises(ConfigError) as direct:
+            inject_outliers(s, count, multiplier, 1)
+        with pytest.raises(ConfigError) as config:
+            SimulationConfig(n=10, replications=1, seed=1, c=-2.0, outlier_count=count, outlier_mc=multiplier)
+        assert str(config.value) == str(direct.value)
+
 
 class TestErrorMetrics:
     def test_exact_match(self):
@@ -409,6 +425,16 @@ class TestMonteCarloRun:
         )
         report = monte_carlo_run(cfg)
         assert report.c == pytest.approx(-2.0, abs=0.05)
+
+    def test_positive_only_calibration_reaches_the_target(self):
+        # calibration draws the process with the rejection step that the
+        # replications draw, so the realized censoring meets the target
+        cfg = SimulationConfig(
+            n=2000, replications=20, seed=14, target_cp=0.35, h=0.5, positive_only=True,
+            estimators=(Estimator.CR,), grid=np.linspace(1.0, 2.0, 3),
+        )
+        report = monte_carlo_run(cfg)
+        assert np.mean([r.realized_cp for r in report.results]) == pytest.approx(0.35, abs=0.02)
 
     def test_summary_rows_match_percentiles(self):
         cfg = SimulationConfig(

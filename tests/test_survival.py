@@ -21,12 +21,12 @@ from llrer import (
     fit_curves,
     km_censoring_survival,
     llrer_point,
-    loo_censoring_survival,
     read_sample_csv,
     select_bandwidth,
     select_bandwidths,
     synthetic_transform,
 )
+from llrer.survival import _loo_survival_rows
 
 
 def make(y, delta, x=None):
@@ -169,21 +169,24 @@ class TestLeaveOneOutSurvival:
     @settings(max_examples=300, deadline=None)
     @given(tied_samples())
     def test_matches_refit_per_fold(self, sample):
-        np.testing.assert_allclose(loo_censoring_survival(sample), refit_left_limits(sample), rtol=1e-12, atol=0.0)
+        got = _loo_survival_rows(sample)(slice(0, sample.n))
+        np.testing.assert_allclose(got, refit_left_limits(sample), rtol=1e-12, atol=0.0)
 
     def test_hand_values(self):
         # fold 0 keeps the uncensored 2 (nothing below it); fold 1 keeps only
         # the censored 1, whose step is 0 from y = 1 on
-        got = loo_censoring_survival(make([1.0, 2.0], [0, 1]))
+        s = make([1.0, 2.0], [0, 1])
+        got = _loo_survival_rows(s)(slice(0, s.n))
         assert np.array_equal(got, [[1.0, 1.0], [1.0, 0.0]])
 
     def test_ties_across_delta(self):
         s = make([1.0, 2.0, 2.0, 2.0, 3.0], [0, 0, 1, 0, 1])
-        np.testing.assert_allclose(loo_censoring_survival(s), refit_left_limits(s), rtol=1e-12, atol=0.0)
+        got = _loo_survival_rows(s)(slice(0, s.n))
+        np.testing.assert_allclose(got, refit_left_limits(s), rtol=1e-12, atol=0.0)
 
     def test_rejects_single_observation(self):
         with pytest.raises(DataError):
-            loo_censoring_survival(make([1.0], [1]))
+            _loo_survival_rows(make([1.0], [1]))
 
 
 class TestSurvivalEval:
