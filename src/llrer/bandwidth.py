@@ -34,15 +34,15 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, kernel_eval
+from .kernels import KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, scaled_kernel
 from .loclin import DEFAULT_EPSILON, Estimator, _block_rows, _check_epsilon, _masked_ratio, _ratio_terms, _union_orders
 from .survival import (
     CensoredSample,
     _check_responses,
     _divide_by_survival,
     _loo_survival_rows,
+    _synthetic_responses,
     km_censoring_survival,
-    synthetic_transform,
 )
 
 
@@ -149,7 +149,7 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     records = np.lexsort((sample.delta, sample.y, sample.x))
     sample = CensoredSample(sample.y[records], sample.delta[records], sample.x[records])
     orders = _union_orders(estimators)
-    target = synthetic_transform(sample, km_censoring_survival(sample), -1).values
+    target = _synthetic_responses(sample, km_censoring_survival(sample), (-1,))[-1]
     preds = {e: np.empty((len(hs), sample.n)) for e in estimators}
     degenerate = {e: [0] * len(hs) for e in estimators}
     for block, tau in _fold_blocks(sample, orders):
@@ -157,12 +157,13 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
         # dx and dx2 cover the columns the largest bandwidth reaches; each
         # bandwidth reads its own window of them as a view
         outer = _window(kernel, max(hs), sample.x, x[0], x[-1])
-        dx = sample.x[None, outer] - x[:, None]
-        dx2 = dx * dx
+        with np.errstate(over="ignore"):  # as in loclin._estimates
+            dx = sample.x[None, outer] - x[:, None]
+            dx2 = dx * dx
         for k, h in enumerate(hs):
             win = _window(kernel, h, sample.x, x[0], x[-1])
             inner = slice(win.start - outer.start, win.stop - outer.start)
-            w = kernel_eval(kernel, dx[:, inner] / h)
+            w = scaled_kernel(kernel, h, dx[:, inner])
             np.fill_diagonal(w[:, block.start - win.start :], 0.0)  # each fold's own weight
             terms = _ratio_terms(estimators, w, dx[:, inner], dx2[:, inner], {o: t[:, win] for o, t in tau.items()})
             for e, (num, den, scale) in terms.items():

@@ -67,20 +67,22 @@ def kernel_eval(kind: KernelKind, u):
     u = np.asarray(u, dtype=float)
     out = np.empty(u.shape)
     # one buffer, in the operation order of norm * exp(-0.5 * u * u) and 0.75 * max(1 - u * u, 0)
-    if kind is KernelKind.GAUSSIAN:
-        np.multiply(u, -0.5, out=out)
-        out *= u
-        np.exp(out, out=out)
-        out *= _GAUSS_NORM
-    else:  # KernelKind.EPANECHNIKOV
-        # fmax maps a nan u to 0, as it does every |u| > 1
-        np.multiply(u, u, out=out)
-        np.subtract(1.0, out, out=out)
-        np.fmax(out, 0.0, out=out)
-        out *= 0.75
+    with np.errstate(over="ignore"):  # a u * u that overflows gives the exact weight 0
+        if kind is KernelKind.GAUSSIAN:
+            np.multiply(u, -0.5, out=out)
+            out *= u
+            np.exp(out, out=out)
+            out *= _GAUSS_NORM
+        else:  # KernelKind.EPANECHNIKOV
+            # fmax maps a nan u to 0, as it does every |u| > 1
+            np.multiply(u, u, out=out)
+            np.subtract(1.0, out, out=out)
+            np.fmax(out, 0.0, out=out)
+            out *= 0.75
     return float(out) if out.ndim == 0 else out
 
 
 def scaled_kernel(kind: KernelKind, h, u):
     """Evaluate K(u / h) for a bandwidth h > 0 (no 1/h factor, see module note)."""
-    return kernel_eval(kind, np.asarray(u, dtype=float) / _check_bandwidth(h))
+    with np.errstate(over="ignore"):  # an infinite u / h has the exact weight 0
+        return kernel_eval(kind, np.asarray(u, dtype=float) / _check_bandwidth(h))

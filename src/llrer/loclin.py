@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import KernelKind, _check_bandwidth, _check_kernel, _member_named, kernel_eval, scaled_kernel
+from .kernels import KernelKind, _check_bandwidth, _check_kernel, _member_named, scaled_kernel
 from .survival import CensoredSample, SurvivalStep, SyntheticResponses, _synthetic_responses, km_censoring_survival
 
 DEFAULT_EPSILON = 1e-12
@@ -102,7 +102,7 @@ def moment_statistics(
     wd2 = wd * d
     kernel_moments = np.array([w.sum(), wd.sum(), wd2.sum()])
     response_moments = {
-        o: np.array([(r.values * w).sum(), (r.values * wd).sum(), (r.values * wd2).sum()])
+        o: np.array([(r * w).sum(), (r * wd).sum(), (r * wd2).sum()])
         for o, r in _response_map(sample, None, responses, ()).items()
     }
     return MomentStatistics(float(x), kernel_moments, response_moments)
@@ -184,32 +184,31 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
-def _estimates(estimators, sample, step, config, points, responses=None) -> dict:
-    """{estimator: (estimates, degenerate flags)} at each of points, in blocks
-    of rows; each block evaluates the kernel once for every estimator."""
-    orders = _union_orders(estimators)
-    rmap = _response_map(sample, step, responses, orders)
-    tau = {o: rmap[o].values for o in orders}
+def _estimates(estimators, sample, tau, config, points) -> dict:
+    """{estimator: (estimates, degenerate flags)} at each of points from tau = {order: synthetic
+    responses}, in blocks of rows; each block evaluates the kernel once for every estimator."""
     out = {e: (np.empty(points.size), np.empty(points.size, dtype=bool)) for e in estimators}
     rows = _block_rows(sample.n)
     for lo in range(0, points.size, rows):
         block = slice(lo, lo + rows)
-        dx = sample.x[None, :] - points[block, None]
-        w = kernel_eval(config.kernel, dx / config.bandwidth)
-        terms = _ratio_terms(estimators, w, dx, dx * dx, tau)
+        with np.errstate(over="ignore"):  # an overflow leaves a 0 weight or a nan denominator: degenerate
+            dx = sample.x[None, :] - points[block, None]
+            dx2 = dx * dx
+        w = scaled_kernel(config.kernel, config.bandwidth, dx)
+        terms = _ratio_terms(estimators, w, dx, dx2, tau)
         for e, (values, degenerate) in out.items():
             values[block], degenerate[block] = _masked_ratio(*terms[e], config.denominator_epsilon)
     return out
 
 
-def _response_map(sample, step, responses, orders) -> Mapping[int, SyntheticResponses]:
+def _response_map(sample, step, responses, orders) -> Mapping[int, np.ndarray]:
     if responses is None:
         return _synthetic_responses(sample, step, orders)
-    mapping = {r.order: r for r in responses}
+    mapping = {r.order: r.values for r in responses}
     missing = [o for o in orders if o not in mapping]
     if missing:
         raise ConfigError(f"synthetic responses missing for orders {missing}")
-    if any(r.values.shape != sample.y.shape for r in mapping.values()):
+    if any(r.shape != sample.y.shape for r in mapping.values()):
         raise DataError("synthetic responses do not match the sample length")
     return mapping
 
@@ -219,7 +218,8 @@ def _first_point(values, degenerate) -> PointEstimate:
 
 
 def _point(estimator, sample, step, config, x, responses) -> PointEstimate:
-    return _first_point(*_estimates((estimator,), sample, step, config, np.array([float(x)]), responses)[estimator])
+    tau = _response_map(sample, step, responses, _REQUIRED_ORDERS[estimator])
+    return _first_point(*_estimates((estimator,), sample, tau, config, np.array([float(x)]))[estimator])
 
 
 def llrer_point(
@@ -251,8 +251,7 @@ def llrer_point_naive(
     reading under which the double sum factorises into moment statistics.
     """
     rmap = _response_map(sample, step, responses, (1, 2))
-    tau1 = rmap[1].values
-    tau2 = rmap[2].values
+    tau1, tau2 = rmap[1], rmap[2]
     d = sample.x - x
     k = scaled_kernel(config.kernel, config.bandwidth, d)
     base = d[:, None] * (d[:, None] - d[None, :]) * k[:, None] * k[None, :] * tau2[:, None]
@@ -281,8 +280,7 @@ def llcr_point_naive(
     responses: Iterable[SyntheticResponses] | None = None,
 ) -> PointEstimate:
     """Literal double-sum evaluation of the classical local linear fit."""
-    rmap = _response_map(sample, step, responses, (-1,))
-    tau = rmap[-1].values
+    tau = _response_map(sample, step, responses, (-1,))[-1]
     d = sample.x - x
     k = scaled_kernel(config.kernel, config.bandwidth, d)
     v = d[:, None] * (d[:, None] - d[None, :]) * k[:, None] * k[None, :]
@@ -330,23 +328,23 @@ def _check_grid(grid) -> np.ndarray:
     return grid
 
 
-def fit_curves(estimators, sample: CensoredSample, config: EstimatorConfig, grid, responses=None) -> dict:
-    """{estimator: FittedCurve} of estimators that share one bandwidth, over an ascending grid.
+def fit_curves(configs: Mapping[Estimator, EstimatorConfig], sample: CensoredSample, grid) -> dict:
+    """{estimator: FittedCurve} over an ascending grid, each estimator at its config in configs.
 
-    The Kaplan-Meier step and the synthetic responses are computed once when
-    not supplied, and each block of grid points evaluates the kernel once.
-    Each curve equals what fit_curve gives for its estimator alone, bit for bit.
+    One Kaplan-Meier step and one set of synthetic responses serve every estimator, and estimators
+    with equal configs share each block's kernel evaluation; each curve equals fit_curve's bit for bit.
     """
-    estimators = tuple(dict.fromkeys(estimators))
     grid = _check_grid(grid)
-    step = km_censoring_survival(sample) if responses is None else None
-    fits = _estimates(estimators, sample, step, config, grid, responses)
-    return {e: FittedCurve(grid, values, degenerate) for e, (values, degenerate) in fits.items()}
+    tau = _synthetic_responses(sample, km_censoring_survival(sample), _union_orders(configs))
+    fits = {}
+    for config in dict.fromkeys(configs.values()):
+        fits.update(_estimates([e for e, c in configs.items() if c == config], sample, tau, config, grid))
+    return {e: FittedCurve(grid, *fits[e]) for e in configs}
 
 
 def fit_curve(estimator: Estimator, sample: CensoredSample, config: EstimatorConfig, grid) -> FittedCurve:
     """Evaluate one estimator over an ascending grid; see fit_curves."""
-    return fit_curves((estimator,), sample, config, grid)[estimator]
+    return fit_curves({estimator: config}, sample, grid)[estimator]
 
 
 def write_curve_csv(curve: FittedCurve, path) -> None:

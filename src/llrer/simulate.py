@@ -32,8 +32,8 @@ import numpy as np
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, DEFAULT_EPSILON, BandwidthGrid, select_bandwidths
 from .errors import CalibrationError, ConfigError
 from .kernels import KernelKind, _check_bandwidth, _check_kernel
-from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _union_orders, fit_curves
-from .survival import CensoredSample, NonPositiveResponseWarning, _synthetic_responses, km_censoring_survival
+from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, fit_curves
+from .survival import CensoredSample, NonPositiveResponseWarning
 
 DEFAULT_GRID_SPEC = "1:4:61"
 DEFAULT_CALIBRATION_TOLERANCE = 0.005
@@ -85,10 +85,17 @@ def _draw_event_times(rng: np.random.Generator, n: int, positive_only: bool):
     return x, t
 
 
+def _check_integer(value, name: str, minimum: int) -> int:
+    """value as an int, or a ConfigError unless it is an integer >= minimum (0 or 1); 5.0 counts as 5."""
+    integral = isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer()
+    if not (integral and value >= minimum):
+        raise ConfigError(f"{name} must be a {'positive' if minimum else 'non-negative'} integer, got {value!r}")
+    return int(value)
+
+
 def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> GeneratedSample:
     """Draw one sample of the built-in process; deterministic given seed."""
-    if n < 1:
-        raise ConfigError(f"sample size must be >= 1, got {n}")
+    n = _check_integer(n, "n", 1)
     rng = np.random.default_rng(seed)
     x, t = _draw_event_times(rng, n, positive_only)
     censor = 3.0 + c + rng.standard_normal(n)
@@ -97,15 +104,14 @@ def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> Gene
     return GeneratedSample(CensoredSample(y, delta, x), t, censor)
 
 
-def _check_calibration(target_cp, tolerance, seed) -> None:
-    """calibrate_censoring's input rules, shared with SimulationConfig; a
-    target_cp of None (a config that gives c) is not checked."""
+def _check_calibration(target_cp, tolerance, seed):
+    """calibrate_censoring's input rules, shared with SimulationConfig; returns the seed as an int (or
+    the SeedSequence given). A target_cp of None (a config that gives c) is not checked."""
     if target_cp is not None and not 0.0 < float(target_cp) < 1.0:
         raise ConfigError(f"target censoring proportion must be in (0, 1), got {target_cp}")
     if not np.isfinite(tolerance) or tolerance <= 0.0:
         raise ConfigError(f"calibration tolerance must be finite and > 0, got {tolerance}")
-    if not isinstance(seed, np.random.SeedSequence) and not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed if isinstance(seed, np.random.SeedSequence) else _check_integer(seed, "seed", 0)
 
 
 def calibrate_censoring(
@@ -120,7 +126,7 @@ def calibrate_censoring(
     _MAX_ITER steps (the estimate moves in steps of 1 / _DRAWS, so tolerances
     below that cannot be met).
     """
-    _check_calibration(target_cp, tolerance, seed)
+    seed = _check_calibration(target_cp, tolerance, seed)
     rng = np.random.default_rng(seed)
     t = _draw_event_times(rng, _DRAWS, positive_only)[1]
     z = rng.standard_normal(_DRAWS)
@@ -223,13 +229,8 @@ class SimulationConfig:
     calibration_tolerance: float = DEFAULT_CALIBRATION_TOLERANCE
 
     def __post_init__(self):
-        if int(self.n) < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-        if int(self.replications) < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        object.__setattr__(self, "replications", int(self.replications))
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, minimum in (("n", 1), ("replications", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name, minimum))
         ests = tuple(Estimator.from_name(e) if isinstance(e, str) else e for e in self.estimators)
         if not ests or not all(isinstance(e, Estimator) for e in ests):
             raise ConfigError(f"estimators must name at least one of llrer, llcr, cr, got {self.estimators!r}")
@@ -323,12 +324,8 @@ def _run_replication(config: SimulationConfig, c: float, rep: int) -> Replicatio
                 config.estimators, sample, config.kernel, config.cv_grid, config.denominator_epsilon
             )
             h_used = {est: float(selection.h_opt) for est, selection in selections.items()}
-        responses = _synthetic_responses(sample, km_censoring_survival(sample), _union_orders(config.estimators))
-    curves = {}
-    for h in dict.fromkeys(h_used.values()):  # one kernel pass per distinct bandwidth
-        group = [est for est in config.estimators if h_used[est] == h]
-        est_config = EstimatorConfig(h, config.kernel, config.denominator_epsilon)
-        curves.update(fit_curves(group, sample, est_config, config.grid, responses.values()))
+        configs = {est: EstimatorConfig(h, config.kernel, config.denominator_epsilon) for est, h in h_used.items()}
+        curves = fit_curves(configs, sample, config.grid)
     metrics = {est: error_metrics(curves[est], theoretical_curve) for est in config.estimators}
     return ReplicationResult(rep, gen.realized_cp, gen.nonpositive_uncensored, h_used, curves, metrics)
 

@@ -125,6 +125,17 @@ class SyntheticResponses:
         object.__setattr__(self, "values", values)
 
 
+def _product_limit(sample: CensoredSample):
+    """(order, ys, censored = 1 - delta, plain, starts) of the records sorted by y, uncensored first
+    at equal y: plain[k] multiplies the first k at-risk factors, starts flags each tie group's first record."""
+    order = np.lexsort((-sample.delta, sample.y))
+    ys = sample.y[order]
+    censored = 1.0 - sample.delta[order]
+    plain = np.cumprod(np.r_[1.0, 1.0 - censored / (sample.n - np.arange(sample.n))])
+    starts = np.r_[True, ys[1:] != ys[:-1]]
+    return order, ys, censored, plain, starts
+
+
 def km_censoring_survival(sample: CensoredSample) -> SurvivalStep:
     """Product-limit estimate of the censoring survival function.
 
@@ -132,17 +143,10 @@ def km_censoring_survival(sample: CensoredSample) -> SurvivalStep:
     before censored ones at equal y, so tied uncensored records leave the
     risk set before a censored jump is taken.
     """
-    order = np.lexsort((-sample.delta, sample.y))
-    ys = sample.y[order]
-    ds = sample.delta[order]
-    n = ys.size
-    at_risk = n - np.arange(n)
-    factors = 1.0 - (1.0 - ds) / at_risk
-    levels = np.cumprod(factors)
-
-    last = np.flatnonzero(np.r_[ys[1:] != ys[:-1], True])
+    _, ys, _, plain, starts = _product_limit(sample)
+    last = np.flatnonzero(np.r_[starts[1:], True])  # the last record of each tie group
     times = ys[last]
-    vals = levels[last].copy()
+    vals = plain[last + 1]
     vals[-1] = 0.0  # zero at and beyond the largest observation
     keep = vals != np.r_[1.0, vals[:-1]]
     return SurvivalStep(times[keep], vals[keep])
@@ -165,13 +169,10 @@ def _loo_survival_rows(sample: CensoredSample):
     n = sample.n
     if n < 2:
         raise DataError("leave-one-out survival needs at least 2 observations")
-    order = np.lexsort((-sample.delta, sample.y))
-    ys = sample.y[order]
-    censored = 1.0 - sample.delta[order]
+    order, ys, censored, plain, starts = _product_limit(sample)
     k = np.arange(n)
-    plain = np.cumprod(np.r_[1.0, 1.0 - censored / (n - k)])
     reduced = np.cumprod(np.r_[1.0, 1.0 - censored[:-1] / (n - 1 - k[:-1])])
-    group_start = np.maximum.accumulate(np.where(np.r_[True, ys[1:] != ys[:-1]], k, 0))
+    group_start = np.maximum.accumulate(np.where(starts, k, 0))
     p = np.argsort(order)  # sorted position of each record
     s = group_start[p]
     # factors p_i+1 .. s_j-1 are plain: reduced[p_i] * plain[s_j] / plain[p_i+1];
@@ -247,16 +248,16 @@ def synthetic_transform(sample: CensoredSample, step: SurvivalStep, order: int) 
 
     The step must have been estimated from the same sample (not verified).
     """
-    return _synthetic_responses(sample, step, (order,))[order]
+    return SyntheticResponses(order, _synthetic_responses(sample, step, (order,))[order])
 
 
 def _synthetic_responses(sample: CensoredSample, step: SurvivalStep, orders) -> dict:
-    """{order: synthetic_transform(sample, step, order)}, checking the
+    """{order: synthetic_transform(sample, step, order).values}, checking the
     responses and evaluating the step's left limits once for every order."""
     uncensored = sample.delta == 1
     _check_responses(sample.y, uncensored, orders)
     gbar = step.eval(sample.y, side="left")
-    return {o: SyntheticResponses(o, _divide_by_survival(sample.y, uncensored, o, gbar)) for o in orders}
+    return {o: _divide_by_survival(sample.y, uncensored, o, gbar) for o in orders}
 
 
 def read_sample_csv(path) -> CensoredSample:

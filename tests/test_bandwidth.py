@@ -232,6 +232,16 @@ class TestCvScore:
             cv_score(Estimator.LLRER, s, KernelKind.GAUSSIAN, h)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_far_covariate_without_a_warning(self, kernel):
+        # dx * dx and dx / h overflow; pyproject turns the RuntimeWarning into
+        # an error, and the far record's own fold is degenerate
+        rng = np.random.default_rng(69)
+        s = random_censored_sample(rng, 12)
+        far = CensoredSample(s.y, s.delta, np.r_[s.x[:-1], 1e308])
+        for selection in select_bandwidths(Estimator, far, kernel, BandwidthGrid(0.1, 0.5, 0.2)).values():
+            assert all(point.degenerate_folds >= 1 for point in selection.trace)
+
     def test_duplicating_records_changes_score(self):
         # documentation example: no invariance under duplication is claimed
         rng = np.random.default_rng(58)

@@ -296,6 +296,34 @@ class TestDegenerateConvention:
             assert point(s, step, cfg, math.nan) == (0.0, True)
 
 
+class TestPointResponses:
+    def test_supplied_responses_equal_computed_ones(self):
+        rng = np.random.default_rng(46)
+        s = random_censored_sample(rng, 30)
+        step = km_censoring_survival(s)
+        responses = [synthetic_transform(s, step, o) for o in (2, -1, 1)]
+        cfg = EstimatorConfig(0.6)
+        for point in (llrer_point, llrer_point_naive, llcr_point, llcr_point_naive, cr_point):
+            assert point(s, step, cfg, 0.2, responses=responses) == point(s, step, cfg, 0.2)
+
+    def test_rejects_bad_responses(self):
+        rng = np.random.default_rng(44)
+        s = random_censored_sample(rng, 30)
+        step = km_censoring_survival(s)
+        cfg = EstimatorConfig(0.6)
+        order_minus_one = [synthetic_transform(s, step, -1)]
+        for point in (llrer_point, llrer_point_naive):
+            with pytest.raises(ConfigError, match="missing"):
+                point(s, step, cfg, 0.0, responses=order_minus_one + [synthetic_transform(s, step, 1)])
+        for point in (llcr_point, llcr_point_naive, cr_point):
+            with pytest.raises(ConfigError, match="missing"):
+                point(s, step, cfg, 0.0, responses=[synthetic_transform(s, step, 1)])
+        short = [SyntheticResponses(o, synthetic_transform(s, step, o).values[:-1]) for o in (-1, 1, 2)]
+        for point in (llrer_point, llrer_point_naive, llcr_point, llcr_point_naive, cr_point):
+            with pytest.raises(DataError, match="length"):
+                point(s, step, cfg, 0.0, responses=short)
+
+
 class TestEquivariance:
     def test_scale_in_y(self):
         rng = np.random.default_rng(36)
@@ -466,8 +494,8 @@ class TestFitCurve:
                 ends = fit_curve(est, s, cfg, [-np.inf, 0.5, np.inf])
                 assert list(ends.degenerate) == [True, False, True]
                 assert ends.values[0] == ends.values[2] == 0.0
-                with pytest.warns(RuntimeWarning, match="overflow"):
-                    far = fit_curve(est, s, cfg, [-np.inf, 0.5, 1e308, np.inf])
+                # pyproject turns a RuntimeWarning into an error: the overflow is silent
+                far = fit_curve(est, s, cfg, [-np.inf, 0.5, 1e308, np.inf])
                 assert list(far.degenerate) == [True, False, True, True]
                 assert list(far.values[[0, 2, 3]]) == [0.0, 0.0, 0.0]
 
@@ -482,60 +510,64 @@ class TestFitCurve:
 ESTIMATOR_ORDERS = [p for k in (1, 2, 3) for p in itertools.permutations(Estimator, k)]
 
 
+# a bandwidth per estimator: three distinct ones, then two estimators sharing one
+DISTINCT_BANDWIDTHS = (
+    {Estimator.LLRER: 0.3, Estimator.LLCR: 0.5, Estimator.CR: 0.8},
+    {Estimator.LLRER: 0.5, Estimator.LLCR: 0.5, Estimator.CR: 0.3},
+)
+
+
 class TestFitCurves:
     @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
     @pytest.mark.parametrize("rows", (None, 1, 2, 7))
     def test_equals_fit_curve_bit_for_bit(self, rows):
         s = generate_sample(50, -1.0, seed=407).sample
         grid = np.linspace(-2.5, 3.0, 23)
-        step = km_censoring_survival(s)
-        responses = [synthetic_transform(s, step, o) for o in (2, -1, 1)]
         blocks = mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * s.n) if rows else contextlib.nullcontext()
         for config in (EstimatorConfig(0.5, KernelKind.GAUSSIAN), EstimatorConfig(0.4, KernelKind.EPANECHNIKOV)):
             alone = {est: fit_curve(est, s, config, grid) for est in Estimator}
             with blocks:
                 for ests in ESTIMATOR_ORDERS:
-                    for given_responses in (None, responses):
-                        curves = fit_curves(ests, s, config, grid, given_responses)
-                        assert list(curves) == list(ests)
-                        for est, curve in curves.items():
-                            assert curve.grid.tobytes() == alone[est].grid.tobytes()
-                            assert curve.values.tobytes() == alone[est].values.tobytes(), (ests, est)
-                            assert np.array_equal(curve.degenerate, alone[est].degenerate)
+                    curves = fit_curves(dict.fromkeys(ests, config), s, grid)
+                    assert list(curves) == list(ests)
+                    for est, curve in curves.items():
+                        assert curve.grid.tobytes() == alone[est].grid.tobytes()
+                        assert curve.values.tobytes() == alone[est].values.tobytes(), (ests, est)
+                        assert np.array_equal(curve.degenerate, alone[est].degenerate)
             # the Epanechnikov tails are degenerate, so the flags are exercised too
             assert any(c.degenerate.any() for c in alone.values()) == (config.kernel is KernelKind.EPANECHNIKOV)
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @pytest.mark.parametrize("rows", (1, 2, 7))
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_each_estimator_at_its_own_config(self, kernel, rows):
+        s = generate_sample(50, -1.0, seed=408).sample
+        grid = np.linspace(-2.5, 3.0, 23)
+        for bandwidths in DISTINCT_BANDWIDTHS:
+            configs = {est: EstimatorConfig(h, kernel) for est, h in bandwidths.items()}
+            alone = {est: fit_curve(est, s, config, grid) for est, config in configs.items()}
+            with block_rows(s.n, rows):
+                curves = fit_curves(configs, s, grid)
+            assert list(curves) == list(configs)
+            for est, curve in curves.items():
+                assert curve.values.tobytes() == alone[est].values.tobytes(), (bandwidths, est)
+                assert np.array_equal(curve.degenerate, alone[est].degenerate)
 
     def test_computes_the_step_once(self):
         rng = np.random.default_rng(43)
         s = random_censored_sample(rng, 30)
         with mock.patch.object(llrer.loclin, "km_censoring_survival", wraps=km_censoring_survival) as km:
-            fit_curves(Estimator, s, EstimatorConfig(0.6), [0.0, 0.5])
-            assert km.call_count == 1
-            responses = [synthetic_transform(s, km_censoring_survival(s), o) for o in (-1, 1, 2)]
-            fit_curves(Estimator, s, EstimatorConfig(0.6), [0.0, 0.5], responses)
-            assert km.call_count == 1
+            for calls, bandwidths in enumerate(DISTINCT_BANDWIDTHS, start=1):
+                fit_curves({est: EstimatorConfig(h) for est, h in bandwidths.items()}, s, [0.0, 0.5])
+                assert km.call_count == calls
 
     def test_evaluates_the_left_limits_once(self):
         rng = np.random.default_rng(45)
         s = random_censored_sample(rng, 30)
         with mock.patch.object(SurvivalStep, "eval", autospec=True, side_effect=SurvivalStep.eval) as evals:
-            for calls in (1, 2):
-                fit_curves(Estimator, s, EstimatorConfig(0.6), [0.0, 0.5])
+            for calls, bandwidths in enumerate(DISTINCT_BANDWIDTHS, start=1):
+                fit_curves({est: EstimatorConfig(h) for est, h in bandwidths.items()}, s, [0.0, 0.5])
                 assert evals.call_count == calls
-
-    def test_rejects_bad_responses(self):
-        rng = np.random.default_rng(44)
-        s = random_censored_sample(rng, 30)
-        step = km_censoring_survival(s)
-        cfg = EstimatorConfig(0.6)
-        order_one = [synthetic_transform(s, step, 1)]
-        with pytest.raises(ConfigError, match="missing"):
-            fit_curves((Estimator.CR, Estimator.LLRER), s, cfg, [0.0], order_one + [synthetic_transform(s, step, -1)])
-        short = [SyntheticResponses(o, synthetic_transform(s, step, o).values[:-1]) for o in (-1, 1, 2)]
-        with pytest.raises(DataError, match="length"):
-            fit_curves((Estimator.LLCR,), s, cfg, [0.0], short)
-        with pytest.raises(ConfigError):
-            fit_curves(Estimator, s, cfg, [1.0, 0.5])
 
 
 class TestCurveCsv:

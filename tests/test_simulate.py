@@ -121,6 +121,18 @@ class TestGenerateSample:
         gen = generate_sample(10_000, 100.0, 3)  # all uncensored
         assert gen.nonpositive_uncensored == int(np.sum(gen.event_times <= 0.0))
 
+    @pytest.mark.parametrize("n", (0, -1, 2.5, float("nan")))
+    def test_same_message_as_simulation_config(self, n):
+        with pytest.raises(ConfigError) as direct:
+            generate_sample(n, 0.0, 1)
+        with pytest.raises(ConfigError) as config:
+            SimulationConfig(n=n, replications=1, seed=1, c=0.0, h=0.5)
+        assert str(direct.value) == str(config.value)
+
+    def test_integral_float_size(self):
+        a, b = generate_sample(5.0, 0.0, 8), generate_sample(5, 0.0, 8)
+        assert a.sample.y.tobytes() == b.sample.y.tobytes()
+
 
 class TestCalibrateCensoring:
     def test_half_is_minus_two(self):
@@ -148,6 +160,9 @@ class TestCalibrateCensoring:
 
     def test_deterministic(self):
         assert calibrate_censoring(0.65, 0.005, seed=4) == calibrate_censoring(0.65, 0.005, seed=4)
+
+    def test_integral_float_seed(self):
+        assert calibrate_censoring(0.65, 0.005, seed=4.0) == calibrate_censoring(0.65, 0.005, seed=4)
 
     def test_achieves_closed_form_target(self):
         for target in (0.35, 0.65):
@@ -273,6 +288,12 @@ class TestSimulationConfig:
     def test_rejects_zero_replications(self):
         with pytest.raises(ConfigError):
             SimulationConfig(n=10, replications=0, seed=1, c=-2.0)
+
+    @pytest.mark.parametrize("field", ("n", "replications", "seed"))
+    def test_rejects_fractional_count(self, field):
+        # n, replications and seed follow one integer rule; 2.5 is not truncated
+        with pytest.raises(ConfigError, match=f"{field} must be a .* integer, got 2.5"):
+            SimulationConfig(**{"n": 10, "replications": 1, "seed": 1, "c": -2.0, field: 2.5})
 
     def test_rejects_both_bandwidth_policies(self):
         with pytest.raises(ConfigError):
@@ -513,13 +534,12 @@ class TestReplication:
     @pytest.mark.parametrize("config", [FIXED_H_STUDY, CV_STUDY], ids=["fixed_h", "cv"])
     def test_one_kaplan_meier_fit_for_the_curves(self, config):
         # cross-validation fits its own target step inside bandwidth
-        km = mock.Mock(wraps=km_censoring_survival)
-        with mock.patch.object(llrer.simulate, "km_censoring_survival", km), mock.patch.object(
-            llrer.loclin, "km_censoring_survival", km
-        ):
+        fits = mock.patch.object(llrer.loclin, "km_censoring_survival", wraps=km_censoring_survival)
+        calls = mock.patch.object(llrer.simulate, "fit_curves", wraps=llrer.simulate.fit_curves)
+        with fits as km, calls as curves:
             report = monte_carlo_run(config)
         assert not report.failures()
-        assert km.call_count == config.replications
+        assert km.call_count == curves.call_count == config.replications
 
     @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
     def test_one_left_limit_evaluation_per_fixed_h_replication(self):

@@ -218,7 +218,7 @@ CV_GRID = BandwidthGrid(0.5, 1.0, 0.5)
 WARNING_CALLS = {
     "llrer_point": lambda s: llrer_point(s, km_censoring_survival(s), EstimatorConfig(0.8), 0.0),
     "fit_curve": lambda s: fit_curve(Estimator.LLRER, s, EstimatorConfig(0.8), [0.0, 0.5]),
-    "fit_curves": lambda s: fit_curves(tuple(Estimator), s, EstimatorConfig(0.8), [0.0, 0.5]),
+    "fit_curves": lambda s: fit_curves({e: EstimatorConfig(0.8) for e in Estimator}, s, [0.0, 0.5]),
     "select_bandwidth": lambda s: select_bandwidth(Estimator.LLRER, s, KernelKind.GAUSSIAN, CV_GRID),
     "select_bandwidths": lambda s: select_bandwidths(tuple(Estimator), s, KernelKind.GAUSSIAN, CV_GRID),
     "cv_score": lambda s: cv_score(Estimator.LLRER, s, KernelKind.GAUSSIAN, 0.8),
