@@ -26,7 +26,6 @@ always equals the score of a standalone call, alone or alongside others.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -35,13 +34,16 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, scaled_kernel
-from .loclin import DEFAULT_EPSILON, Estimator, _block_rows, _check_epsilon, _masked_ratio, _ratio_terms, _union_orders
+from .loclin import (
+    DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _masked_ratio, _offsets, _ratio_terms, _union_orders
+)
 from .survival import (
     CensoredSample,
     _check_responses,
     _divide_by_survival,
     _loo_survival_rows,
     _synthetic_responses,
+    _write_csv,
     km_censoring_survival,
 )
 
@@ -108,7 +110,7 @@ def _fold_blocks(sample: CensoredSample, orders):
     """Blocks of leave-one-out folds, with their responses.
 
     Yields (block, tau): the folds are the observations in the slice block,
-    at most _block_rows(n) of them, and tau[order][r, j] is the
+    as loclin._blocks cuts them, and tau[order][r, j] is the
     order-`order` synthetic response of observation j under the Kaplan-Meier
     estimate that excludes observation block.start + r (0 for the fold
     itself). The checks on the responses alone run once, before the first
@@ -121,9 +123,7 @@ def _fold_blocks(sample: CensoredSample, orders):
     _check_responses(sample.y, uncensored, orders)
     survival_rows = _loo_survival_rows(sample)
     every = np.arange(sample.n)
-    rows = _block_rows(sample.n)
-    for lo in range(0, sample.n, rows):
-        block = slice(lo, lo + rows)
+    for block in _blocks(sample.n, sample.n):
         gbar = survival_rows(block)
         in_fold = uncensored & (every != every[block, None])
         yield block, {o: _divide_by_survival(sample.y, in_fold, o, gbar) for o in orders}
@@ -157,9 +157,7 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
         # dx and dx2 cover the columns the largest bandwidth reaches; each
         # bandwidth reads its own window of them as a view
         outer = _window(kernel, max(hs), sample.x, x[0], x[-1])
-        with np.errstate(over="ignore"):  # as in loclin._estimates
-            dx = sample.x[None, outer] - x[:, None]
-            dx2 = dx * dx
+        dx, dx2 = _offsets(sample.x[outer], x)
         for k, h in enumerate(hs):
             win = _window(kernel, h, sample.x, x[0], x[-1])
             inner = slice(win.start - outer.start, win.stop - outer.start)
@@ -169,12 +167,10 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
             for e, (num, den, scale) in terms.items():
                 preds[e][k, block], flags = _masked_ratio(num, den, scale, eps)
                 degenerate[e][k] += int(flags.sum())
-    traces = {e: [] for e in estimators}
-    for e, trace in traces.items():
-        for k, h in enumerate(hs):
-            resid = target - preds[e][k]
-            trace.append(CVPoint(h, float(np.sum(resid * resid)), degenerate[e][k]))
-    return {e: tuple(trace) for e, trace in traces.items()}
+    return {
+        e: tuple(CVPoint(h, float(np.sum((target - p) ** 2)), d) for h, p, d in zip(hs, preds[e], degenerate[e]))
+        for e in estimators
+    }
 
 
 def cv_score(
@@ -199,17 +195,10 @@ def select_bandwidths(
 
     Returns {estimator: BandwidthSelection}; each selection equals, bit for
     bit, what select_bandwidth returns for that estimator alone. Ties go to
-    the smallest h.
+    the smallest h: min keeps the first of equal scores.
     """
     traces = _cv_traces(estimators, sample, kernel, grid.values(), denominator_epsilon)
-    selections = {}
-    for e, trace in traces.items():
-        best = 0
-        for k in range(1, len(trace)):
-            if trace[k].score < trace[best].score:
-                best = k
-        selections[e] = BandwidthSelection(trace[best].h, trace)
-    return selections
+    return {e: BandwidthSelection(min(trace, key=lambda p: p.score).h, trace) for e, trace in traces.items()}
 
 
 def select_bandwidth(
@@ -229,8 +218,5 @@ def select_bandwidth(
 
 def write_cv_trace_csv(trace, path) -> None:
     """Write a selection trace as CSV with columns h,score,degenerate_folds."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "score", "degenerate_folds"])
-        for point in trace:
-            writer.writerow([repr(float(point.h)), repr(float(point.score)), int(point.degenerate_folds)])
+    rows = ((repr(float(p.h)), repr(float(p.score)), int(p.degenerate_folds)) for p in trace)
+    _write_csv(path, ("h", "score", "degenerate_folds"), rows)

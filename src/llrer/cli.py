@@ -52,8 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_estimator_flags(parser):
-    parser.add_argument("--estimator", required=True, choices=[e.value for e in Estimator])
-    parser.add_argument("--kernel", default="gaussian", choices=[k.value for k in KernelKind])
+    # each command reads the names with from_name, so they take any case, as in a config file
+    parser.add_argument("--estimator", required=True, help=f"one of {', '.join(e.value for e in Estimator)}")
+    kernels = ", ".join(k.value for k in KernelKind)
+    parser.add_argument("--kernel", default="gaussian", help=f"one of {kernels} (default %(default)s)")
 
 
 def _add_cv_grid_flags(parser):
@@ -109,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_estimate(args) -> int:
     if args.cv == (args.h is not None):
         raise ConfigError("exactly one of --h and --cv is required")
-    sample = read_sample_csv(args.input)
     estimator = Estimator.from_name(args.estimator)
     kernel = KernelKind.from_name(args.kernel)
+    sample = read_sample_csv(args.input)
     grid = parse_grid_spec(args.grid)
     if args.cv:
         selection = select_bandwidth(estimator, sample, kernel, BandwidthGrid(args.h_lo, args.h_hi, args.h_step))
@@ -126,9 +128,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_cv(args) -> int:
-    sample = read_sample_csv(args.input)
     estimator = Estimator.from_name(args.estimator)
     kernel = KernelKind.from_name(args.kernel)
+    sample = read_sample_csv(args.input)
     selection = select_bandwidth(estimator, sample, kernel, BandwidthGrid(args.h_lo, args.h_hi, args.h_step))
     write_cv_trace_csv(selection.trace, args.out)
     print(f"h_opt={selection.h_opt!r}")

@@ -14,16 +14,18 @@ it instead of silently averaging zeros.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .kernels import KernelKind, _check_bandwidth, _check_kernel, _member_named, scaled_kernel
-from .survival import CensoredSample, SurvivalStep, SyntheticResponses, _synthetic_responses, km_censoring_survival
+from .survival import (
+    CensoredSample, SurvivalStep, SyntheticResponses, _synthetic_responses, _write_csv, km_censoring_survival
+)
 
 DEFAULT_EPSILON = 1e-12
 
@@ -140,8 +142,8 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _ratio_terms(estimators, w: np.ndarray, dx: np.ndarray, dx2: np.ndarray, tau) -> dict:
     """Per-row (numerator, denominator, degeneracy scale) of each estimator.
 
-    Row r holds evaluation point r: weights w, offsets dx = x_j - point and
-    dx2 = dx * dx. tau[order] is per row (leave-one-out folds) or 1-d and
+    Row r holds evaluation point r: weights w and offsets dx, dx2 from
+    _offsets. tau[order] is per row (leave-one-out folds) or 1-d and
     shared by every row. LLCR and CR share the row sums of tau[-1] * w and w.
     """
     out = {}
@@ -179,21 +181,30 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: floa
 _BLOCK_ENTRIES = 2**18
 
 
-def _block_rows(n: int) -> int:
-    """Points per block of at most _BLOCK_ENTRIES pairs with n observations."""
-    return max(1, _BLOCK_ENTRIES // n)
+def _blocks(count: int, n: int):
+    """Slices of count rows, each of at most _BLOCK_ENTRIES pairs with n observations, or of one row."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for lo in range(0, count, rows):
+        yield slice(lo, lo + rows)
+
+
+def _offsets(columns: np.ndarray, points: np.ndarray):
+    """(dx, dx2): dx[r, j] = columns[j] - points[r], one row per point, and dx2 = dx * dx capped at the
+    largest float, so a far column, whose weight is 0, adds 0 to the row sums, not 0 * inf = nan. dx
+    keeps the inf or nan of an infinite or nan point, so that point stays degenerate."""
+    with np.errstate(over="ignore"):
+        dx = columns[None, :] - points[:, None]
+        dx2 = dx * dx
+    np.minimum(dx2, np.finfo(float).max, out=dx2)
+    return dx, dx2
 
 
 def _estimates(estimators, sample, tau, config, points) -> dict:
     """{estimator: (estimates, degenerate flags)} at each of points from tau = {order: synthetic
     responses}, in blocks of rows; each block evaluates the kernel once for every estimator."""
     out = {e: (np.empty(points.size), np.empty(points.size, dtype=bool)) for e in estimators}
-    rows = _block_rows(sample.n)
-    for lo in range(0, points.size, rows):
-        block = slice(lo, lo + rows)
-        with np.errstate(over="ignore"):  # an overflow leaves a 0 weight or a nan denominator: degenerate
-            dx = sample.x[None, :] - points[block, None]
-            dx2 = dx * dx
+    for block in _blocks(points.size, sample.n):
+        dx, dx2 = _offsets(sample.x, points[block])
         w = scaled_kernel(config.kernel, config.bandwidth, dx)
         terms = _ratio_terms(estimators, w, dx, dx2, tau)
         for e, (values, degenerate) in out.items():
@@ -347,11 +358,12 @@ def fit_curve(estimator: Estimator, sample: CensoredSample, config: EstimatorCon
     return fit_curves({estimator: config}, sample, grid)[estimator]
 
 
+def _curve_rows(curve: FittedCurve, xs, *lead):
+    """CSV rows (*lead, x, estimate, degenerate) of curve, with xs its grid as text."""
+    return zip(*map(repeat, lead), xs, map(repr, curve.values.tolist()), curve.degenerate.astype(int).tolist())
+
+
 def write_curve_csv(curve: FittedCurve, path) -> None:
     """Write a fitted curve as CSV with columns x,estimate,degenerate."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "estimate", "degenerate"])
-        for x, v, flag in zip(curve.grid, curve.values, curve.degenerate):
-            writer.writerow([repr(float(x)), repr(float(v)), int(flag)])
+    _write_csv(path, ("x", "estimate", "degenerate"), _curve_rows(curve, map(repr, curve.grid.tolist())))
 

@@ -19,12 +19,11 @@ parallel without changing the output.
 
 from __future__ import annotations
 
-import csv
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
-from itertools import repeat
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -32,8 +31,8 @@ import numpy as np
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, DEFAULT_EPSILON, BandwidthGrid, select_bandwidths
 from .errors import CalibrationError, ConfigError
 from .kernels import KernelKind, _check_bandwidth, _check_kernel
-from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, fit_curves
-from .survival import CensoredSample, NonPositiveResponseWarning
+from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, fit_curves
+from .survival import CensoredSample, NonPositiveResponseWarning, _write_csv
 
 DEFAULT_GRID_SPEC = "1:4:61"
 DEFAULT_CALIBRATION_TOLERANCE = 0.005
@@ -366,26 +365,18 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
 
 def write_curves_csv(report: SimulationReport, path) -> None:
     """Per-replication curves on the config's grid as CSV rep,estimator,x,estimate,degenerate."""
-    xs = [repr(x) for x in report.config.grid.tolist()]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep", "estimator", "x", "estimate", "degenerate"])
-        for result in report.results:
-            if result.error is not None:
-                continue
-            for est in report.config.estimators:
-                curve = result.curves[est]
-                values, flags = map(repr, curve.values.tolist()), curve.degenerate.astype(int).tolist()
-                writer.writerows(zip(repeat(result.rep), repeat(est.value), xs, values, flags))
+    xs = [repr(x) for x in report.config.grid.tolist()]  # formatted once for every curve
+    rows = chain.from_iterable(
+        _curve_rows(r.curves[est], xs, r.rep, est.value)
+        for r in report.results if r.error is None for est in report.config.estimators
+    )
+    _write_csv(path, ("rep", "estimator", "x", "estimate", "degenerate"), rows)
 
 
 def write_summary_csv(report: SimulationReport, path) -> None:
     """Aggregate metrics as CSV estimator,metric,median,q1,q3."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "metric", "median", "q1", "q3"])
-        for est, metric, med, q1, q3 in report.summary_rows():
-            writer.writerow([est, metric, repr(med), repr(q1), repr(q3)])
+    rows = ((est, metric, *map(repr, quartiles)) for est, metric, *quartiles in report.summary_rows())
+    _write_csv(path, ("estimator", "metric", "median", "q1", "q3"), rows)
 
 
 def parse_grid_spec(spec: str) -> np.ndarray:

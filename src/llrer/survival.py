@@ -293,3 +293,11 @@ def read_sample_csv(path) -> CensoredSample:
     if not ys:
         raise DataError(f"{path}: no data rows")
     return CensoredSample(np.array(ys), np.array(ds), np.array(xs))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a CSV file of one header row and then rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

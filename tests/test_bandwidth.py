@@ -126,6 +126,9 @@ class TestBandwidthGrid:
             BandwidthGrid(1.0, 0.5, 0.1)
         with pytest.raises(ConfigError):
             BandwidthGrid(0.1, 1.0, 0.0)
+        for bounds in ((float("nan"), 1.0, 0.1), (0.1, float("inf"), 0.1), (0.1, 1.0, float("inf"))):
+            with pytest.raises(ConfigError, match="finite"):
+                BandwidthGrid(*bounds)
 
     def test_default_grid_is_two_hundred_candidates(self):
         vals = DEFAULT_BANDWIDTH_GRID.values()
@@ -241,6 +244,21 @@ class TestCvScore:
         far = CensoredSample(s.y, s.delta, np.r_[s.x[:-1], 1e308])
         for selection in select_bandwidths(Estimator, far, kernel, BandwidthGrid(0.1, 0.5, 0.2)).values():
             assert all(point.degenerate_folds >= 1 for point in selection.trace)
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @pytest.mark.parametrize("far", (1e200, 1e308))
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_far_covariate_leaves_the_other_folds_alone(self, kernel, far):
+        # beyond about 1.3e154 the record's dx * dx overflows; its zero weight
+        # must still add 0 to every other fold's sums, as it does at 1e150.
+        # The naive oracles' double sums overflow there, so 1e150 is the reference
+        def traces(x_far):
+            s = generate_sample(20, -1.11328125, 3).sample
+            sample = CensoredSample(s.y, s.delta, np.where(np.arange(s.n) == 7, x_far, s.x))
+            selections = select_bandwidths(Estimator, sample, kernel, BandwidthGrid(0.2, 1.0, 0.4))
+            return {est: traces_bits(selection) for est, selection in selections.items()}
+
+        assert traces(far) == traces(1e150)
 
     def test_duplicating_records_changes_score(self):
         # documentation example: no invariance under duplication is claimed

@@ -117,6 +117,7 @@ class TestEstimate:
             "--estimator", "spline", "--h", "1",
         ])
         assert code == EXIT_CONFIG
+        assert "expected one of: llrer, llcr, cr" in capsys.readouterr().err
 
     def test_missing_input_file(self, tmp_path):
         code = main([
@@ -149,6 +150,20 @@ class TestCv:
         assert len(lines) == 1 + 200
         assert lines[1].split(",")[0] == "0.01"
         assert lines[-1].split(",")[0] == "2.0"
+
+    def test_names_in_any_case(self, tmp_path, capsys):
+        # as a config file takes `estimators = LLRER` and `kernel = Gaussian`
+        data = write_hand_csv(tmp_path)
+        runs = {}
+        for estimator, kernel in (("llrer", "gaussian"), ("LLRER", "Gaussian"), (" Llrer", "GAUSSIAN ")):
+            out = tmp_path / f"{estimator.strip()}_{kernel.strip()}.csv"
+            code = main([
+                "cv", "--input", str(data), "--out", str(out), "--estimator", estimator, "--kernel", kernel,
+                "--h-lo", "0.5", "--h-hi", "1.5", "--h-step", "0.5",
+            ])
+            assert code == EXIT_OK
+            runs[estimator, kernel] = (out.read_bytes(), capsys.readouterr().out)
+        assert len(set(runs.values())) == 1
 
     def test_single_observation_rejected(self, tmp_path):
         data = tmp_path / "one.csv"
@@ -300,6 +315,13 @@ class TestSimulate:
         assert "replication_0_status = ok" in manifest
         assert "replication_1_status = failed: RuntimeError: forced failure" in manifest
         assert "1 failed" in capsys.readouterr().out
+
+    def test_zero_jobs_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "0"]) == EXIT_CONFIG
+        assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == EXIT_CONFIG

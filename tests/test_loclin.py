@@ -553,6 +553,23 @@ class TestFitCurves:
                 assert curve.values.tobytes() == alone[est].values.tobytes(), (bandwidths, est)
                 assert np.array_equal(curve.degenerate, alone[est].degenerate)
 
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @pytest.mark.parametrize("far", (1e200, 1e308))
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_far_covariate_leaves_the_other_points_alone(self, kernel, far):
+        # beyond about 1.3e154 the record's dx * dx overflows; its zero weight
+        # must still add 0 to every point's sums, as it does at 1e150. The
+        # naive oracles' double sums overflow there, so 1e150 is the reference
+        def curves(x_far):
+            s = generate_sample(20, -1.11328125, 3).sample
+            sample = CensoredSample(s.y, s.delta, np.where(np.arange(s.n) == 7, x_far, s.x))
+            return fit_curves(dict.fromkeys(Estimator, EstimatorConfig(0.5, kernel)), sample, np.linspace(-1, 1, 5))
+
+        want, got = curves(1e150), curves(far)
+        for est in Estimator:
+            assert got[est].values.tobytes() == want[est].values.tobytes(), est
+            assert np.array_equal(got[est].degenerate, want[est].degenerate), est
+
     def test_computes_the_step_once(self):
         rng = np.random.default_rng(43)
         s = random_censored_sample(rng, 30)
@@ -568,6 +585,17 @@ class TestFitCurves:
             for calls, bandwidths in enumerate(DISTINCT_BANDWIDTHS, start=1):
                 fit_curves({est: EstimatorConfig(h) for est, h in bandwidths.items()}, s, [0.0, 0.5])
                 assert evals.call_count == calls
+
+
+class TestFittedCurve:
+    @pytest.mark.parametrize(
+        "grid, values, degenerate",
+        [([0.0, 1.0], [1.0], [False, False]), ([0.0], [1.0], [False, True]), ([[0.0, 1.0]], [[1.0, 2.0]], [[0, 0]])],
+        ids=["values", "flags", "2-d"],
+    )
+    def test_rejects_unequal_arrays(self, grid, values, degenerate):
+        with pytest.raises(DataError, match="equally long 1-d"):
+            FittedCurve(grid, values, degenerate)
 
 
 class TestCurveCsv:

@@ -295,6 +295,15 @@ class TestSimulationConfig:
         with pytest.raises(ConfigError, match=f"{field} must be a .* integer, got 2.5"):
             SimulationConfig(**{"n": 10, "replications": 1, "seed": 1, "c": -2.0, field: 2.5})
 
+    @pytest.mark.parametrize(
+        "estimators, match",
+        [((), "at least one"), (("llrer", "llrer"), "repeat"), ((Estimator.CR, "cr"), "repeat")],
+        ids=["none", "twice", "name_and_member"],
+    )
+    def test_rejects_empty_or_repeated_estimators(self, estimators, match):
+        with pytest.raises(ConfigError, match=match):
+            SimulationConfig(n=10, replications=1, seed=1, c=-2.0, estimators=estimators)
+
     def test_rejects_both_bandwidth_policies(self):
         with pytest.raises(ConfigError):
             SimulationConfig(n=10, replications=1, seed=1, c=-2.0, h=0.5, cv_grid=BandwidthGrid(0.1, 1, 0.1))
@@ -657,6 +666,13 @@ class TestParseGridSpec:
         with pytest.raises(ConfigError, match="finite"):
             parse_grid_spec(spec)
 
+    @pytest.mark.parametrize(
+        "spec, match", [("1:4", "lo:hi:count"), ("a:4:3", "lo:hi:count"), ("1:4:x", "lo:hi:count"), ("1:2:1", "lo == hi")]
+    )
+    def test_rejects_malformed_spec(self, spec, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_grid_spec(spec)
+
     def test_linspace(self):
         assert np.array_equal(parse_grid_spec("1:2.5:16"), np.linspace(1.0, 2.5, 16))
         assert np.array_equal(parse_grid_spec("2:2:1"), np.array([2.0]))
@@ -780,6 +796,12 @@ class TestConfigFileErrors:
         p.write_text("n = 10\nreplications = 1\nseed = 1\nc = -2\nh_hi = 0.5\n")
         grid = load_simulation_config(p).cv_grid
         assert grid == BandwidthGrid(DEFAULT_BANDWIDTH_GRID.lo, 0.5, DEFAULT_BANDWIDTH_GRID.step)
+
+    @pytest.mark.parametrize("name", ("absent.cfg", "."), ids=("missing", "directory"))
+    def test_unreadable_path_names_file(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(ConfigError, match=str(path)):
+            load_simulation_config(path)
 
     def test_invalid_config_names_file(self, tmp_path):
         p = tmp_path / "run.cfg"

@@ -189,6 +189,24 @@ class TestLeaveOneOutSurvival:
             _loo_survival_rows(make([1.0], [1]))
 
 
+class TestSurvivalStep:
+    @pytest.mark.parametrize(
+        "times, values, match",
+        [
+            ([1.0, 2.0], [0.0], "equally long"),
+            ([], [], "equally long"),
+            ([2.0, 1.0], [0.5, 0.0], "strictly ascending"),
+            ([1.0, 2.0], [1.5, 0.0], r"in \[0, 1\]"),
+            ([1.0, 2.0, 3.0], [0.25, 0.5, 0.0], "non-increasing"),
+            ([1.0, 2.0], [0.5, 0.25], "reach 0"),
+        ],
+        ids=["lengths", "empty", "unsorted", "range", "increasing", "no_zero"],
+    )
+    def test_rejects_broken_invariant(self, times, values, match):
+        with pytest.raises(DataError, match=match):
+            llrer.survival.SurvivalStep(times, values)
+
+
 class TestSurvivalEval:
     def test_left_limit_at_jump(self):
         step = km_censoring_survival(make([1, 2, 3], [1, 0, 1]))
@@ -279,6 +297,18 @@ class TestSyntheticTransform:
             call(sample)
         assert [w.filename for w in caught if issubclass(w.category, NonPositiveResponseWarning)] == [__file__]
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf")))
+    def test_rejects_non_finite_responses(self, bad):
+        with pytest.raises(DataError, match="finite"):
+            llrer.survival.SyntheticResponses(1, [1.0, bad])
+
+    def test_rejects_step_at_zero_below_an_uncensored_response(self):
+        # a user step may fall to 0 before the largest observation
+        s = make([1.0, 2.0], [0, 1])
+        step = llrer.survival.SurvivalStep([1.5], [0.0])
+        with pytest.raises(DataError, match="zero at an uncensored response"):
+            synthetic_transform(s, step, -1)
+
     def test_rejects_bad_order(self):
         s = make([1.0], [1])
         step = km_censoring_survival(s)
@@ -342,6 +372,20 @@ class TestReadSampleCsv:
         p = tmp_path / "s.csv"
         p.write_text("y,delta,x\n1.0,1,0.0\nnope,1,0.0\n")
         with pytest.raises(DataError, match="row 3"):
+            read_sample_csv(p)
+
+    def test_skips_blank_rows(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_text("y,delta,x\n1.5,1,0.25\n\n  \n2.0,0,-1.0\n")
+        assert np.array_equal(read_sample_csv(p).y, [1.5, 2.0])
+
+    @pytest.mark.parametrize(
+        "row, match", [("1.0,1", "row 3: expected 3 columns, got 2"), ("1.0,2,0.0", "row 3: delta must be 0 or 1, got 2")]
+    )
+    def test_rejects_bad_row(self, tmp_path, row, match):
+        p = tmp_path / "s.csv"
+        p.write_text(f"y,delta,x\n1.0,1,0.0\n{row}\n")
+        with pytest.raises(DataError, match=match):
             read_sample_csv(p)
 
     def test_rejects_fractional_delta(self, tmp_path):
