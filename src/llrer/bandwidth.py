@@ -2,9 +2,10 @@
 
 Each fold removes one observation from both the smoother and the
 censoring-survival estimate, refits at the held-out covariate and scores the
-squared gap to that observation's full-sample synthetic response. The folds'
-Kaplan-Meier estimates come in closed form (survival._loo_survival_rows), one
-block of rows at a time, with the same semantics as a refit per fold. A fold
+squared gap to that observation's full-sample synthetic response. The target
+and the folds' responses come from one product-limit pass
+(survival._loo_responses), one block of rows at a time, with the same
+semantics as a Kaplan-Meier refit per fold. A fold
 whose fit is degenerate predicts 0 (the shared convention) and is counted in
 the trace, so pathological bandwidths stay visible.
 
@@ -37,15 +38,7 @@ from .kernels import KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import (
     DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _masked_ratio, _offsets, _ratio_terms, _union_orders
 )
-from .survival import (
-    CensoredSample,
-    _check_responses,
-    _divide_by_survival,
-    _loo_survival_rows,
-    _synthetic_responses,
-    _write_csv,
-    km_censoring_survival,
-)
+from .survival import CensoredSample, _loo_responses, _write_csv
 
 
 @dataclass(frozen=True)
@@ -106,29 +99,6 @@ def _window(kernel: KernelKind, h: float, xs: np.ndarray, lo: float, hi: float) 
     return slice(int(np.searchsorted(xs, lo - reach, "left")), int(np.searchsorted(xs, hi + reach, "right")))
 
 
-def _fold_blocks(sample: CensoredSample, orders):
-    """Blocks of leave-one-out folds, with their responses.
-
-    Yields (block, tau): the folds are the observations in the slice block,
-    as loclin._blocks cuts them, and tau[order][r, j] is the
-    order-`order` synthetic response of observation j under the Kaplan-Meier
-    estimate that excludes observation block.start + r (0 for the fold
-    itself). The checks on the responses alone run once, before the first
-    block; every block checks its survival values and overflow over all
-    columns.
-    """
-    uncensored = sample.delta == 1
-    # with n >= 2 every observation lies in some fold, so the folds' response
-    # checks are those of the whole sample
-    _check_responses(sample.y, uncensored, orders)
-    survival_rows = _loo_survival_rows(sample)
-    every = np.arange(sample.n)
-    for block in _blocks(sample.n, sample.n):
-        gbar = survival_rows(block)
-        in_fold = uncensored & (every != every[block, None])
-        yield block, {o: _divide_by_survival(sample.y, in_fold, o, gbar) for o in orders}
-
-
 def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: float) -> dict:
     """Trace of (h, score, degenerate_folds) over hs for each estimator.
 
@@ -148,11 +118,11 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     eps = _check_epsilon(eps)
     records = np.lexsort((sample.delta, sample.y, sample.x))
     sample = CensoredSample(sample.y[records], sample.delta[records], sample.x[records])
-    orders = _union_orders(estimators)
-    target = _synthetic_responses(sample, km_censoring_survival(sample), (-1,))[-1]
+    target, fold_rows = _loo_responses(sample, _union_orders(estimators))
     preds = {e: np.empty((len(hs), sample.n)) for e in estimators}
     degenerate = {e: [0] * len(hs) for e in estimators}
-    for block, tau in _fold_blocks(sample, orders):
+    for block in _blocks(sample.n, sample.n):
+        tau = fold_rows(block)
         x = sample.x[block]  # ascending, so x[0] and x[-1] bound the block
         # dx and dx2 cover the columns the largest bandwidth reaches; each
         # bandwidth reads its own window of them as a view

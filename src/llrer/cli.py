@@ -21,11 +21,12 @@ from pathlib import Path
 from . import __version__
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidth, write_cv_trace_csv
 from .errors import CalibrationError, ConfigError, DataError
-from .kernels import KernelKind
+from .kernels import _DEFAULT_KERNEL, KernelKind
 from .loclin import Estimator, EstimatorConfig, fit_curve, write_curve_csv
 from .simulate import (
     DEFAULT_CALIBRATION_TOLERANCE,
     DEFAULT_GRID_SPEC,
+    _DEFAULT_CALIBRATION_SEED,
     calibrate_censoring,
     config_lines,
     load_simulation_config,
@@ -55,7 +56,7 @@ def _add_estimator_flags(parser):
     # each command reads the names with from_name, so they take any case, as in a config file
     parser.add_argument("--estimator", required=True, help=f"one of {', '.join(e.value for e in Estimator)}")
     kernels = ", ".join(k.value for k in KernelKind)
-    parser.add_argument("--kernel", default="gaussian", help=f"one of {kernels} (default %(default)s)")
+    parser.add_argument("--kernel", default=_DEFAULT_KERNEL.value, help=f"one of {kernels} (default %(default)s)")
 
 
 def _add_cv_grid_flags(parser):
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=float, default=DEFAULT_CALIBRATION_TOLERANCE,
         help="tolerance on the proportion (default %(default)s)",
     )
-    p_cal.add_argument("--seed", type=int, default=0, help="seed for the calibration draws")
+    p_cal.add_argument("--seed", type=int, default=_DEFAULT_CALIBRATION_SEED, help="seed for the calibration draws")
     p_cal.set_defaults(func=_cmd_calibrate)
     return parser
 

@@ -29,6 +29,10 @@ class KernelKind(Enum):
         return _member_named(cls, name, "kernel")
 
 
+# the kernel of EstimatorConfig, SimulationConfig and the command line
+_DEFAULT_KERNEL = KernelKind.GAUSSIAN
+
+
 def _member_named(enum: type, name: str, noun: str):
     """The member of enum valued name (case and blanks ignored), or a ConfigError."""
     try:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import KernelKind, _check_bandwidth, _check_kernel, _member_named, scaled_kernel
+from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel, _member_named, scaled_kernel
 from .survival import (
     CensoredSample, SurvivalStep, SyntheticResponses, _synthetic_responses, _write_csv, km_censoring_survival
 )
@@ -54,7 +54,7 @@ class EstimatorConfig:
     """
 
     bandwidth: float
-    kernel: KernelKind = KernelKind.GAUSSIAN
+    kernel: KernelKind = _DEFAULT_KERNEL
     denominator_epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
@@ -265,6 +265,7 @@ def llrer_point_naive(
     tau1, tau2 = rmap[1], rmap[2]
     d = sample.x - x
     k = scaled_kernel(config.kernel, config.bandwidth, d)
+    d = np.where(k != 0.0, d, 0.0)  # a zero-weight record adds exactly 0, and a far one's d * d cannot overflow
     base = d[:, None] * (d[:, None] - d[None, :]) * k[:, None] * k[None, :] * tau2[:, None]
     num = float((base * tau1[None, :]).sum())
     den = float((base * tau2[None, :]).sum())
@@ -294,6 +295,7 @@ def llcr_point_naive(
     tau = _response_map(sample, step, responses, (-1,))[-1]
     d = sample.x - x
     k = scaled_kernel(config.kernel, config.bandwidth, d)
+    d = np.where(k != 0.0, d, 0.0)  # a zero-weight record adds exactly 0, and a far one's d * d cannot overflow
     v = d[:, None] * (d[:, None] - d[None, :]) * k[:, None] * k[None, :]
     num = float((v * tau[None, :]).sum())
     den = float(v.sum())

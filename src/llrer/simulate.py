@@ -30,12 +30,13 @@ import numpy as np
 
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, DEFAULT_EPSILON, BandwidthGrid, select_bandwidths
 from .errors import CalibrationError, ConfigError
-from .kernels import KernelKind, _check_bandwidth, _check_kernel
+from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, fit_curves
 from .survival import CensoredSample, NonPositiveResponseWarning, _write_csv
 
 DEFAULT_GRID_SPEC = "1:4:61"
 DEFAULT_CALIBRATION_TOLERANCE = 0.005
+_DEFAULT_CALIBRATION_SEED = 0
 # calibrate_censoring's fixed draws and bisection budget
 _DRAWS = 1_000_000
 _MAX_ITER = 200
@@ -114,7 +115,8 @@ def _check_calibration(target_cp, tolerance, seed):
 
 
 def calibrate_censoring(
-    target_cp: float, tolerance: float = DEFAULT_CALIBRATION_TOLERANCE, seed=0, positive_only: bool = False
+    target_cp: float, tolerance: float = DEFAULT_CALIBRATION_TOLERANCE, seed=_DEFAULT_CALIBRATION_SEED,
+    positive_only: bool = False,
 ) -> float:
     """Bisect the censoring shift c to a target censoring proportion.
 
@@ -220,7 +222,7 @@ class SimulationConfig:
     outlier_count: int = 0
     outlier_mc: float = 1.0
     grid: np.ndarray = field(default_factory=lambda: parse_grid_spec(DEFAULT_GRID_SPEC))
-    kernel: KernelKind = KernelKind.GAUSSIAN
+    kernel: KernelKind = _DEFAULT_KERNEL
     h: float | None = None
     cv_grid: BandwidthGrid | None = None
     positive_only: bool = False

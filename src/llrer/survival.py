@@ -152,45 +152,56 @@ def km_censoring_survival(sample: CensoredSample) -> SurvivalStep:
     return SurvivalStep(times[keep], vals[keep])
 
 
-def _loo_survival_rows(sample: CensoredSample):
-    """Leave-one-out left-limit censoring survival at every response.
+def _loo_responses(sample: CensoredSample, orders):
+    """(target, rows): cross-validation's synthetic responses from one product-limit pass.
 
-    Returns a function folds -> G[folds] for a contiguous slice of folds over
-    every column, where G[i, j] is the left limit at y_j of
-    km_censoring_survival refitted without observation i. It is computed
-    from two prefix products instead of n refits. Dropping i from the sorted
+    target holds the order -1 responses under the full-sample Kaplan-Meier
+    estimate. rows maps a slice of folds to {order: tau}, where tau[r, j] is
+    record j's response under the estimate refitted without record
+    folds.start + r, and 0 for that record itself. Dropping i from the sorted
     sample keeps the order of the rest and lowers the at-risk count by one
     before i's sorted position p_i, so those factors become
-    1 - (1-d_k)/(n-1-k); the factors after p_i are the plain ones, and i's
-    own factor is gone. The left limit at y_j multiplies the factors before
-    the start s_j of j's tie group. The prefix products are computed once,
-    so a block of rows costs O(rows * n).
+    1 - (1-d_k)/(n-1-k); the factors after p_i are the plain ones, and i's own
+    factor is gone. The left limit at y_j multiplies the factors before the
+    start s_j of j's tie group: a record with s_j <= p_i has one response for
+    every such fold, computed once, and a later one is divided by the fold's
+    survival there. A block of rows costs O(rows * n).
     """
     n = sample.n
     if n < 2:
-        raise DataError("leave-one-out survival needs at least 2 observations")
-    order, ys, censored, plain, starts = _product_limit(sample)
+        raise DataError("leave-one-out responses need at least 2 observations")
+    uncensored = sample.delta == 1
+    order, _, censored, plain, starts = _product_limit(sample)
     k = np.arange(n)
     reduced = np.cumprod(np.r_[1.0, 1.0 - censored[:-1] / (n - 1 - k[:-1])])
-    group_start = np.maximum.accumulate(np.where(starts, k, 0))
     p = np.argsort(order)  # sorted position of each record
-    s = group_start[p]
+    s = np.maximum.accumulate(np.where(starts, k, 0))[p]
     # factors p_i+1 .. s_j-1 are plain: reduced[p_i] * plain[s_j] / plain[p_i+1];
     # the last sorted record has no later group, so its ratio is never used
     rescale = reduced[p] / plain[np.minimum(p + 1, n - 1)]
-    plain_s, reduced_s = plain[s], reduced[s]
-    # a unique largest response lies beyond its own fold's largest
-    # observation, where the step is 0
-    lone_max = int(order[-1]) if ys[-1] > ys[-2] else -1
+    plain_s = plain[s]
+    target = _check_finite(_moment(sample.y, uncensored, -1) / plain_s)
+    _check_responses(sample.y, uncensored, orders)
+    moments = {o: _moment(sample.y, uncensored, o) for o in orders}
+    # reduced[s_j] is 0 only for a unique largest record after a censored one,
+    # and only its own fold, whose entry is zeroed, reads it; a value that
+    # overflows elsewhere fails _check_finite
+    with np.errstate(all="ignore"):
+        early = {o: m / reduced[s] for o, m in moments.items()}
 
-    def block(folds: slice):
-        later = s > p[folds, None]
-        gbar = np.where(later, rescale[folds, None] * plain_s, reduced_s)
-        if folds.start <= lone_max < folds.stop:
-            gbar[lone_max - folds.start, lone_max] = 0.0
-        return gbar
+    def rows(folds: slice) -> dict:
+        before = s <= p[folds, None]
+        out = {}
+        for o, m in moments.items():
+            tau = rescale[folds, None] * plain_s
+            with np.errstate(all="ignore"):  # a 0 rescale is read only where before holds
+                np.divide(m, tau, out=tau)
+            np.copyto(tau, early[o], where=before)
+            np.fill_diagonal(tau[:, folds.start :], 0.0)  # each fold's own record
+            out[o] = _check_finite(tau)
+        return out
 
-    return block
+    return target, rows
 
 
 def _check_order(order) -> None:
@@ -225,22 +236,28 @@ def _check_responses(y, uncensored, orders) -> None:
             )
 
 
+def _moment(y, uncensored, order: int) -> np.ndarray:
+    """delta * y**(-order) with uncensored = (delta == 1): 0 at every censored record."""
+    with np.errstate(divide="ignore", over="ignore"):  # an overflow is kept, and fails _check_finite
+        return np.where(uncensored, y ** (-order), 0.0)
+
+
+def _check_finite(responses: np.ndarray) -> np.ndarray:
+    """responses, or a DataError unless every one is finite."""
+    if not np.isfinite(responses).all():
+        raise DataError("synthetic responses overflow; responses too close to zero")
+    return responses
+
+
 def _divide_by_survival(y, uncensored, order: int, gbar) -> np.ndarray:
     """delta * y**(-order) / gbar with uncensored = (delta == 1), after
     _check_responses. gbar is the censoring survival at each response:
     Kaplan-Meier left limits, or exact values when the censoring distribution
-    is known. The inputs broadcast, so one call transforms a block of folds."""
-    y = np.asarray(y, dtype=float)
+    is known."""
     gbar = np.asarray(gbar, dtype=float)
     if np.any(uncensored & (gbar <= 0.0)):
         raise DataError("censoring survival is zero at an uncensored response")
-    with np.errstate(divide="ignore", over="ignore"):
-        moment = y ** (-order)  # only uncensored entries are kept, and checked below
-    out = np.zeros(np.broadcast_shapes(y.shape, uncensored.shape, gbar.shape))
-    np.divide(moment, gbar, out=out, where=uncensored)
-    if not np.isfinite(out).all():
-        raise DataError("synthetic responses overflow; responses too close to zero")
-    return out
+    return _check_finite(np.divide(_moment(y, uncensored, order), gbar, out=np.zeros(gbar.shape), where=uncensored))
 
 
 def synthetic_transform(sample: CensoredSample, step: SurvivalStep, order: int) -> SyntheticResponses:
@@ -262,9 +279,7 @@ def _synthetic_responses(sample: CensoredSample, step: SurvivalStep, orders) -> 
 
 def read_sample_csv(path) -> CensoredSample:
     """Load a censored sample from a CSV file with header y,delta,x."""
-    ys: list[float] = []
-    ds: list[int] = []
-    xs: list[float] = []
+    records: list[tuple] = []
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -282,17 +297,17 @@ def read_sample_csv(path) -> CensoredSample:
             if len(row) != 3:
                 raise DataError(f"{path}: row {lineno}: expected 3 columns, got {len(row)}")
             try:
-                ys.append(float(row[0]))
-                d = int(row[1])
-                xs.append(float(row[2]))
+                y, d, x = float(row[0]), int(row[1]), float(row[2])
             except ValueError:
                 raise DataError(f"{path}: row {lineno}: could not parse y,delta,x values") from None
             if d not in (0, 1):
                 raise DataError(f"{path}: row {lineno}: delta must be 0 or 1, got {d}")
-            ds.append(d)
-    if not ys:
+            if not (np.isfinite(y) and np.isfinite(x)):
+                raise DataError(f"{path}: row {lineno}: y and x must be finite, got y={y}, x={x}")
+            records.append((y, d, x))
+    if not records:
         raise DataError(f"{path}: no data rows")
-    return CensoredSample(np.array(ys), np.array(ds), np.array(xs))
+    return CensoredSample(*map(np.array, zip(*records)))
 
 
 def _write_csv(path, header, rows) -> None:

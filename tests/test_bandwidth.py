@@ -30,7 +30,9 @@ from llrer import (
     write_cv_trace_csv,
 )
 import llrer.loclin
-from llrer.bandwidth import _fold_blocks, _window
+from llrer.bandwidth import _window
+from llrer.loclin import _blocks
+from llrer.survival import _loo_responses
 from llrer.kernels import kernel_eval
 
 POINT_FN = {Estimator.LLRER: llrer_point, Estimator.LLCR: llcr_point, Estimator.CR: cr_point}
@@ -83,9 +85,10 @@ def recorded(fn):
 def fold_responses(sample, order):
     """Row i: the order-`order` fold responses that cross-validation builds
     for fold i of sample."""
+    _, rows = _loo_responses(sample, (order,))
     out = np.empty((sample.n, sample.n))
-    for block, tau in _fold_blocks(sample, (order,)):
-        out[block] = tau[order]
+    for block in _blocks(sample.n, sample.n):
+        out[block] = rows(block)[order]
     return out
 
 
@@ -104,6 +107,25 @@ def awkward_samples(draw):
     y = draw(st.lists(pool | st.floats(0.05, 5.0), min_size=n, max_size=n))
     delta = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return CensoredSample(np.array(y), np.array(delta), np.zeros(n))
+
+
+@st.composite
+def tied_samples(draw, pool=st.floats(0.01, 10.0)):
+    """Small samples with tied responses, optional outlier scaling and one of
+    three censoring patterns: random, all censored or a single uncensored record."""
+    n = draw(st.integers(2, 12))
+    values = draw(st.lists(pool, min_size=1, max_size=n))
+    y = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    pattern = draw(st.sampled_from(("random", "all_censored", "one_uncensored")))
+    if pattern == "random":
+        delta = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    else:
+        delta = np.zeros(n, dtype=int)
+        if pattern == "one_uncensored":
+            delta[draw(st.integers(0, n - 1))] = 1
+    scaled = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    y = np.where(scaled, y * draw(st.sampled_from((50.0, 1e6))), y)
+    return CensoredSample(y, delta, np.zeros(n))
 
 
 def traces_bits(selection):
@@ -180,6 +202,17 @@ class TestCvScore:
         got = cv_score(estimator, s, KernelKind.EPANECHNIKOV, 1.2)
         want, _ = loo_score_oracle(estimator, s, KernelKind.EPANECHNIKOV, 1.2)
         assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("delta", ([1, 1, 0, 1], [1, 0, 1, 1]), ids=("after_censored", "after_uncensored"))
+    @pytest.mark.parametrize("estimator", list(Estimator))
+    def test_matches_independent_loop_at_a_unique_largest_record(self, estimator, delta):
+        # the fold of the largest record refits without it, so the second
+        # largest is its fold's largest observation
+        s = CensoredSample([1.0, 2.0, 3.0, 9.0], delta, [0.0, 0.3, 0.7, 1.0])
+        for h in (0.4, 1.0):
+            got = cv_score(estimator, s, KernelKind.GAUSSIAN, h)
+            want, _ = loo_score_oracle(estimator, s, KernelKind.GAUSSIAN, h)
+            assert got == pytest.approx(want, rel=1e-9)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(57)
@@ -304,6 +337,40 @@ class TestFoldResponses:
         s = CensoredSample([-1.0, 1.0, 2.0], [1, 1, 0], [0.0, 0.5, 1.0])
         with pytest.warns(NonPositiveResponseWarning):
             cv_score(Estimator.LLRER, s, KernelKind.GAUSSIAN, 0.5)
+
+
+class TestLeaveOneOutResponses:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_samples())
+    def test_matches_refit_per_fold(self, sample):
+        for order in (-1, 1, 2):
+            want = refit_fold_responses(sample, order)
+            for rows in (1, 2, sample.n):
+                with block_rows(sample.n, rows):
+                    got = fold_responses(sample, order)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_samples())
+    def test_target_is_the_full_sample_response(self, sample):
+        target, _ = _loo_responses(sample, (1, 2))
+        want = synthetic_transform(sample, km_censoring_survival(sample), -1).values
+        assert target.tobytes() == want.tobytes()
+
+    def test_hand_values(self):
+        # fold 0 keeps the uncensored 2 with nothing below it, so its response
+        # is 2; fold 1 keeps only the censored 1
+        s = CensoredSample([1.0, 2.0], [0, 1], [0.0, 0.0])
+        assert np.array_equal(fold_responses(s, -1), [[0.0, 2.0], [0.0, 0.0]])
+
+    def test_ties_across_delta(self):
+        s = CensoredSample([1.0, 2.0, 2.0, 2.0, 3.0], [0, 0, 1, 0, 1], np.zeros(5))
+        for order in (-1, 1, 2):
+            np.testing.assert_allclose(fold_responses(s, order), refit_fold_responses(s, order), rtol=1e-12, atol=0.0)
+
+    def test_rejects_single_observation(self):
+        with pytest.raises(DataError):
+            _loo_responses(CensoredSample([1.0], [1], [0.0]), (-1,))
 
 
 class TestSelectBandwidths:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 import os
 import subprocess
@@ -10,6 +11,10 @@ import pytest
 from llrer import (
     DEFAULT_CALIBRATION_TOLERANCE,
     DEFAULT_GRID_SPEC,
+    EstimatorConfig,
+    KernelKind,
+    SimulationConfig,
+    calibrate_censoring,
     load_simulation_config,
     parse_grid_spec,
 )
@@ -164,6 +169,14 @@ class TestCv:
             assert code == EXIT_OK
             runs[estimator, kernel] = (out.read_bytes(), capsys.readouterr().out)
         assert len(set(runs.values())) == 1
+
+    @pytest.mark.parametrize("row", ("nan,1,0.5", "2.0,1,inf", "-inf,0,0.5"))
+    def test_non_finite_value_reports_file_and_row(self, tmp_path, capsys, row):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"y,delta,x\n1.0,1,0.0\n{row}\n3.0,1,1.0\n")
+        code = main(["cv", "--input", str(data), "--out", str(tmp_path / "t.csv"), "--estimator", "llrer"])
+        assert code == EXIT_DATA
+        assert f"{data}: row 3: y and x must be finite" in capsys.readouterr().err
 
     def test_single_observation_rejected(self, tmp_path):
         data = tmp_path / "one.csv"
@@ -377,7 +390,12 @@ def test_defaults_come_from_named_constants():
     parser = build_parser()
     estimate = parser.parse_args(["estimate", "--input", "d.csv", "--out", "c.csv", "--estimator", "cr", "--h", "1"])
     assert estimate.grid == DEFAULT_GRID_SPEC
-    assert parser.parse_args(["calibrate", "--target", "0.5"]).tol == DEFAULT_CALIBRATION_TOLERANCE
+    cv = parser.parse_args(["cv", "--input", "d.csv", "--out", "t.csv", "--estimator", "cr"])
+    for args in (estimate, cv):
+        assert KernelKind.from_name(args.kernel) is EstimatorConfig.kernel is SimulationConfig.kernel
+    calibrate = parser.parse_args(["calibrate", "--target", "0.5"])
+    assert calibrate.tol == DEFAULT_CALIBRATION_TOLERANCE
+    assert calibrate.seed == inspect.signature(calibrate_censoring).parameters["seed"].default
 
 
 def test_module_entry_point(tmp_path):

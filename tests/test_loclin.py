@@ -173,6 +173,22 @@ class TestFastVsNaive:
             if not fast2.degenerate:
                 assert fast2.value == pytest.approx(slow2.value, rel=1e-9)
 
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @pytest.mark.parametrize("far", (1e200, 1e308))
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_far_covariate(self, kernel, far):
+        # the far record's weight is 0, so it adds exactly 0 to the double
+        # sums; beyond about 1.3e154 its d * (d - d') would overflow, warn
+        # (an error under pyproject's filter) and flag the point degenerate
+        s = generate_sample(20, -1.11328125, 3).sample
+        sample = CensoredSample(s.y, s.delta, np.where(np.arange(s.n) == 7, far, s.x))
+        step = km_censoring_survival(sample)
+        cfg = EstimatorConfig(0.5, kernel)
+        for fast, naive in ((llrer_point, llrer_point_naive), (llcr_point, llcr_point_naive)):
+            want, got = fast(sample, step, cfg, 0.0), naive(sample, step, cfg, 0.0)
+            assert not want.degenerate and not got.degenerate
+            assert got.value == pytest.approx(want.value, rel=1e-9)
+
     def test_naive_against_pure_python_loop(self):
         # guards the shipped naive forms against transcription slips
         rng = np.random.default_rng(33)
