@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -35,7 +36,7 @@ from .simulate import (
     write_curves_csv,
     write_summary_csv,
 )
-from .survival import read_sample_csv
+from .survival import NonPositiveResponseWarning, read_sample_csv
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -208,6 +209,23 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _run(args) -> int:
+    """args.func(args), with each distinct NonPositiveResponseWarning printed once as a warning line
+    on stderr, like the error lines, instead of as a warning that names a line inside the package."""
+    show, printed = warnings.showwarning, set()
+
+    def showwarning(message, category, filename, lineno, file=None, line=None):
+        if not issubclass(category, NonPositiveResponseWarning):
+            show(message, category, filename, lineno, file, line)
+        elif str(message) not in printed:
+            printed.add(str(message))
+            print(f"llrer: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = showwarning
+        return args.func(args)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -215,7 +233,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
-        return args.func(args)
+        return _run(args)
     except DataError as exc:
         print(f"llrer: input error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -70,20 +70,31 @@ def kernel_eval(kind: KernelKind, u):
     _check_kernel(kind)
     u = np.asarray(u, dtype=float)
     out = np.empty(u.shape)
-    # one buffer, in the operation order of norm * exp(-0.5 * u * u) and 0.75 * max(1 - u * u, 0)
     with np.errstate(over="ignore"):  # a u * u that overflows gives the exact weight 0
+        np.multiply(u, u, out=out)
+    _kernel_of_squares(kind, out, 1.0, out=out)
+    return float(out) if out.ndim == 0 else out
+
+
+def _kernel_of_squares(kind: KernelKind, u2, h: float, out=None):
+    """K(u / h) from the squared offsets u2 = u * u, written to out (a new array by default).
+
+    Gaussian exp(u2 * (-0.5 / h**2)) * norm, Epanechnikov 0.75 * fmax(1 - u2 / h**2, 0), where fmax
+    maps a nan to 0 as it does every |u| > h. At h = 1 these are kernel_eval's operations. h**2 is
+    held at the smallest normal float, so a tiny h cannot divide by 0.
+    """
+    h2 = max(h * h, np.finfo(float).tiny)
+    with np.errstate(over="ignore"):  # an overflow gives the exact weight 0
         if kind is KernelKind.GAUSSIAN:
-            np.multiply(u, -0.5, out=out)
-            out *= u
+            out = np.multiply(u2, -0.5 / h2, out=out)
             np.exp(out, out=out)
             out *= _GAUSS_NORM
         else:  # KernelKind.EPANECHNIKOV
-            # fmax maps a nan u to 0, as it does every |u| > 1
-            np.multiply(u, u, out=out)
+            out = np.divide(u2, h2, out=out)
             np.subtract(1.0, out, out=out)
             np.fmax(out, 0.0, out=out)
             out *= 0.75
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def scaled_kernel(kind: KernelKind, h, u):

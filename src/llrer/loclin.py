@@ -3,9 +3,12 @@
 LLRER is the local linear fit under squared relative error, LLCR the
 classical local linear fit on the synthetic responses and CR the
 Nadaraya-Watson form. Point estimates, curves and cross-validation share one
-ratio path, _ratio_terms, with one evaluation point per row. The quadratic
-double-sum forms of LLRER and LLCR are shipped alongside as permanent
-cross-checks for that path.
+ratio formula, _ratio_terms, read from five kernel-weighted row sums per
+group of estimators, with one evaluation point per row. Points and curves
+form those sums from their weights (_row_sums); cross-validation forms them
+from factors built once per block of folds. The quadratic double-sum forms
+of LLRER and LLCR are shipped alongside as permanent cross-checks for that
+path.
 
 A point where the fit's denominator vanishes is degenerate: it reports the
 value 0 together with an explicit flag, so downstream metrics can exclude
@@ -139,31 +142,46 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
-def _ratio_terms(estimators, w: np.ndarray, dx: np.ndarray, dx2: np.ndarray, tau) -> dict:
-    """Per-row (numerator, denominator, degeneracy scale) of each estimator.
+# The five row sums of each group of estimators, sum_j factor_j * w_j over these factors:
+# LLRER (s10, s11, s20, s21, s22) from tau1, tau1 * dx, tau2, tau2 * dx, tau2 * dx2, and
+# LLCR and CR (t0, t1, p0, p1, p2) from tau-1, tau-1 * dx, 1, dx, dx2
+_RELATIVE, _CLASSICAL = "relative", "classical"
+_GROUP = {Estimator.LLRER: _RELATIVE, Estimator.LLCR: _CLASSICAL, Estimator.CR: _CLASSICAL}
+
+
+def _row_sums(estimators, w: np.ndarray, dx: np.ndarray, dx2: np.ndarray, tau) -> dict:
+    """{group: its five row sums} for estimators; CR alone leaves t1, p1 and p2 None.
 
     Row r holds evaluation point r: weights w and offsets dx, dx2 from
-    _offsets. tau[order] is per row (leave-one-out folds) or 1-d and
-    shared by every row. LLCR and CR share the row sums of tau[-1] * w and w.
+    _offsets. tau[order] is 1-d and shared by every row.
     """
-    out = {}
+    sums = {}
     if Estimator.LLRER in estimators:
         a = tau[1] * w
         s10, s11 = a.sum(axis=1), _row_dot(a, dx)
         np.multiply(tau[2], w, out=a)
-        s20, s21, s22 = a.sum(axis=1), _row_dot(a, dx), _row_dot(a, dx2)
-        out[Estimator.LLRER] = (s22 * s10 - s21 * s11, s22 * s20 - s21 * s21, np.abs(s22 * s20))
+        sums[_RELATIVE] = (s10, s11, a.sum(axis=1), _row_dot(a, dx), _row_dot(a, dx2))
     if Estimator.LLCR in estimators or Estimator.CR in estimators:
         a = tau[-1] * w
-        t0 = a.sum(axis=1)
-        p0 = w.sum(axis=1)
+        t1 = p1 = p2 = None
         if Estimator.LLCR in estimators:
-            t1 = _row_dot(a, dx)
-            p1 = _row_dot(w, dx)
-            p2 = _row_dot(w, dx2)
-            out[Estimator.LLCR] = (p2 * t0 - p1 * t1, p2 * p0 - p1 * p1, np.abs(p2 * p0))
-        if Estimator.CR in estimators:
-            out[Estimator.CR] = (t0, p0, np.ones_like(p0))
+            t1, p1, p2 = _row_dot(a, dx), _row_dot(w, dx), _row_dot(w, dx2)
+        sums[_CLASSICAL] = (a.sum(axis=1), t1, w.sum(axis=1), p1, p2)
+    return sums
+
+
+def _ratio_terms(estimators, sums) -> dict:
+    """{estimator: (numerator, denominator, degeneracy scale)} from the row sums of its group."""
+    out = {}
+    if Estimator.LLRER in estimators:
+        s10, s11, s20, s21, s22 = sums[_RELATIVE]
+        out[Estimator.LLRER] = (s22 * s10 - s21 * s11, s22 * s20 - s21 * s21, np.abs(s22 * s20))
+    if Estimator.LLCR in estimators:
+        t0, t1, p0, p1, p2 = sums[_CLASSICAL]
+        out[Estimator.LLCR] = (p2 * t0 - p1 * t1, p2 * p0 - p1 * p1, np.abs(p2 * p0))
+    if Estimator.CR in estimators:
+        t0, _, p0, _, _ = sums[_CLASSICAL]
+        out[Estimator.CR] = (t0, p0, np.ones_like(p0))
     return out
 
 
@@ -175,15 +193,15 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: floa
     return value, degenerate
 
 
-# Curves and cross-validation evaluate at most this many (point,
-# observation) pairs, or one point, at once, so their memory stays O(n) for
-# any number of points
+# Curves evaluate at most this many (point, observation) pairs, and
+# cross-validation builds at most this many factor entries, or one row, at
+# once, so their memory stays O(n) for any number of points
 _BLOCK_ENTRIES = 2**18
 
 
-def _blocks(count: int, n: int):
-    """Slices of count rows, each of at most _BLOCK_ENTRIES pairs with n observations, or of one row."""
-    rows = max(1, _BLOCK_ENTRIES // n)
+def _blocks(count: int, width: int):
+    """Slices of count rows, each of at most _BLOCK_ENTRIES entries at width entries a row, or of one row."""
+    rows = max(1, _BLOCK_ENTRIES // width)
     for lo in range(0, count, rows):
         yield slice(lo, lo + rows)
 
@@ -206,7 +224,7 @@ def _estimates(estimators, sample, tau, config, points) -> dict:
     for block in _blocks(points.size, sample.n):
         dx, dx2 = _offsets(sample.x, points[block])
         w = scaled_kernel(config.kernel, config.bandwidth, dx)
-        terms = _ratio_terms(estimators, w, dx, dx2, tau)
+        terms = _ratio_terms(estimators, _row_sums(estimators, w, dx, dx2, tau))
         for e, (values, degenerate) in out.items():
             values[block], degenerate[block] = _masked_ratio(*terms[e], config.denominator_epsilon)
     return out

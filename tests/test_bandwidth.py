@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import tracemalloc
 import warnings
@@ -29,11 +30,12 @@ from llrer import (
     synthetic_transform,
     write_cv_trace_csv,
 )
+import llrer.bandwidth
 import llrer.loclin
-from llrer.bandwidth import _window
-from llrer.loclin import _blocks
+from llrer.bandwidth import _FOLD_FACTORS, _windows
+from llrer.loclin import _blocks, _offsets
 from llrer.survival import _loo_responses
-from llrer.kernels import kernel_eval
+from llrer.kernels import _kernel_of_squares
 
 POINT_FN = {Estimator.LLRER: llrer_point, Estimator.LLCR: llcr_point, Estimator.CR: cr_point}
 
@@ -66,9 +68,22 @@ def refit_fold_responses(sample, order):
     return out
 
 
+@contextlib.contextmanager
 def block_rows(n, rows):
-    """Force blocks of `rows` folds on a sample of n observations."""
-    return mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * n)
+    """Force blocks of `rows` folds on a sample of n observations, and check
+    that cross-validation cut every block it made that way."""
+    cuts = []
+
+    def recorded_blocks(count, width):
+        cuts.append((count, list(_blocks(count, width))))
+        return iter(cuts[-1][1])
+
+    with mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * _FOLD_FACTORS * n), mock.patch.object(
+        llrer.bandwidth, "_blocks", recorded_blocks
+    ):
+        yield
+    for count, blocks in cuts:
+        assert [(b.start, b.stop) for b in blocks] == [(lo, lo + rows) for lo in range(0, count, rows)]
 
 
 def recorded(fn):
@@ -87,7 +102,7 @@ def fold_responses(sample, order):
     for fold i of sample."""
     _, rows = _loo_responses(sample, (order,))
     out = np.empty((sample.n, sample.n))
-    for block in _blocks(sample.n, sample.n):
+    for block in llrer.bandwidth._blocks(sample.n, _FOLD_FACTORS * sample.n):
         out[block] = rows(block)[order]
     return out
 
@@ -292,6 +307,22 @@ class TestCvScore:
             return {est: traces_bits(selection) for est, selection in selections.items()}
 
         assert traces(far) == traces(1e150)
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_opposite_far_covariates_leave_the_folds_alone(self, kernel):
+        # x_j - x_i overflows between 1e308 and -1e308; the censored record at
+        # 1e308 (response 0) must still add 0 to the folds at -1e308, whose CR
+        # fit rests on their tied neighbour, as it does at +-1e150
+        def traces(x_far):
+            s = generate_sample(20, -1.11328125, 3).sample
+            x = s.x.copy()
+            x[7], x[8], x[9] = x_far, -x_far, -x_far
+            sample = CensoredSample(s.y, np.where(np.arange(s.n) == 7, 0, s.delta), x)
+            selections = select_bandwidths(Estimator, sample, kernel, BandwidthGrid(0.2, 1.0, 0.4))
+            return {est: traces_bits(selection) for est, selection in selections.items()}
+
+        assert traces(1e308) == traces(1e150)
 
     def test_duplicating_records_changes_score(self):
         # documentation example: no invariance under duplication is claimed
@@ -512,6 +543,19 @@ class TestBlocks:
         for est in Estimator:
             assert traces_bits(split[est]) == traces_bits(whole[est])
 
+    def test_gaussian_traces_equal_at_every_block_size_bit_for_bit(self):
+        # n = 200 takes two blocks by default, so no block size below is the whole sample
+        rng = np.random.default_rng(67)
+        s = random_censored_sample(rng, 200)
+        assert len(list(_blocks(s.n, _FOLD_FACTORS * s.n))) == 2
+        grid = BandwidthGrid(0.1, 1.5, 0.2)
+        default = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, grid)
+        for rows in (1, 2, 7):
+            with block_rows(s.n, rows):
+                split = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, grid)
+            for est in Estimator:
+                assert traces_bits(split[est]) == traces_bits(default[est]), (rows, est)
+
     @pytest.mark.parametrize("rows", (1, 2, 7))
     def test_epanechnikov_traces_agree_with_one_block(self, rows):
         rng = np.random.default_rng(66)
@@ -581,17 +625,21 @@ class TestBlocks:
             assert {e: traces_bits(sel) for e, sel in got.items()} == {e: traces_bits(sel) for e, sel in want.items()}
 
     @pytest.mark.parametrize("kernel", list(KernelKind))
-    def test_memory_stays_below_one_n_by_n_array(self, kernel):
+    @pytest.mark.parametrize("subset", [(Estimator.LLRER,), tuple(Estimator)], ids=("llrer", "all"))
+    def test_memory_stays_below_four_blocks(self, subset, kernel):
+        # a block's factors take at most _BLOCK_ENTRIES floats; its offsets,
+        # responses and weights, and the stored predictions, stay below three
+        # times that more, far below one n x n array (32 MB)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonPositiveResponseWarning)
             s = generate_sample(2000, -1.0, seed=7).sample
             tracemalloc.start()
             try:
-                select_bandwidths(Estimator, s, kernel, BandwidthGrid(0.25, 0.5, 0.25))
+                select_bandwidths(subset, s, kernel, BandwidthGrid(0.05, 1.0, 0.05))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-        assert peak < s.n * s.n * 8, peak
+        assert peak < 4 * llrer.loclin._BLOCK_ENTRIES * 8, peak
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -603,13 +651,17 @@ class TestBlocks:
 )
 def test_window_holds_every_non_zero_weight(x, a, b, h):
     # every column left out of a block's window weighs exactly 0 at every
-    # point of the block, including points and columns at the window's edges
+    # point of the block, including points and columns at the window's edges,
+    # under the squared-offset weights that cross-validation evaluates; far
+    # columns, whose dx * dx is capped, weigh 0 too
+    far = np.array([-1e308, -1e200, 1e200, 1e308])
     for kind in KernelKind:
         xs = np.sort(x)
         lo = xs[int(a * (xs.size - 1))]
         hi = max(lo, xs[int(b * (xs.size - 1))])
-        win = _window(kind, h, xs, lo, hi)
-        outside = np.r_[xs[: win.start], xs[win.stop :]]
+        (start,), (stop,) = _windows(kind, [h], xs, lo, hi)
+        outside = np.r_[xs[:start], xs[stop:], far]
         for p in (lo, hi, 0.5 * (lo + hi), np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)):
             if lo <= p <= hi:
-                assert not np.any(kernel_eval(kind, (outside - p) / h)), (kind, p, win)
+                _, dx2 = _offsets(outside, np.array([p]))
+                assert not np.any(_kernel_of_squares(kind, dx2, h)), (kind, p, start, stop)

@@ -411,6 +411,25 @@ def test_module_entry_point(tmp_path):
     assert len(read_curve_rows(out)) == 3
 
 
+@pytest.mark.parametrize("command", (["cv"], ["estimate", "--cv", "--grid", "0:1:3"]), ids=("cv", "estimate"))
+def test_non_positive_response_warning_is_one_line(tmp_path, command):
+    # an uncensored negative response: LLRER's inverse moments warn, in CV
+    # and again in the curve of estimate --cv, but the command prints one
+    # warning line of its own and names no line inside the package
+    data = tmp_path / "d.csv"
+    data.write_text("y,delta,x\n-0.5,1,0.0\n1.0,1,0.3\n2.0,0,0.6\n1.5,1,0.9\n2.5,1,1.2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "llrer", *command, "--input", str(data), "--out", str(tmp_path / "o.csv"),
+         "--estimator", "llrer", "--h-lo", "0.5", "--h-hi", "1.5", "--h-step", "0.5"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("h_opt=")
+    lines = proc.stderr.splitlines()
+    assert lines == ["llrer: warning: uncensored non-positive responses: the relative-error framework assumes positive lifetimes"]
+    assert "__main__.py" not in proc.stderr
+
+
 def test_version_flag(capsys):
     code = main(["--version"])
     assert code == 0

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from llrer import ConfigError, KernelKind, kernel_eval, scaled_kernel
-from llrer.kernels import KERNEL_SUPPORT
+from llrer.kernels import KERNEL_SUPPORT, _kernel_of_squares
 
 
 def test_gaussian_at_zero():
@@ -128,3 +128,17 @@ def test_zero_at_and_beyond_the_support(kind):
     assert np.array_equal(kernel_eval(kind, u), np.zeros(u.size))
     assert kernel_eval(kind, np.nextafter(r, 0.0)) > 0.0
     assert kernel_eval(kind, -np.nextafter(r, 0.0)) > 0.0
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_kernel_eval_is_the_squared_offset_kernel_at_h_one(kind):
+    # cross-validation weighs squared offsets with _kernel_of_squares; at
+    # h = 1 it is kernel_eval, bit for bit, also where u * u overflows, is
+    # subnormal or is nan
+    rng = np.random.default_rng(6)
+    special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e154, 1e-160, 1e-162, 5e-324]
+    u = np.concatenate([rng.normal(scale=s, size=20000) for s in (1e-160, 1e-3, 1.0, 3.0, 40.0, 1e154)] + [special])
+    with np.errstate(over="ignore"):
+        u2 = u * u
+    assert np.array_equal(kernel_eval(kind, u).view(np.int64), _kernel_of_squares(kind, u2, 1.0).view(np.int64))
+

@@ -34,6 +34,7 @@ from llrer import (
     write_curve_csv,
 )
 import llrer.loclin
+from llrer.loclin import _blocks
 
 
 def gauss(u):
@@ -52,9 +53,22 @@ def random_censored_sample(rng, n):
     return CensoredSample(y, delta, x)
 
 
+@contextlib.contextmanager
 def block_rows(n, rows):
-    """Force blocks of `rows` evaluation points on a sample of n observations."""
-    return mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * n)
+    """Force blocks of `rows` evaluation points on a sample of n observations,
+    and check that the curves cut every block they made that way."""
+    cuts = []
+
+    def recorded_blocks(count, width):
+        cuts.append((count, list(_blocks(count, width))))
+        return iter(cuts[-1][1])
+
+    with mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * n), mock.patch.object(
+        llrer.loclin, "_blocks", recorded_blocks
+    ):
+        yield
+    for count, blocks in cuts:
+        assert [(b.start, b.stop) for b in blocks] == [(lo, lo + rows) for lo in range(0, count, rows)]
 
 
 def condition_number(est, sample, step, config, x):
@@ -539,10 +553,12 @@ class TestFitCurves:
     def test_equals_fit_curve_bit_for_bit(self, rows):
         s = generate_sample(50, -1.0, seed=407).sample
         grid = np.linspace(-2.5, 3.0, 23)
-        blocks = mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * s.n) if rows else contextlib.nullcontext()
+        def blocks():
+            return block_rows(s.n, rows) if rows else contextlib.nullcontext()
+
         for config in (EstimatorConfig(0.5, KernelKind.GAUSSIAN), EstimatorConfig(0.4, KernelKind.EPANECHNIKOV)):
             alone = {est: fit_curve(est, s, config, grid) for est in Estimator}
-            with blocks:
+            with blocks():
                 for ests in ESTIMATOR_ORDERS:
                     curves = fit_curves(dict.fromkeys(ests, config), s, grid)
                     assert list(curves) == list(ests)
