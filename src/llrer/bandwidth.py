@@ -237,5 +237,5 @@ def select_bandwidth(
 
 def write_cv_trace_csv(trace, path) -> None:
     """Write a selection trace as CSV with columns h,score,degenerate_folds."""
-    rows = ((repr(float(p.h)), repr(float(p.score)), int(p.degenerate_folds)) for p in trace)
+    rows = ((repr(float(p.h)), repr(float(p.score)), str(int(p.degenerate_folds))) for p in trace)
     _write_csv(path, ("h", "score", "degenerate_folds"), rows)

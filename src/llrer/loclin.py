@@ -379,8 +379,8 @@ def fit_curve(estimator: Estimator, sample: CensoredSample, config: EstimatorCon
 
 
 def _curve_rows(curve: FittedCurve, xs, *lead):
-    """CSV rows (*lead, x, estimate, degenerate) of curve, with xs its grid as text."""
-    return zip(*map(repeat, lead), xs, map(repr, curve.values.tolist()), curve.degenerate.astype(int).tolist())
+    """CSV rows (*lead, x, estimate, degenerate) of curve as text, with xs its grid and lead already text."""
+    return zip(*map(repeat, lead), xs, map(repr, curve.values.tolist()), np.where(curve.degenerate, "1", "0").tolist())
 
 
 def write_curve_csv(curve: FittedCurve, path) -> None:

@@ -40,6 +40,8 @@ _DEFAULT_CALIBRATION_SEED = 0
 # calibrate_censoring's fixed draws and bisection budget
 _DRAWS = 1_000_000
 _MAX_ITER = 200
+# draws per slice of _draw_event_times's pass over the noise
+_SLICE = 1 << 16
 
 
 def theoretical_curve(x):
@@ -63,24 +65,26 @@ class GeneratedSample:
     @property
     def realized_cp(self) -> float:
         """Fraction of censored observations (delta = 0)."""
-        return float(np.mean(self.sample.delta == 0))
+        return int(np.count_nonzero(self.sample.delta == 0)) / self.sample.n
 
     @property
     def nonpositive_uncensored(self) -> int:
-        return int(np.sum((self.sample.delta == 1) & (self.sample.y <= 0.0)))
+        return int(np.count_nonzero((self.sample.delta == 1) & (self.sample.y <= 0.0)))
 
 
 def _draw_event_times(rng: np.random.Generator, n: int, positive_only: bool):
-    """(X, T) of n draws of the built-in process; with positive_only, (X, e) is redrawn where T <= 0."""
+    """(X, T) of n draws of the built-in process; with positive_only, (X, e) is redrawn where T <= 0.
+    T overwrites the noise draws a slice at a time, so no temporary is as long as a draw."""
     x = rng.standard_normal(n)
-    noise = rng.standard_normal(n)
-    t = 2.0 * x + 1.0 + 0.2 * noise
+    t = rng.standard_normal(n)
+    for start in range(0, n, _SLICE):
+        part = slice(start, start + _SLICE)
+        t[part] = 2.0 * x[part] + 1.0 + 0.2 * t[part]
     if positive_only:
         bad = np.flatnonzero(t <= 0.0)
         while bad.size:
             x[bad] = rng.standard_normal(bad.size)
-            noise[bad] = rng.standard_normal(bad.size)
-            t[bad] = 2.0 * x[bad] + 1.0 + 0.2 * noise[bad]
+            t[bad] = 2.0 * x[bad] + 1.0 + 0.2 * rng.standard_normal(bad.size)
             bad = bad[t[bad] <= 0.0]
     return x, t
 
@@ -104,14 +108,24 @@ def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> Gene
     return GeneratedSample(CensoredSample(y, delta, x), t, censor)
 
 
-def _check_calibration(target_cp, tolerance, seed):
-    """calibrate_censoring's input rules, shared with SimulationConfig; returns the seed as an int (or
-    the SeedSequence given). A target_cp of None (a config that gives c) is not checked."""
-    if target_cp is not None and not 0.0 < float(target_cp) < 1.0:
-        raise ConfigError(f"target censoring proportion must be in (0, 1), got {target_cp}")
-    if not np.isfinite(tolerance) or tolerance <= 0.0:
-        raise ConfigError(f"calibration tolerance must be finite and > 0, got {tolerance}")
-    return seed if isinstance(seed, np.random.SeedSequence) else _check_integer(seed, "seed", 0)
+def _is_real(value) -> bool:
+    """Whether value is a real number, numpy's included: a string or None is not."""
+    return isinstance(value, (int, float, np.integer, np.floating))
+
+
+def _check_target(target_cp) -> float:
+    """target_cp as a float, or a ConfigError unless it is a real number in (0, 1); shared with SimulationConfig."""
+    if not (_is_real(target_cp) and 0.0 < target_cp < 1.0):
+        raise ConfigError(f"target censoring proportion must be a real number in (0, 1), got {target_cp!r}")
+    return float(target_cp)
+
+
+def _check_calibration(tolerance, seed):
+    """calibrate_censoring's rules for tolerance and seed, shared with SimulationConfig: returns the
+    tolerance as a float and the seed as an int (or the SeedSequence given)."""
+    if not (_is_real(tolerance) and 0.0 < tolerance < np.inf):
+        raise ConfigError(f"calibration tolerance must be finite and > 0, got {tolerance!r}")
+    return float(tolerance), seed if isinstance(seed, np.random.SeedSequence) else _check_integer(seed, "seed", 0)
 
 
 def calibrate_censoring(
@@ -125,18 +139,21 @@ def calibrate_censoring(
     proportion is monotone non-increasing in c and the bisection is well
     behaved. Raises CalibrationError when the tolerance is unattainable within
     _MAX_ITER steps (the estimate moves in steps of 1 / _DRAWS, so tolerances
-    below that cannot be met).
+    below that cannot be met). The margin T - 3 - z is formed in place in the
+    buffer of T, so calibration holds about two arrays of _DRAWS floats.
     """
-    seed = _check_calibration(target_cp, tolerance, seed)
+    target_cp = _check_target(target_cp)
+    tolerance, seed = _check_calibration(tolerance, seed)
     rng = np.random.default_rng(seed)
-    t = _draw_event_times(rng, _DRAWS, positive_only)[1]
-    z = rng.standard_normal(_DRAWS)
+    margin = _draw_event_times(rng, _DRAWS, positive_only)[1]
     # T > C  <=>  (T - 3 - z) > c with C = 3 + c + z
-    margin = t - 3.0 - z
+    margin -= 3.0
+    margin -= rng.standard_normal(_DRAWS)
+    above = np.empty(_DRAWS, dtype=bool)
     lo, hi = -60.0, 60.0
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        cp = float(np.mean(margin > mid))
+        cp = int(np.count_nonzero(np.greater(margin, mid, out=above))) / _DRAWS
         if abs(cp - target_cp) <= tolerance:
             return mid
         if cp > target_cp:
@@ -189,11 +206,15 @@ def error_metrics(curve: FittedCurve, reference) -> ErrorMetrics:
     grid array, and returns an array of its shape or a scalar.
     """
     _check_grid(curve.grid)
-    ref = np.broadcast_to(np.asarray(reference(curve.grid), dtype=float), curve.grid.shape)
-    ok = ~curve.degenerate
-    count = int(curve.degenerate.sum())
-    if not ok.any():
+    return _score(curve, np.broadcast_to(np.asarray(reference(curve.grid), dtype=float), curve.grid.shape))
+
+
+def _score(curve: FittedCurve, ref: np.ndarray) -> ErrorMetrics:
+    """error_metrics(curve, reference) with ref the reference on curve.grid, which is not checked again."""
+    count = int(np.count_nonzero(curve.degenerate))
+    if count == curve.degenerate.size:
         return ErrorMetrics(None, None, count)
+    ok = ~curve.degenerate
     err = np.abs(curve.values - ref)
     sup = float(err[ok].max())
     e2 = err * err
@@ -240,8 +261,12 @@ class SimulationConfig:
         object.__setattr__(self, "estimators", ests)
         if (self.target_cp is None) == (self.c is None):
             raise ConfigError("exactly one of target_cp and c is required")
-        if self.c is not None and not np.isfinite(self.c):
-            raise ConfigError(f"c must be finite, got {self.c!r}")
+        if self.target_cp is not None:
+            object.__setattr__(self, "target_cp", _check_target(self.target_cp))
+        elif not (_is_real(self.c) and -np.inf < self.c < np.inf):
+            raise ConfigError(f"c must be a finite real number, got {self.c!r}")
+        else:
+            object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "outlier_count", _check_outliers(self.outlier_count, self.outlier_mc, self.n))
         grid = _check_grid(self.grid)
         if not np.all(np.isfinite(grid)):
@@ -261,7 +286,8 @@ class SimulationConfig:
         elif self.cv_grid is None:
             object.__setattr__(self, "cv_grid", DEFAULT_BANDWIDTH_GRID)
         _check_epsilon(self.denominator_epsilon)
-        _check_calibration(self.target_cp, self.calibration_tolerance, self.seed)
+        tolerance = _check_calibration(self.calibration_tolerance, self.seed)[0]
+        object.__setattr__(self, "calibration_tolerance", tolerance)
 
 
 @dataclass(frozen=True)
@@ -327,7 +353,8 @@ def _run_replication(config: SimulationConfig, c: float, rep: int) -> Replicatio
             h_used = {est: float(selection.h_opt) for est, selection in selections.items()}
         configs = {est: EstimatorConfig(h, config.kernel, config.denominator_epsilon) for est, h in h_used.items()}
         curves = fit_curves(configs, sample, config.grid)
-    metrics = {est: error_metrics(curves[est], theoretical_curve) for est in config.estimators}
+    ref = theoretical_curve(config.grid)
+    metrics = {est: _score(curves[est], ref) for est in config.estimators}
     return ReplicationResult(rep, gen.realized_cp, gen.nonpositive_uncensored, h_used, curves, metrics)
 
 
@@ -347,7 +374,7 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
     CPU count) worker processes.
     """
     if config.c is not None:
-        c = float(config.c)
+        c = config.c
     else:
         c = calibrate_censoring(
             config.target_cp,
@@ -369,7 +396,7 @@ def write_curves_csv(report: SimulationReport, path) -> None:
     """Per-replication curves on the config's grid as CSV rep,estimator,x,estimate,degenerate."""
     xs = [repr(x) for x in report.config.grid.tolist()]  # formatted once for every curve
     rows = chain.from_iterable(
-        _curve_rows(r.curves[est], xs, r.rep, est.value)
+        _curve_rows(r.curves[est], xs, str(r.rep), est.value)
         for r in report.results if r.error is None for est in report.config.estimators
     )
     _write_csv(path, ("rep", "estimator", "x", "estimate", "degenerate"), rows)

@@ -15,6 +15,7 @@ import csv
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -52,7 +53,7 @@ class CensoredSample:
             raise DataError("non-finite response values")
         if not np.isfinite(x).all():
             raise DataError("non-finite covariate values")
-        if not np.isin(delta, (0, 1)).all():
+        if not ((delta == 0) | (delta == 1)).all():
             raise DataError("delta entries must be 0 or 1")
         delta = delta.astype(np.int64)
         for name, arr in (("y", y), ("delta", delta), ("x", x)):
@@ -131,8 +132,8 @@ def _product_limit(sample: CensoredSample):
     order = np.lexsort((-sample.delta, sample.y))
     ys = sample.y[order]
     censored = 1.0 - sample.delta[order]
-    plain = np.cumprod(np.r_[1.0, 1.0 - censored / (sample.n - np.arange(sample.n))])
-    starts = np.r_[True, ys[1:] != ys[:-1]]
+    plain = np.cumprod(np.concatenate(([1.0], 1.0 - censored / (sample.n - np.arange(sample.n)))))
+    starts = np.concatenate(([True], ys[1:] != ys[:-1]))
     return order, ys, censored, plain, starts
 
 
@@ -144,11 +145,11 @@ def km_censoring_survival(sample: CensoredSample) -> SurvivalStep:
     risk set before a censored jump is taken.
     """
     _, ys, _, plain, starts = _product_limit(sample)
-    last = np.flatnonzero(np.r_[starts[1:], True])  # the last record of each tie group
+    last = np.flatnonzero(np.concatenate((starts[1:], [True])))  # the last record of each tie group
     times = ys[last]
     vals = plain[last + 1]
     vals[-1] = 0.0  # zero at and beyond the largest observation
-    keep = vals != np.r_[1.0, vals[:-1]]
+    keep = vals != np.concatenate(([1.0], vals[:-1]))
     return SurvivalStep(times[keep], vals[keep])
 
 
@@ -173,7 +174,7 @@ def _loo_responses(sample: CensoredSample, orders):
     uncensored = sample.delta == 1
     order, _, censored, plain, starts = _product_limit(sample)
     k = np.arange(n)
-    reduced = np.cumprod(np.r_[1.0, 1.0 - censored[:-1] / (n - 1 - k[:-1])])
+    reduced = np.cumprod(np.concatenate(([1.0], 1.0 - censored[:-1] / (n - 1 - k[:-1]))))
     p = np.argsort(order)  # sorted position of each record
     s = np.maximum.accumulate(np.where(starts, k, 0))[p]
     # factors p_i+1 .. s_j-1 are plain: reduced[p_i] * plain[s_j] / plain[p_i+1];
@@ -311,8 +312,8 @@ def read_sample_csv(path) -> CensoredSample:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Write a CSV file of one header row and then rows."""
+    """Write a CSV file of one header row and then rows, each a sequence of text fields, in one write.
+    No field holds a comma, quote or line break, so these are the bytes csv.writer writes: fields
+    joined by commas, and every line ended by CRLF."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(map(",".join, chain([header], rows))) + "\r\n")

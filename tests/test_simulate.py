@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import inspect
 import math
+import tracemalloc
 from importlib import resources
 from unittest import mock
 
@@ -19,6 +20,8 @@ from llrer import (
     BandwidthGrid,
     CalibrationError,
     ConfigError,
+    CVPoint,
+    ErrorMetrics,
     Estimator,
     EstimatorConfig,
     FittedCurve,
@@ -39,7 +42,10 @@ from llrer import (
     parse_grid_spec,
     select_bandwidth,
     theoretical_curve,
+    write_curve_csv,
     write_curves_csv,
+    write_cv_trace_csv,
+    write_summary_csv,
 )
 from llrer.cli import bundled_config_names
 
@@ -59,6 +65,37 @@ def replication_seed(master, rep, stream):
 def censoring_probability(c):
     """Closed form P(T > C) for the built-in process, via the normal difference."""
     return 0.5 * (1.0 - math.erf(((2.0 + c) / SD_DIFF) / math.sqrt(2.0)))
+
+
+def whole_array_event_times(rng, n, positive_only):
+    """(X, T) of the built-in process, each formula over whole arrays; (X, e) redrawn where T <= 0."""
+    x = rng.standard_normal(n)
+    noise = rng.standard_normal(n)
+    t = 2.0 * x + 1.0 + 0.2 * noise
+    if positive_only:
+        bad = np.flatnonzero(t <= 0.0)
+        while bad.size:
+            x[bad] = rng.standard_normal(bad.size)
+            noise[bad] = rng.standard_normal(bad.size)
+            t[bad] = 2.0 * x[bad] + 1.0 + 0.2 * noise[bad]
+            bad = bad[t[bad] <= 0.0]
+    return x, t
+
+
+def whole_array_bisection(margin, target, tolerance):
+    """calibrate_censoring's bisection on margin = T - 3 - z, with np.mean for the proportion; None
+    when the tolerance is not met."""
+    lo, hi = -60.0, 60.0
+    for _ in range(llrer.simulate._MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        cp = float(np.mean(margin > mid))
+        if abs(cp - target) <= tolerance:
+            return mid
+        if cp > target:
+            lo = mid
+        else:
+            hi = mid
+    return None
 
 
 class TestTheoreticalCurve:
@@ -129,6 +166,19 @@ class TestGenerateSample:
             SimulationConfig(n=n, replications=1, seed=1, c=0.0, h=0.5)
         assert str(direct.value) == str(config.value)
 
+    @pytest.mark.parametrize("positive_only", [False, True])
+    @pytest.mark.parametrize("n", [1, 300, 2 * llrer.simulate._SLICE + 7])
+    def test_equals_whole_array_formulas_bit_for_bit(self, n, positive_only):
+        c, rng = -1.0, np.random.default_rng(29)
+        x, t = whole_array_event_times(rng, n, positive_only)
+        censor = 3.0 + c + rng.standard_normal(n)
+        gen = generate_sample(n, c, 29, positive_only)
+        assert gen.sample.x.tobytes() == x.tobytes()
+        assert gen.event_times.tobytes() == t.tobytes()
+        assert gen.censor_times.tobytes() == censor.tobytes()
+        assert gen.sample.y.tobytes() == np.minimum(t, censor).tobytes()
+        assert np.array_equal(gen.sample.delta, (t <= censor).astype(int))
+
     def test_integral_float_size(self):
         a, b = generate_sample(5.0, 0.0, 8), generate_sample(5, 0.0, 8)
         assert a.sample.y.tobytes() == b.sample.y.tobytes()
@@ -140,8 +190,8 @@ class TestCalibrateCensoring:
         assert c == pytest.approx(-2.0, abs=0.05)
 
     def test_rejects_bad_target(self):
-        for t in (0.0, 1.0, 1.5, -0.2):
-            with pytest.raises(ConfigError):
+        for t in (0.0, 1.0, 1.5, -0.2, None, "0.35"):
+            with pytest.raises(ConfigError, match="target censoring proportion must be a real number in"):
                 calibrate_censoring(t, 0.005, seed=1)
 
     @pytest.mark.parametrize(
@@ -149,6 +199,7 @@ class TestCalibrateCensoring:
         [
             (0.5, 0.0, 1), (0.5, -0.1, 1), (0.5, math.inf, 1), (0.5, math.nan, 1),
             (0.0, 0.005, 1), (1.0, 0.005, 1), (math.nan, 0.005, 1), (0.5, 0.005, -1),
+            ("0.35", 0.005, 1), (0.5, "0.005", 1),
         ],
     )
     def test_same_message_as_simulation_config(self, target_cp, tolerance, seed):
@@ -171,6 +222,30 @@ class TestCalibrateCensoring:
 
     def test_near_zero_target_needs_large_positive_shift(self):
         assert calibrate_censoring(0.05, 0.005, seed=6) > 0.0
+
+    @pytest.mark.parametrize("positive_only", [False, True])
+    @pytest.mark.parametrize("seed", [0, np.random.SeedSequence(entropy=20260810, spawn_key=(0,))], ids=["int", "spawned"])
+    def test_equals_whole_array_formulas_bit_for_bit(self, seed, positive_only):
+        rng = np.random.default_rng(seed)
+        t = whole_array_event_times(rng, llrer.simulate._DRAWS, positive_only)[1]
+        margin = t - 3.0 - rng.standard_normal(llrer.simulate._DRAWS)
+        del t
+        for target in (0.05, 0.35, 0.65, 0.95):
+            for tolerance in (0.005, 1e-5):
+                expected = whole_array_bisection(margin, target, tolerance)
+                assert expected is not None
+                c = calibrate_censoring(target, tolerance, seed=seed, positive_only=positive_only)
+                assert type(c) is float and c.hex() == expected.hex(), (target, tolerance)
+
+    @pytest.mark.parametrize("positive_only", [False, True])
+    def test_holds_less_than_three_draws(self, positive_only):
+        tracemalloc.start()
+        try:
+            calibrate_censoring(0.35, 0.005, seed=0, positive_only=positive_only)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * llrer.simulate._DRAWS * 8, peak
 
     def test_unattainable_tolerance_raises(self):
         # the 1e6-draw estimate moves in 1e-6 steps, so 1e-10 around an
@@ -284,6 +359,18 @@ class TestSimulationConfig:
             SimulationConfig(n=10, replications=1, seed=1)
         with pytest.raises(ConfigError):
             SimulationConfig(n=10, replications=1, seed=1, target_cp=0.5, c=-2.0)
+
+    @pytest.mark.parametrize("c", ["0.5", math.nan, -math.inf])
+    def test_rejects_non_real_or_non_finite_shift(self, c):
+        with pytest.raises(ConfigError, match="c must be a finite real number"):
+            SimulationConfig(n=10, replications=1, seed=1, c=c)
+
+    def test_stores_real_values_as_floats(self):
+        given = SimulationConfig(n=10, replications=1, seed=1, c=np.int64(-2), calibration_tolerance=1)
+        assert type(given.c) is float and given.c == -2.0
+        assert type(given.calibration_tolerance) is float and given.calibration_tolerance == 1.0
+        target = SimulationConfig(n=10, replications=1, seed=1, target_cp=np.float32(0.5))
+        assert type(target.target_cp) is float and target.target_cp == 0.5
 
     def test_rejects_zero_replications(self):
         with pytest.raises(ConfigError):
@@ -589,6 +676,90 @@ class TestWriteCurvesCsv:
         write_curves_csv(report, tmp_path / "batched.csv")
         row_by_row_curves_csv(report, tmp_path / "rows.csv")
         assert (tmp_path / "batched.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]
+
+
+def csv_writer_bytes(path, header, rows):
+    """The bytes csv.writer writes for header and rows; floats go in as floats, ints as ints."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+class TestCsvWriters:
+    """Every CSV writer writes the bytes csv.writer writes, with CRLF line ends."""
+
+    grid = np.array([-1.0, -0.0, 5e-324, 1.0, 1e16, 1e300])
+    flags = np.array([False, True, False, False, True, False])
+
+    def report(self):
+        config = SimulationConfig(
+            n=5, replications=3, seed=0, c=0.0, h=0.3, estimators=(Estimator.LLRER, Estimator.CR), grid=self.grid
+        )
+        curves = {
+            Estimator.LLRER: FittedCurve(self.grid, EDGE_VALUES, self.flags),
+            Estimator.CR: FittedCurve(self.grid, EDGE_VALUES[::-1], ~self.flags),
+        }
+        # no infinite metric: np.percentile warns when it interpolates between inf and another value
+        finite = [math.nan, -0.0, 5e-324, 1e300]
+        metrics = [ErrorMetrics(v, w, k) for v, w, k in zip(finite, finite[::-1], range(4))]
+        results = (
+            ReplicationResult(0, 0.2, 0, dict.fromkeys(curves, 0.3), curves, dict(zip(curves, metrics[:2]))),
+            ReplicationResult(1, math.nan, 0, {}, {}, {}, error="DataError: forced"),
+            ReplicationResult(2, 0.4, 1, dict.fromkeys(curves, 0.3), curves, dict(zip(curves, metrics[2:4]))),
+        )
+        return SimulationReport(config, 0.0, results)
+
+    @staticmethod
+    def assert_crlf(data):
+        assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+
+    def test_curve(self, tmp_path):
+        curve = FittedCurve(self.grid, EDGE_VALUES, self.flags)
+        write_curve_csv(curve, tmp_path / "curve.csv")
+        rows = zip(self.grid.tolist(), EDGE_VALUES, self.flags.astype(int).tolist())
+        expected = csv_writer_bytes(tmp_path / "expected.csv", ("x", "estimate", "degenerate"), rows)
+        data = (tmp_path / "curve.csv").read_bytes()
+        assert data == expected
+        assert b"\r\n-0.0,inf,1\r\n5e-324,-inf,0\r\n" in data and b"\r\n1e+300,1e+300,0\r\n" in data
+        self.assert_crlf(data)
+
+    def test_curves_skip_a_failed_replication(self, tmp_path):
+        report = self.report()
+        write_curves_csv(report, tmp_path / "curves.csv")
+        rows = [
+            (r.rep, est.value, x, v, int(d))
+            for r in report.results if r.error is None for est in report.config.estimators
+            for x, v, d in zip(self.grid.tolist(), r.curves[est].values.tolist(), r.curves[est].degenerate)
+        ]
+        header = ("rep", "estimator", "x", "estimate", "degenerate")
+        data = (tmp_path / "curves.csv").read_bytes()
+        assert data == csv_writer_bytes(tmp_path / "expected.csv", header, rows)
+        assert b"\r\n0,llrer,-1.0,nan,0\r\n" in data and b"\r\n2,cr,1e+300,nan,1\r\n" in data
+        assert b"\r\n1," not in data and len(rows) == 24
+        self.assert_crlf(data)
+
+    def test_summary(self, tmp_path):
+        report = self.report()
+        write_summary_csv(report, tmp_path / "summary.csv")
+        rows = report.summary_rows()
+        data = (tmp_path / "summary.csv").read_bytes()
+        assert data == csv_writer_bytes(tmp_path / "expected.csv", ("estimator", "metric", "median", "q1", "q3"), rows)
+        assert b"\r\nllrer,sup_error,nan,nan,nan\r\n" in data and len(rows) == 6
+        self.assert_crlf(data)
+
+    def test_cv_trace(self, tmp_path):
+        trace = [CVPoint(h, score, k) for h, score, k in zip((0.1, 0.2, 0.3, 5e-324, 1.0, 1e300), EDGE_VALUES, range(6))]
+        write_cv_trace_csv(trace, tmp_path / "trace.csv")
+        expected = csv_writer_bytes(tmp_path / "expected.csv", ("h", "score", "degenerate_folds"), trace)
+        data = (tmp_path / "trace.csv").read_bytes()
+        assert data == expected
+        assert data.startswith(b"h,score,degenerate_folds\r\n0.1,nan,0\r\n0.2,inf,1\r\n0.3,-inf,2\r\n")
+        self.assert_crlf(data)
 
 
 class TestConfigFile:
