@@ -13,21 +13,17 @@ select_bandwidths scores several estimators in one pass, shared by every
 estimator. It sorts the records by (x, y, delta) once and runs on that copy:
 target, folds, columns, predictions and each score's sum. So the traces
 depend on the records but not on their order. The folds are taken in blocks
-whose factors take at most loclin._BLOCK_ENTRIES floats. Only the kernel
-weights depend on the bandwidth, so each block builds, once, its rows of the
-leave-one-out responses and the factors of the five row sums of each group
-of estimators (LLRER: tau1, tau1*dx, tau2, tau2*dx, tau2*dx^2; LLCR and CR:
-tau-1, tau-1*dx, 1, dx, dx^2), the precomputation of Fan & Marron (1994).
-Each bandwidth then evaluates its weights from the block's squared offsets
-and takes one batched matrix-vector product per group, one BLAS gemv per
-fold; after the last bandwidth, loclin's ratio formula turns every
-bandwidth's and fold's sums into predictions at once. So the workspace is
-O(n * block) instead of O(n^2), next to one stored prediction per fold,
-bandwidth and estimator. Each bandwidth evaluates only the window of columns
-within its kernel's support of the block, a superset of the non-zero
-weights: every column for the Gaussian kernel, whose scores do not depend on
-the block size. A group's factors and the block size are the same whichever
-estimators are scored, so no trace depends on the others scored with it.
+whose factors take at most loclin._BLOCK_ENTRIES floats, with the
+leave-one-out responses of each block built once. loclin._fold_estimates
+turns a block into predictions at every bandwidth, with the weights and the
+ratio formula of points and curves; this module holds the grid, the windows,
+the folds, the scores and the selection. Each bandwidth evaluates only the
+window of columns within its kernel's support of the block, a superset of
+the non-zero weights: every column for the Gaussian kernel, whose scores do
+not depend on the block size. A group's factors and the block size are the
+same whichever estimators are scored, so no trace depends on the others
+scored with it. The workspace is O(n * block) instead of O(n^2), next to one
+stored prediction per fold, bandwidth and estimator.
 
 cv_score and select_bandwidth go through the same pass, so a traced score
 always equals the score of a standalone call, alone or alongside others.
@@ -42,11 +38,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError
-from .kernels import KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, _kernel_of_squares
-from .loclin import (
-    _GROUP, _RELATIVE, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _masked_ratio, _offsets, _ratio_terms,
-    _union_orders,
-)
+from .kernels import _BANDWIDTH_RANGE, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel
+from .loclin import _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _fold_estimates, _union_orders
 from .survival import CensoredSample, _loo_responses, _write_csv
 
 
@@ -62,8 +55,8 @@ class BandwidthGrid:
         lo, hi, step = (float(v) for v in (self.lo, self.hi, self.step))
         if not all(math.isfinite(v) for v in (lo, hi, step)):
             raise ConfigError("bandwidth grid bounds must be finite")
-        if not 0.0 < lo <= hi:
-            raise ConfigError(f"bandwidth grid needs 0 < lo <= hi, got lo={lo}, hi={hi}")
+        if not 0.0 < lo <= hi <= _BANDWIDTH_RANGE[1]:
+            raise ConfigError(f"bandwidth grid needs 0 < lo <= hi <= {_BANDWIDTH_RANGE[1]!r}, got lo={lo}, hi={hi}")
         if step <= 0.0:
             raise ConfigError(f"bandwidth grid step must be > 0, got {step}")
         object.__setattr__(self, "lo", lo)
@@ -108,51 +101,15 @@ def _windows(kernel: KernelKind, hs, xs: np.ndarray, lo: float, hi: float):
     return xs.searchsorted(lo - reach, "left"), xs.searchsorted(hi + reach, "right")
 
 
-# Factor entries a block of folds builds per (fold, column): five for each
-# group of estimators, counted whichever estimators are asked for, so the
-# blocks, their windows and so the traces are the same for every subset
-_FOLD_FACTORS = 10
-
-
-def _fold_products(groups, tau, columns: np.ndarray, points: np.ndarray, own: int):
-    """({group: (folds, 5, columns) factors}, dx2) of a block of folds at points.
-
-    Each group's factors are those of loclin's five row sums, in that order,
-    so one matrix-vector product with a fold's weights gives its sums. They
-    are capped at the largest float, so a far column, whose weight is 0, adds
-    0. Fold r's own column, own + r, is 0 in every factor: tau and dx are 0
-    there, and so is the constant factor of the classical group.
-    """
-    dx, dx2 = _offsets(columns, points)
-    big = np.finfo(float).max
-    products = {}
-    with np.errstate(over="ignore"):  # each overflow is capped
-        np.clip(dx, -big, big, out=dx)  # so that 0 * dx is 0; the points are finite
-        for group in groups:
-            p = products[group] = np.empty((points.size, 5, columns.size))
-            if group == _RELATIVE:
-                p[:, 0], p[:, 2] = tau[1], tau[2]
-                np.multiply(tau[1], dx, out=p[:, 1])
-                np.multiply(tau[2], dx, out=p[:, 3])
-                np.multiply(tau[2], dx2, out=p[:, 4])
-            else:
-                p[:, 0], p[:, 2], p[:, 3], p[:, 4] = tau[-1], 1.0, dx, dx2
-                np.multiply(tau[-1], dx, out=p[:, 1])
-                np.fill_diagonal(p[:, 2, own:], 0.0)
-            np.clip(p[:, 1:], -big, big, out=p[:, 1:])  # the products; tau alone is finite
-    return products, dx2
-
-
 def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: float) -> dict:
     """Trace of (h, score, degenerate_folds) over hs for each estimator.
 
     The records are sorted by (x, y, delta) once, and the whole pass runs on
     that copy, so the traces do not depend on the order of the records. The
-    blocks of folds are outermost and the bandwidths inside: each block
-    builds its factors once over the window of the largest bandwidth, and
-    each bandwidth evaluates its weights over its own window of them and
-    multiplies them into each group's factors. The ratios of every bandwidth
-    and fold of a block follow in one pass.
+    blocks of folds are outermost: each block takes its leave-one-out
+    responses over the window of the largest bandwidth, and
+    loclin._fold_estimates gives its predictions at every bandwidth, each
+    over its own window.
     """
     estimators = tuple(dict.fromkeys(estimators))
     if not estimators:
@@ -165,7 +122,6 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     records = np.lexsort((sample.delta, sample.y, sample.x))
     sample = CensoredSample(sample.y[records], sample.delta[records], sample.x[records])
     target, fold_rows = _loo_responses(sample, _union_orders(estimators))
-    groups = dict.fromkeys(_GROUP[e] for e in estimators)
     preds = {e: np.empty((len(hs), sample.n)) for e in estimators}
     degenerate = {e: np.zeros(len(hs), dtype=int) for e in estimators}
     for block in _blocks(sample.n, _FOLD_FACTORS * sample.n):
@@ -173,18 +129,10 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
         starts, stops = _windows(kernel, hs, sample.x, x[0], x[-1])
         outer = slice(int(starts.min()), int(stops.max()))  # the largest bandwidth's window
         tau = {o: t[:, outer] for o, t in fold_rows(block).items()}
-        products, dx2 = _fold_products(groups, tau, sample.x[outer], x, block.start - outer.start)
-        sums = {g: np.empty((len(hs), x.size, 5)) for g in groups}
-        w = np.empty(dx2.size)
         inner = zip((starts - outer.start).tolist(), (stops - outer.start).tolist())
-        for k, (h, (start, stop)) in enumerate(zip(hs, inner)):
-            weights = w[: x.size * (stop - start)].reshape(x.size, -1)  # contiguous, so faster to write
-            _kernel_of_squares(kernel, dx2[:, start:stop], h, out=weights)
-            for g, factors in products.items():
-                np.matmul(factors[:, :, start:stop], weights[..., None], out=sums[g][k, :, :, None])
-        terms = _ratio_terms(estimators, {g: np.moveaxis(s, -1, 0) for g, s in sums.items()})
-        for e, (num, den, scale) in terms.items():
-            preds[e][:, block], flags = _masked_ratio(num, den, scale, eps)
+        fits = _fold_estimates(estimators, tau, sample.x[outer], x, block.start - outer.start, kernel, hs, inner, eps)
+        for e, (values, flags) in fits.items():
+            preds[e][:, block] = values
             degenerate[e] += flags.sum(axis=1)
     return {
         e: tuple(CVPoint(h, float(np.sum((target - p) ** 2)), int(d)) for h, p, d in zip(hs, preds[e], degenerate[e]))

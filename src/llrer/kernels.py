@@ -48,10 +48,18 @@ def _check_kernel(kernel) -> None:
         raise ConfigError(f"kernel must be a KernelKind, got {kernel!r}")
 
 
+# The accepted bandwidths. h * h is then a normal float, so the squared-offset
+# weights of _kernel_of_squares equal K(u / h) to rounding, and at most 1e300,
+# so a dx * dx capped at the largest float, of a dx more than 1.3e4
+# bandwidths away, weighs exactly 0
+_BANDWIDTH_RANGE = (1e-150, 1e150)
+
+
 def _check_bandwidth(h) -> float:
-    """h as a float, or a ConfigError unless 0 < h < inf (so a nan fails)."""
-    if not 0.0 < float(h) < math.inf:
-        raise ConfigError(f"bandwidth h must satisfy h > 0, got {h!r}")
+    """h as a float, or a ConfigError unless it lies in _BANDWIDTH_RANGE (so a nan fails)."""
+    lo, hi = _BANDWIDTH_RANGE
+    if not lo <= float(h) <= hi:
+        raise ConfigError(f"bandwidth h must satisfy h > 0 and lie in [{lo!r}, {hi!r}], got {h!r}")
     return float(h)
 
 
@@ -80,10 +88,11 @@ def _kernel_of_squares(kind: KernelKind, u2, h: float, out=None):
     """K(u / h) from the squared offsets u2 = u * u, written to out (a new array by default).
 
     Gaussian exp(u2 * (-0.5 / h**2)) * norm, Epanechnikov 0.75 * fmax(1 - u2 / h**2, 0), where fmax
-    maps a nan to 0 as it does every |u| > h. At h = 1 these are kernel_eval's operations. h**2 is
-    held at the smallest normal float, so a tiny h cannot divide by 0.
+    maps a nan to 0 as it does every |u| > h. At h = 1 these are kernel_eval's operations. Every h
+    that _check_bandwidth accepts gives scaled_kernel's weights to rounding, and the exact weight 0
+    to a u2 capped at the largest float.
     """
-    h2 = max(h * h, np.finfo(float).tiny)
+    h2 = h * h
     with np.errstate(over="ignore"):  # an overflow gives the exact weight 0
         if kind is KernelKind.GAUSSIAN:
             out = np.multiply(u2, -0.5 / h2, out=out)
@@ -98,6 +107,6 @@ def _kernel_of_squares(kind: KernelKind, u2, h: float, out=None):
 
 
 def scaled_kernel(kind: KernelKind, h, u):
-    """Evaluate K(u / h) for a bandwidth h > 0 (no 1/h factor, see module note)."""
+    """Evaluate K(u / h) for a bandwidth h in _BANDWIDTH_RANGE (no 1/h factor, see module note)."""
     with np.errstate(over="ignore"):  # an infinite u / h has the exact weight 0
         return kernel_eval(kind, np.asarray(u, dtype=float) / _check_bandwidth(h))

@@ -3,12 +3,17 @@
 LLRER is the local linear fit under squared relative error, LLCR the
 classical local linear fit on the synthetic responses and CR the
 Nadaraya-Watson form. Point estimates, curves and cross-validation share one
-ratio formula, _ratio_terms, read from five kernel-weighted row sums per
-group of estimators, with one evaluation point per row. Points and curves
-form those sums from their weights (_row_sums); cross-validation forms them
-from factors built once per block of folds. The quadratic double-sum forms
-of LLRER and LLCR are shipped alongside as permanent cross-checks for that
-path.
+weighting rule, K(dx^2 / h^2) from the capped squared offsets of _offsets,
+and one ratio formula, _ratio_terms, read from five kernel-weighted row sums
+per group of estimators, with one evaluation point per row. This module owns
+the layout of those sums for both ways of forming them. Points and curves
+use each weight once and form the sums from the weights (_row_sums).
+Cross-validation reuses a block of folds over every bandwidth, so it builds
+the sums' factors once per block (_fold_products, the precomputation of Fan
+& Marron, 1994) and takes each bandwidth's sums with one batched
+matrix-vector product (_fold_estimates). The quadratic double-sum forms of
+LLRER and LLCR, weighed by scaled_kernel, are shipped alongside as permanent
+cross-checks for that path.
 
 A point where the fit's denominator vanishes is degenerate: it reports the
 value 0 together with an explicit flag, so downstream metrics can exclude
@@ -25,7 +30,9 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel, _member_named, scaled_kernel
+from .kernels import (
+    _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel, _kernel_of_squares, _member_named, scaled_kernel
+)
 from .survival import (
     CensoredSample, SurvivalStep, SyntheticResponses, _synthetic_responses, _write_csv, km_censoring_survival
 )
@@ -150,7 +157,7 @@ _GROUP = {Estimator.LLRER: _RELATIVE, Estimator.LLCR: _CLASSICAL, Estimator.CR: 
 
 
 def _row_sums(estimators, w: np.ndarray, dx: np.ndarray, dx2: np.ndarray, tau) -> dict:
-    """{group: its five row sums} for estimators; CR alone leaves t1, p1 and p2 None.
+    """{group: its five row sums} for the groups of estimators.
 
     Row r holds evaluation point r: weights w and offsets dx, dx2 from
     _offsets. tau[order] is 1-d and shared by every row.
@@ -163,10 +170,7 @@ def _row_sums(estimators, w: np.ndarray, dx: np.ndarray, dx2: np.ndarray, tau) -
         sums[_RELATIVE] = (s10, s11, a.sum(axis=1), _row_dot(a, dx), _row_dot(a, dx2))
     if Estimator.LLCR in estimators or Estimator.CR in estimators:
         a = tau[-1] * w
-        t1 = p1 = p2 = None
-        if Estimator.LLCR in estimators:
-            t1, p1, p2 = _row_dot(a, dx), _row_dot(w, dx), _row_dot(w, dx2)
-        sums[_CLASSICAL] = (a.sum(axis=1), t1, w.sum(axis=1), p1, p2)
+        sums[_CLASSICAL] = (a.sum(axis=1), _row_dot(a, dx), w.sum(axis=1), _row_dot(w, dx), _row_dot(w, dx2))
     return sums
 
 
@@ -207,13 +211,16 @@ def _blocks(count: int, width: int):
 
 
 def _offsets(columns: np.ndarray, points: np.ndarray):
-    """(dx, dx2): dx[r, j] = columns[j] - points[r], one row per point, and dx2 = dx * dx capped at the
-    largest float, so a far column, whose weight is 0, adds 0 to the row sums, not 0 * inf = nan. dx
-    keeps the inf or nan of an infinite or nan point, so that point stays degenerate."""
+    """(dx, dx2): dx[r, j] = columns[j] - points[r], one row per point, and dx2 = dx * dx, each capped at
+    the largest float in magnitude. A capped dx2 weighs exactly 0 at every accepted bandwidth, so a far
+    column adds 0 to the row sums, not 0 * inf = nan, and an infinite point, all of whose weights are
+    0, is degenerate. A nan point keeps its nan offsets, so it is degenerate too."""
+    big = np.finfo(float).max
     with np.errstate(over="ignore"):
         dx = columns[None, :] - points[:, None]
+        np.clip(dx, -big, big, out=dx)
         dx2 = dx * dx
-    np.minimum(dx2, np.finfo(float).max, out=dx2)
+    np.minimum(dx2, big, out=dx2)
     return dx, dx2
 
 
@@ -223,11 +230,66 @@ def _estimates(estimators, sample, tau, config, points) -> dict:
     out = {e: (np.empty(points.size), np.empty(points.size, dtype=bool)) for e in estimators}
     for block in _blocks(points.size, sample.n):
         dx, dx2 = _offsets(sample.x, points[block])
-        w = scaled_kernel(config.kernel, config.bandwidth, dx)
+        w = _kernel_of_squares(config.kernel, dx2, config.bandwidth)
         terms = _ratio_terms(estimators, _row_sums(estimators, w, dx, dx2, tau))
         for e, (values, degenerate) in out.items():
             values[block], degenerate[block] = _masked_ratio(*terms[e], config.denominator_epsilon)
     return out
+
+
+# Factor entries a block of folds builds per (fold, column): five for each
+# group of estimators, counted whichever estimators are asked for, so the
+# blocks, their windows and so the traces are the same for every subset
+_FOLD_FACTORS = 10
+
+
+def _fold_products(groups, tau, columns: np.ndarray, points: np.ndarray, own: int):
+    """({group: (folds, 5, columns) factors}, dx2) of a block of folds at points.
+
+    Each group's factors are those of its five row sums (_row_sums), in that
+    order, so one matrix-vector product with a fold's weights gives its sums.
+    They are capped at the largest float, so a far column, whose weight is 0,
+    adds 0. Fold r's own column, own + r, is 0 in every factor: tau and dx are
+    0 there, and so is the constant factor of the classical group.
+    """
+    dx, dx2 = _offsets(columns, points)
+    big = np.finfo(float).max
+    products = {}
+    with np.errstate(over="ignore"):  # each overflow is capped
+        for group in groups:
+            p = products[group] = np.empty((points.size, 5, columns.size))
+            if group == _RELATIVE:
+                p[:, 0], p[:, 2] = tau[1], tau[2]
+                np.multiply(tau[1], dx, out=p[:, 1])
+                np.multiply(tau[2], dx, out=p[:, 3])
+                np.multiply(tau[2], dx2, out=p[:, 4])
+            else:
+                p[:, 0], p[:, 2], p[:, 3], p[:, 4] = tau[-1], 1.0, dx, dx2
+                np.multiply(tau[-1], dx, out=p[:, 1])
+                np.fill_diagonal(p[:, 2, own:], 0.0)
+            np.clip(p[:, 1:], -big, big, out=p[:, 1:])  # the products; tau alone is finite
+    return products, dx2
+
+
+def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, own: int, kernel, hs, windows, eps):
+    """{estimator: (predictions, degenerate flags)}, each of shape (len(hs), folds), of a block of folds.
+
+    tau[order] holds one row of leave-one-out responses over columns per fold, fold r is evaluated at
+    points[r] and its own column is own + r. The block builds each group's factors once; bandwidth
+    hs[k] then weighs columns windows[k] = (start, stop) of them, with the weights of _estimates, and
+    takes each group's sums with one batched matrix-vector product, one gemv per fold. The ratios of
+    every bandwidth and fold follow at once.
+    """
+    products, dx2 = _fold_products(dict.fromkeys(_GROUP[e] for e in estimators), tau, columns, points, own)
+    sums = {g: np.empty((len(hs), points.size, 5)) for g in products}
+    w = np.empty(dx2.size)
+    for k, (h, (start, stop)) in enumerate(zip(hs, windows)):
+        weights = w[: points.size * (stop - start)].reshape(points.size, -1)  # contiguous, so faster to write
+        _kernel_of_squares(kernel, dx2[:, start:stop], h, out=weights)
+        for g, factors in products.items():
+            np.matmul(factors[:, :, start:stop], weights[..., None], out=sums[g][k, :, :, None])
+    terms = _ratio_terms(estimators, {g: np.moveaxis(s, -1, 0) for g, s in sums.items()})
+    return {e: _masked_ratio(*terms[e], eps) for e in estimators}
 
 
 def _response_map(sample, step, responses, orders) -> Mapping[int, np.ndarray]:

@@ -167,12 +167,13 @@ def calibrate_censoring(
 
 
 def _check_outliers(count, multiplier, n: int) -> int:
-    """count as an int, or a ConfigError unless it is an integer in [0, n] and 0 < multiplier < inf."""
-    if not (float(count).is_integer() and 0 <= float(count) <= n):
-        raise ConfigError(f"outlier count must be an integer in [0, n], got {count!r} with n = {n}")
-    if not 0.0 < multiplier < np.inf:
+    """count as an int, or a ConfigError unless it is an integer in [0, n] and multiplier a real in (0, inf)."""
+    count = _check_integer(count, "outlier count", 0)
+    if count > n:
+        raise ConfigError(f"outlier count must be at most n = {n}, got {count}")
+    if not (_is_real(multiplier) and 0.0 < multiplier < np.inf):
         raise ConfigError(f"outlier multiplier must be a positive real, got {multiplier!r}")
-    return int(count)
+    return count
 
 
 def inject_outliers(sample: CensoredSample, count: int, multiplier: float, seed) -> CensoredSample:
@@ -202,8 +203,10 @@ def error_metrics(curve: FittedCurve, reference) -> ErrorMetrics:
     Degenerate grid points are excluded: the sup runs over non-degenerate
     points and the integral over segments whose two endpoints are both
     non-degenerate. When every point is degenerate the metrics are absent
-    (None) and only the count is reported. reference is called once, on the
-    grid array, and returns an array of its shape or a scalar.
+    (None) and only the count is reported. An error whose square overflows
+    (beyond about 1.3e154) makes the mise inf, never nan, and raises no numpy
+    warning. reference is called once, on the grid array, and returns an
+    array of its shape or a scalar.
     """
     _check_grid(curve.grid)
     return _score(curve, np.broadcast_to(np.asarray(reference(curve.grid), dtype=float), curve.grid.shape))
@@ -215,13 +218,13 @@ def _score(curve: FittedCurve, ref: np.ndarray) -> ErrorMetrics:
     if count == curve.degenerate.size:
         return ErrorMetrics(None, None, count)
     ok = ~curve.degenerate
-    err = np.abs(curve.values - ref)
-    sup = float(err[ok].max())
-    e2 = err * err
-    both = ok[:-1] & ok[1:]
-    widths = np.diff(curve.grid)
-    mise = float(np.sum(0.5 * (e2[:-1] + e2[1:]) * widths * both))
-    return ErrorMetrics(sup, mise, count)
+    with np.errstate(over="ignore"):  # an overflow gives inf
+        err = np.abs(curve.values - ref)
+        e2 = err * err
+        segments = 0.5 * (e2[:-1] + e2[1:]) * np.diff(curve.grid)
+        # a segment with a degenerate end adds 0, also where its inf * 0 would be nan
+        mise = float(np.sum(np.where(ok[:-1] & ok[1:], segments, 0.0)))
+    return ErrorMetrics(float(err[ok].max()), mise, count)
 
 
 @dataclass(frozen=True)
@@ -326,9 +329,26 @@ class SimulationReport:
                 ]
                 if not vals:
                     continue
-                q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
+                q1, med, q3 = _quartiles(vals)
                 rows.append((est.value, metric, float(med), float(q1), float(q3)))
         return rows
+
+
+def _quartiles(vals) -> list:
+    """[q1, median, q3] of vals by np.percentile's linear interpolation, bit for bit where numpy gives no
+    nan. Between a value and inf, where numpy's inf - inf gives nan, a quartile is inf, or that value at
+    its exact position."""
+    v = np.sort(np.asarray(vals, dtype=float))
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        pos = (v.size - 1) * q
+        lo = int(pos)
+        a, b, t = v[lo], v[min(lo + 1, v.size - 1)], pos - lo
+        if b == np.inf:
+            out.append(a if t == 0.0 else b)
+        else:  # numpy's lerp, from the nearer end
+            out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1.0 - t))
+    return out
 
 
 def _replication_seed(master: int, rep: int, stream: int) -> np.random.SeedSequence:

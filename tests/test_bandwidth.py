@@ -32,8 +32,8 @@ from llrer import (
 )
 import llrer.bandwidth
 import llrer.loclin
-from llrer.bandwidth import _FOLD_FACTORS, _windows
-from llrer.loclin import _blocks, _offsets
+from llrer.bandwidth import _windows
+from llrer.loclin import _FOLD_FACTORS, _blocks, _offsets
 from llrer.survival import _loo_responses
 from llrer.kernels import _kernel_of_squares
 
@@ -161,6 +161,8 @@ class TestBandwidthGrid:
             BandwidthGrid(0.0, 1.0, 0.1)
         with pytest.raises(ConfigError):
             BandwidthGrid(1.0, 0.5, 0.1)
+        with pytest.raises(ConfigError, match=r"hi <= 1e\+150"):
+            BandwidthGrid(0.5, 1e151, 0.1)
         with pytest.raises(ConfigError):
             BandwidthGrid(0.1, 1.0, 0.0)
         for bounds in ((float("nan"), 1.0, 0.1), (0.1, float("inf"), 0.1), (0.1, 1.0, float("inf"))):

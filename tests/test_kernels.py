@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 
 from llrer import ConfigError, KernelKind, kernel_eval, scaled_kernel
-from llrer.kernels import KERNEL_SUPPORT, _kernel_of_squares
+from llrer.kernels import _BANDWIDTH_RANGE, KERNEL_SUPPORT, _check_bandwidth, _kernel_of_squares
+from llrer.loclin import _offsets
 
 
 def test_gaussian_at_zero():
@@ -60,7 +61,7 @@ def test_scaled_kernel_direct_substitution():
     assert got == pytest.approx(0.2419707, abs=1e-6)
 
 
-@pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("h", [0.0, -1.0, float("nan"), float("inf"), 1e-160, 1e160])
 def test_scaled_kernel_rejects_bad_bandwidth(h):
     with pytest.raises(ConfigError):
         scaled_kernel(KernelKind.GAUSSIAN, h, 0.5)
@@ -142,3 +143,37 @@ def test_kernel_eval_is_the_squared_offset_kernel_at_h_one(kind):
         u2 = u * u
     assert np.array_equal(kernel_eval(kind, u).view(np.int64), _kernel_of_squares(kind, u2, 1.0).view(np.int64))
 
+
+
+def test_bandwidth_range_is_closed():
+    lo, hi = _BANDWIDTH_RANGE
+    assert _check_bandwidth(lo) == lo and _check_bandwidth(hi) == hi
+    for h in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
+        with pytest.raises(ConfigError, match=r"h > 0 and lie in \[1e-150, 1e\+150\]"):
+            _check_bandwidth(h)
+
+
+@pytest.mark.parametrize("kind", list(KernelKind))
+def test_squared_offset_weights_are_the_scaled_kernel_at_every_accepted_bandwidth(kind):
+    # curves and cross-validation weigh the capped squared offsets of
+    # loclin._offsets; at every bandwidth _check_bandwidth accepts, these
+    # weights are scaled_kernel's to rounding, and an offset whose square
+    # overflows weighs exactly 0, however many bandwidths away it is
+    u = np.concatenate([np.linspace(-40.0, 40.0, 1601), [1e-9, -1e-5, 1e3, 1e10]])
+    far = np.array([-1e308, -1e200, 1.5e154, 1e170, 1e308])
+    lo, hi = _BANDWIDTH_RANGE
+    accepted = 0
+    for h in np.concatenate([10.0 ** np.arange(-170.0, 171.0, 5.0), [lo, hi]]):
+        try:
+            h = _check_bandwidth(h)
+        except ConfigError:
+            continue
+        accepted += 1
+        with np.errstate(over="ignore"):
+            dx, dx2 = _offsets(np.concatenate([u * h, far]), np.array([0.0]))
+        got, want = _kernel_of_squares(kind, dx2, h)[0], scaled_kernel(kind, h, dx)[0]
+        capped = dx2[0] == np.finfo(float).max
+        assert capped[-far.size :].all() and not np.any(got[capped]) and not np.any(want[capped]), h
+        got, want, u2 = got[~capped], want[~capped], (dx[0, ~capped] / h) ** 2
+        assert np.all(np.abs(got - want) <= 1e-15 * (1.0 + u2) * want + 1e-15), h
+    assert accepted == 63

@@ -48,6 +48,8 @@ from llrer import (
     write_summary_csv,
 )
 from llrer.cli import bundled_config_names
+from llrer.kernels import _BANDWIDTH_RANGE
+from llrer.simulate import _quartiles
 
 SD_DIFF = math.sqrt(5.04)  # var(T) + var(C) = 4.04 + 1
 
@@ -296,7 +298,10 @@ class TestInjectOutliers:
 
     @pytest.mark.parametrize(
         "count, multiplier",
-        [(2.5, 50.0), (-1, 50.0), (11, 50.0), (math.nan, 50.0), (2, 0.0), (2, -1.0), (2, math.inf), (2, math.nan)],
+        [
+            (2.5, 50.0), (-1, 50.0), (11, 50.0), (math.nan, 50.0), (2, 0.0), (2, -1.0), (2, math.inf), (2, math.nan),
+            ("3", 50.0), (None, 50.0), (2, "2"), (2, None),
+        ],
     )
     def test_same_message_as_simulation_config(self, count, multiplier):
         s = generate_sample(10, -1.0, 77).sample
@@ -351,6 +356,17 @@ class TestErrorMetrics:
         grid = np.array([0.0, 1.0, 3.0])
         m = error_metrics(FittedCurve(grid, np.array([1.5, 0.5, 1.0]), np.zeros(3, dtype=bool)), lambda x: 1.0)
         assert m == (0.5, 0.5 * 0.25 * 1.0 + 0.5 * 0.25 * 1.0 + 0.5 * 0.25 * 2.0, 0)
+
+    def test_overflowing_square_gives_inf_never_nan(self):
+        # the squares of these errors overflow; pyproject turns numpy's
+        # RuntimeWarning into an error
+        grid = np.array([0.0, 1.0, 2.0, 3.0])
+        values = np.array([1e200, 0.5, 1e200, 2e200])
+        m = error_metrics(FittedCurve(grid, values, np.array([False, True, False, False])), lambda x: 0.0)
+        assert m == (2e200, math.inf, 1)
+        # a segment with a degenerate end adds 0, not inf * 0 = nan
+        m = error_metrics(FittedCurve(grid[:3], values[:3], np.array([False, True, False])), lambda x: 0.0)
+        assert m == (1e200, 0.0, 1)
 
 
 class TestSimulationConfig:
@@ -565,6 +581,35 @@ class TestMonteCarloRun:
         assert med == pytest.approx(float(np.percentile(sups, 50)), rel=1e-12)
         assert q1 == pytest.approx(float(np.percentile(sups, 25)), rel=1e-12)
         assert q3 == pytest.approx(float(np.percentile(sups, 75)), rel=1e-12)
+
+    def test_quartiles_are_numpy_percentiles_bit_for_bit_and_reach_inf_without_nan(self):
+        rng = np.random.default_rng(8)
+        hexes = lambda qs: [float(q).hex() for q in qs]
+        for n in range(1, 40):
+            for vals in (rng.random(n) * 10.0 ** rng.integers(-300, 300), rng.integers(0, 62, n).tolist()):
+                assert hexes(_quartiles(vals)) == hexes(np.percentile(vals, [25.0, 50.0, 75.0])), vals
+        # np.percentile gives nan for each of these but the first quartile 1.75
+        assert _quartiles([1.0, 2.0, math.inf, math.inf]) == [1.75, math.inf, math.inf]
+        assert _quartiles([0.0, 2.0, math.inf, math.inf, math.inf]) == [2.0, math.inf, math.inf]
+        assert _quartiles([math.inf]) == [math.inf] * 3
+
+    def test_overflowing_errors_give_inf_metrics_and_quartiles(self):
+        # 5 of 50 responses scaled by 1e200 put the LLCR and CR curves about
+        # 1e200 from the reference, so their squared errors overflow: their
+        # mise and its quartiles are inf, never nan, and no replication fails
+        # on numpy's RuntimeWarning, which pyproject makes an error
+        cfg = SimulationConfig(
+            n=50, replications=2, seed=1, target_cp=0.35, h=0.3, outlier_count=5, outlier_mc=1e200,
+            estimators=tuple(Estimator),
+        )
+        report = monte_carlo_run(cfg)
+        assert report.failures() == []
+        for r in report.results:
+            for est in (Estimator.LLCR, Estimator.CR):
+                assert r.metrics[est].mise == math.inf and 1e199 < r.metrics[est].sup_error < math.inf
+        rows = {(est, metric): stats for est, metric, *stats in report.summary_rows()}
+        assert rows[("llcr", "mise")] == rows[("cr", "mise")] == [math.inf] * 3
+        assert not any(math.isnan(v) for stats in rows.values() for v in stats)
 
 
 def per_estimator_recipe(config, c, rep):
@@ -880,7 +925,7 @@ def simulation_configs(draw):
     else:
         censoring = {"c": draw(st.floats(**finite))}
     if use_h:
-        bandwidth = {"h": draw(positive)}
+        bandwidth = {"h": draw(st.floats(*_BANDWIDTH_RANGE))}
     else:
         h_lo = draw(st.floats(0.0, 1e3, exclude_min=True))
         bandwidth = {"cv_grid": BandwidthGrid(h_lo, draw(st.floats(h_lo, 2e3)), draw(positive))}
