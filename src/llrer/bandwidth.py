@@ -31,43 +31,46 @@ always equals the score of a standalone call, alone or alongside others.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_integer, _check_real
 from .kernels import _BANDWIDTH_RANGE, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _fold_estimates, _union_orders
 from .survival import CensoredSample, _loo_responses, _write_csv
 
 
+# The most values a grid may hold: cross-validation stores one prediction per
+# fold, bandwidth and estimator, so the grid's size bounds that memory
+_MAX_GRID_SIZE = 10**5
+
+
 @dataclass(frozen=True)
 class BandwidthGrid:
-    """Arithmetic grid lo, lo+step, ... with floor((hi-lo)/step)+1 values."""
+    """Arithmetic grid lo, lo+step, ... with floor((hi-lo)/step)+1 values, each a valid bandwidth."""
 
     lo: float
     hi: float
     step: float
 
     def __post_init__(self):
-        lo, hi, step = (float(v) for v in (self.lo, self.hi, self.step))
-        if not all(math.isfinite(v) for v in (lo, hi, step)):
-            raise ConfigError("bandwidth grid bounds must be finite")
-        if not 0.0 < lo <= hi <= _BANDWIDTH_RANGE[1]:
-            raise ConfigError(f"bandwidth grid needs 0 < lo <= hi <= {_BANDWIDTH_RANGE[1]!r}, got lo={lo}, hi={hi}")
-        if step <= 0.0:
-            raise ConfigError(f"bandwidth grid step must be > 0, got {step}")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "lo", _check_bandwidth(self.lo, name="bandwidth grid lo"))
+        object.__setattr__(self, "hi", _check_real(self.hi, "bandwidth grid hi", self.lo, _BANDWIDTH_RANGE[1]))
+        object.__setattr__(self, "step", _check_real(self.step, "bandwidth grid step", 0, open_lo=True))
+        _check_integer(self._count(), "bandwidth grid size", 1, _MAX_GRID_SIZE)
+        for h in self.values()[[0, -1]]:  # the values ascend, so these two bound every other
+            _check_bandwidth(h, name="bandwidth grid value")
+
+    def _count(self) -> float:
+        # small slack so e.g. (2.0 - 0.01)/0.01 counts as 199 despite rounding;
+        # a float, which is inf where the count overflows
+        return np.floor((self.hi - self.lo) / self.step + 1e-9) + 1.0
 
     def values(self) -> np.ndarray:
-        # small slack so e.g. (2.0 - 0.01)/0.01 counts as 199 despite rounding;
         # values snapped to 12 decimals so traces print cleanly
-        count = int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
-        return np.round(self.lo + self.step * np.arange(count), 12)
+        return np.round(self.lo + self.step * np.arange(int(self._count())), 12)
 
 
 DEFAULT_BANDWIDTH_GRID = BandwidthGrid(0.01, 2.0, 0.01)
@@ -134,10 +137,9 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
         for e, (values, flags) in fits.items():
             preds[e][:, block] = values
             degenerate[e] += flags.sum(axis=1)
-    return {
-        e: tuple(CVPoint(h, float(np.sum((target - p) ** 2)), int(d)) for h, p, d in zip(hs, preds[e], degenerate[e]))
-        for e in estimators
-    }
+    with np.errstate(over="ignore"):  # an overflowing score is inf, never nan, as in simulate's error metrics
+        scores = {e: [float(np.sum((target - p) ** 2)) for p in preds[e]] for e in estimators}
+    return {e: tuple(map(CVPoint, hs, scores[e], degenerate[e].tolist())) for e in estimators}
 
 
 def cv_score(

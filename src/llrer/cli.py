@@ -183,12 +183,10 @@ def _cmd_simulate(args) -> int:
     config = load_simulation_config(_resolve_config(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     report = monte_carlo_run(config, jobs=args.jobs)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     artifacts = ["curves.csv", "summary.csv", "config.cfg"]
     write_curves_csv(report, outdir / "curves.csv")
     write_summary_csv(report, outdir / "summary.csv")

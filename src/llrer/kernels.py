@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_real
 
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -53,14 +54,7 @@ def _check_kernel(kernel) -> None:
 # so a dx * dx capped at the largest float, of a dx more than 1.3e4
 # bandwidths away, weighs exactly 0
 _BANDWIDTH_RANGE = (1e-150, 1e150)
-
-
-def _check_bandwidth(h) -> float:
-    """h as a float, or a ConfigError unless it lies in _BANDWIDTH_RANGE (so a nan fails)."""
-    lo, hi = _BANDWIDTH_RANGE
-    if not lo <= float(h) <= hi:
-        raise ConfigError(f"bandwidth h must satisfy h > 0 and lie in [{lo!r}, {hi!r}], got {h!r}")
-    return float(h)
+_check_bandwidth = partial(_check_real, name="bandwidth h", lo=_BANDWIDTH_RANGE[0], hi=_BANDWIDTH_RANGE[1])
 
 
 # Half-width of each kernel's support: kernel_eval is exactly 0 at and beyond

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _check_real
 from .kernels import (
     _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel, _kernel_of_squares, _member_named, scaled_kernel
 )
@@ -38,6 +39,7 @@ from .survival import (
 )
 
 DEFAULT_EPSILON = 1e-12
+_check_epsilon = partial(_check_real, name="denominator_epsilon", lo=0)
 
 
 class Estimator(Enum):
@@ -71,14 +73,6 @@ class EstimatorConfig:
         object.__setattr__(self, "bandwidth", _check_bandwidth(self.bandwidth))
         _check_kernel(self.kernel)
         object.__setattr__(self, "denominator_epsilon", _check_epsilon(self.denominator_epsilon))
-
-
-def _check_epsilon(value) -> float:
-    """value as a float, or a ConfigError unless it is finite and >= 0."""
-    eps = float(value)
-    if not np.isfinite(eps) or eps < 0.0:
-        raise ConfigError(f"denominator_epsilon must be >= 0, got {value!r}")
-    return eps
 
 
 class PointEstimate(NamedTuple):

@@ -23,13 +23,14 @@ import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, DEFAULT_EPSILON, BandwidthGrid, select_bandwidths
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, _check_integer, _check_real
 from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, fit_curves
 from .survival import CensoredSample, NonPositiveResponseWarning, _write_csv
@@ -89,17 +90,10 @@ def _draw_event_times(rng: np.random.Generator, n: int, positive_only: bool):
     return x, t
 
 
-def _check_integer(value, name: str, minimum: int) -> int:
-    """value as an int, or a ConfigError unless it is an integer >= minimum (0 or 1); 5.0 counts as 5."""
-    integral = isinstance(value, (int, np.integer)) or isinstance(value, (float, np.floating)) and value.is_integer()
-    if not (integral and value >= minimum):
-        raise ConfigError(f"{name} must be a {'positive' if minimum else 'non-negative'} integer, got {value!r}")
-    return int(value)
-
-
 def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> GeneratedSample:
     """Draw one sample of the built-in process; deterministic given seed."""
     n = _check_integer(n, "n", 1)
+    c = _check_real(c, "c")
     rng = np.random.default_rng(seed)
     x, t = _draw_event_times(rng, n, positive_only)
     censor = 3.0 + c + rng.standard_normal(n)
@@ -108,24 +102,9 @@ def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> Gene
     return GeneratedSample(CensoredSample(y, delta, x), t, censor)
 
 
-def _is_real(value) -> bool:
-    """Whether value is a real number, numpy's included: a string or None is not."""
-    return isinstance(value, (int, float, np.integer, np.floating))
-
-
-def _check_target(target_cp) -> float:
-    """target_cp as a float, or a ConfigError unless it is a real number in (0, 1); shared with SimulationConfig."""
-    if not (_is_real(target_cp) and 0.0 < target_cp < 1.0):
-        raise ConfigError(f"target censoring proportion must be a real number in (0, 1), got {target_cp!r}")
-    return float(target_cp)
-
-
-def _check_calibration(tolerance, seed):
-    """calibrate_censoring's rules for tolerance and seed, shared with SimulationConfig: returns the
-    tolerance as a float and the seed as an int (or the SeedSequence given)."""
-    if not (_is_real(tolerance) and 0.0 < tolerance < np.inf):
-        raise ConfigError(f"calibration tolerance must be finite and > 0, got {tolerance!r}")
-    return float(tolerance), seed if isinstance(seed, np.random.SeedSequence) else _check_integer(seed, "seed", 0)
+# calibrate_censoring's rules, shared with SimulationConfig
+_check_target = partial(_check_real, name="target censoring proportion", lo=0, hi=1, open_lo=True, open_hi=True)
+_check_tolerance = partial(_check_real, name="calibration tolerance", lo=0, open_lo=True)
 
 
 def calibrate_censoring(
@@ -142,8 +121,9 @@ def calibrate_censoring(
     below that cannot be met). The margin T - 3 - z is formed in place in the
     buffer of T, so calibration holds about two arrays of _DRAWS floats.
     """
-    target_cp = _check_target(target_cp)
-    tolerance, seed = _check_calibration(tolerance, seed)
+    target_cp, tolerance = _check_target(target_cp), _check_tolerance(tolerance)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     margin = _draw_event_times(rng, _DRAWS, positive_only)[1]
     # T > C  <=>  (T - 3 - z) > c with C = 3 + c + z
@@ -166,14 +146,9 @@ def calibrate_censoring(
     )
 
 
-def _check_outliers(count, multiplier, n: int) -> int:
-    """count as an int, or a ConfigError unless it is an integer in [0, n] and multiplier a real in (0, inf)."""
-    count = _check_integer(count, "outlier count", 0)
-    if count > n:
-        raise ConfigError(f"outlier count must be at most n = {n}, got {count}")
-    if not (_is_real(multiplier) and 0.0 < multiplier < np.inf):
-        raise ConfigError(f"outlier multiplier must be a positive real, got {multiplier!r}")
-    return count
+def _check_outliers(count, multiplier, n: int):
+    """count as an int in [0, n] and multiplier as a real number in (0, inf), or a ConfigError."""
+    return _check_integer(count, "outlier count", 0, n), _check_real(multiplier, "outlier multiplier", 0, open_lo=True)
 
 
 def inject_outliers(sample: CensoredSample, count: int, multiplier: float, seed) -> CensoredSample:
@@ -181,7 +156,7 @@ def inject_outliers(sample: CensoredSample, count: int, multiplier: float, seed)
 
     Indices are drawn without replacement; delta and x are untouched.
     """
-    count = _check_outliers(count, multiplier, sample.n)
+    count, multiplier = _check_outliers(count, multiplier, sample.n)
     if count == 0:
         return sample
     rng = np.random.default_rng(seed)
@@ -266,11 +241,11 @@ class SimulationConfig:
             raise ConfigError("exactly one of target_cp and c is required")
         if self.target_cp is not None:
             object.__setattr__(self, "target_cp", _check_target(self.target_cp))
-        elif not (_is_real(self.c) and -np.inf < self.c < np.inf):
-            raise ConfigError(f"c must be a finite real number, got {self.c!r}")
         else:
-            object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "outlier_count", _check_outliers(self.outlier_count, self.outlier_mc, self.n))
+            object.__setattr__(self, "c", _check_real(self.c, "c"))
+        count, multiplier = _check_outliers(self.outlier_count, self.outlier_mc, self.n)
+        object.__setattr__(self, "outlier_count", count)
+        object.__setattr__(self, "outlier_mc", multiplier)
         grid = _check_grid(self.grid)
         if not np.all(np.isfinite(grid)):
             raise ConfigError("evaluation grid must be finite")
@@ -288,9 +263,13 @@ class SimulationConfig:
             raise ConfigError(f"cross-validation needs n >= 2, got n = {self.n}; give a fixed h")
         elif self.cv_grid is None:
             object.__setattr__(self, "cv_grid", DEFAULT_BANDWIDTH_GRID)
-        _check_epsilon(self.denominator_epsilon)
-        tolerance = _check_calibration(self.calibration_tolerance, self.seed)[0]
-        object.__setattr__(self, "calibration_tolerance", tolerance)
+        elif not isinstance(self.cv_grid, BandwidthGrid):
+            raise ConfigError(f"cv_grid must be a BandwidthGrid, got {self.cv_grid!r}")
+        if not isinstance(self.positive_only, (bool, np.bool_)):
+            raise ConfigError(f"positive_only must be a bool, got {self.positive_only!r}")
+        object.__setattr__(self, "positive_only", bool(self.positive_only))
+        object.__setattr__(self, "denominator_epsilon", _check_epsilon(self.denominator_epsilon))
+        object.__setattr__(self, "calibration_tolerance", _check_tolerance(self.calibration_tolerance))
 
 
 @dataclass(frozen=True)
@@ -393,6 +372,7 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
     for any jobs >= 1; jobs > 1 runs them in at most min(jobs, replications,
     CPU count) worker processes.
     """
+    jobs = _check_integer(jobs, "jobs", 1)
     if config.c is not None:
         c = config.c
     else:

@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _check_integer
 
 SYNTHETIC_ORDERS = (-1, 1, 2)
 
@@ -206,8 +206,8 @@ def _loo_responses(sample: CensoredSample, orders):
 
 
 def _check_order(order) -> None:
-    """A ConfigError unless order is one of SYNTHETIC_ORDERS."""
-    if order not in SYNTHETIC_ORDERS:
+    """A ConfigError unless order is an integer (True is not 1) and one of SYNTHETIC_ORDERS."""
+    if _check_integer(order, "order", min(SYNTHETIC_ORDERS), max(SYNTHETIC_ORDERS)) not in SYNTHETIC_ORDERS:
         raise ConfigError(f"order must be one of {SYNTHETIC_ORDERS}, got {order!r}")
 
 

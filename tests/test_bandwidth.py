@@ -1,5 +1,7 @@
 import contextlib
 import itertools
+import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -22,6 +24,7 @@ from llrer import (
     cr_point,
     cv_score,
     generate_sample,
+    inject_outliers,
     km_censoring_survival,
     llcr_point,
     llrer_point,
@@ -161,12 +164,16 @@ class TestBandwidthGrid:
             BandwidthGrid(0.0, 1.0, 0.1)
         with pytest.raises(ConfigError):
             BandwidthGrid(1.0, 0.5, 0.1)
-        with pytest.raises(ConfigError, match=r"hi <= 1e\+150"):
+        with pytest.raises(ConfigError, match=r"^bandwidth grid hi must be a real number in \[0\.5, 1e\+150\], got 1e\+151$"):
             BandwidthGrid(0.5, 1e151, 0.1)
         with pytest.raises(ConfigError):
             BandwidthGrid(0.1, 1.0, 0.0)
-        for bounds in ((float("nan"), 1.0, 0.1), (0.1, float("inf"), 0.1), (0.1, 1.0, float("inf"))):
-            with pytest.raises(ConfigError, match="finite"):
+        for bounds, end, interval, shown in (
+            ((float("nan"), 1.0, 0.1), "lo", r"\[1e-150, 1e\+150\]", "nan"),
+            ((0.1, float("inf"), 0.1), "hi", r"\[0\.1, 1e\+150\]", "inf"),
+            ((0.1, 1.0, float("inf")), "step", r"\(0, inf\)", "inf"),
+        ):
+            with pytest.raises(ConfigError, match=rf"^bandwidth grid {end} must be a real number in {interval}, got {shown}$"):
                 BandwidthGrid(*bounds)
 
     def test_default_grid_is_two_hundred_candidates(self):
@@ -183,8 +190,36 @@ class TestBandwidthGrid:
     def test_count_formula(self):
         assert BandwidthGrid(0.1, 1.0, 0.25).values().size == 4  # floor(0.9/0.25)+1
 
+    def test_every_value_is_a_bandwidth(self):
+        # values are snapped to 12 decimals, so a lo of 1e-13 would give the bandwidth 0.0
+        with pytest.raises(ConfigError, match=r"^bandwidth grid value must be a real number in \[1e-150, 1e\+150\], got 0\.0$"):
+            BandwidthGrid(1e-13, 1.0, 0.25)
+        assert BandwidthGrid(1e-12, 1.0, 0.25).values()[0] == 1e-12
+
+    @pytest.mark.parametrize("hi, step, shown", [(2.0, 1e-300, "1.99e+300"), (1e150, 1e-300, "inf")])
+    def test_size_is_checked_before_any_value_is_built(self, hi, step, shown):
+        with pytest.raises(ConfigError, match=rf"^bandwidth grid size must be an integer in \[1, 100000\], got {re.escape(shown)}$"):
+            BandwidthGrid(0.01, hi, step)
+
+    def test_size_bound_is_closed(self):
+        assert BandwidthGrid(1.0, 1e5, 1.0).values().size == 10**5
+        with pytest.raises(ConfigError, match="bandwidth grid size"):
+            BandwidthGrid(1.0, 1e5 + 1, 1.0)
+
 
 class TestCvScore:
+    def test_overflowing_scores_are_inf_without_warning(self):
+        # five responses scaled by 1e200 square beyond the largest float; the
+        # suite turns a RuntimeWarning into an error
+        sample = inject_outliers(generate_sample(50, -1.113, 1).sample, 5, 1e200, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonPositiveResponseWarning)
+            for kernel in KernelKind:
+                selections = select_bandwidths(list(Estimator), sample, kernel, BandwidthGrid(0.1, 1.0, 0.1))
+                for selection in selections.values():
+                    assert [p.score for p in selection.trace] == [math.inf] * 10
+                    assert selection.h_opt == 0.1  # every score ties, so the smallest h wins
+
     def test_rejects_small_sample(self):
         s = CensoredSample([1.0], [1], [0.0])
         with pytest.raises(ConfigError):

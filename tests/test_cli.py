@@ -74,7 +74,7 @@ class TestEstimate:
             "--estimator", "llrer", "--h", "0", "--grid", "1:2:3",
         ])
         assert code == EXIT_CONFIG
-        assert "h > 0" in capsys.readouterr().err
+        assert "bandwidth h must be a real number in [1e-150, 1e+150], got 0.0" in capsys.readouterr().err
 
     def test_empty_data_file(self, tmp_path):
         data = tmp_path / "empty.csv"
@@ -146,6 +146,21 @@ class TestCv:
         assert lines[0] == "h,score,degenerate_folds"
         assert len(lines) == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--h-step", "1e-300"], "bandwidth grid size must be an integer in [1, 100000], got 1.99e+300"),
+            (["--h-lo", "1e-13"], "bandwidth grid value must be a real number in [1e-150, 1e+150], got 0.0"),
+        ],
+        ids=["step", "lo"],
+    )
+    def test_grid_cv_cannot_use_is_config_error(self, tmp_path, capsys, flags, message):
+        data = write_hand_csv(tmp_path)
+        out = tmp_path / "trace.csv"
+        assert main(["cv", "--input", str(data), "--out", str(out), "--estimator", "cr", *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [f"llrer: config error: {message}"]
+        assert not out.exists()
+
     def test_default_flags_give_two_hundred_rows(self, tmp_path, capsys):
         data = write_hand_csv(tmp_path)
         out = tmp_path / "trace.csv"
@@ -200,13 +215,13 @@ class TestCalibrate:
         assert main(["calibrate", "--target", "0.5", "--tol", tol, "--seed", "11"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "tolerance must be finite" in captured.err
+        assert f"calibration tolerance must be a real number in (0, inf), got {tol}" in captured.err
 
     def test_negative_seed(self, capsys):
         assert main(["calibrate", "--target", "0.5", "--seed", "-1"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "seed must be a non-negative integer" in captured.err
+        assert "seed must be an integer in [0, inf), got -1" in captured.err
 
     def test_reproducible(self, capsys):
         main(["calibrate", "--target", "0.65", "--tol", "0.005", "--seed", "7"])
@@ -329,11 +344,20 @@ class TestSimulate:
         assert "replication_1_status = failed: RuntimeError: forced failure" in manifest
         assert "1 failed" in capsys.readouterr().out
 
+    def test_grid_value_of_zero_is_config_error(self, tmp_path, capsys):
+        # h_lo = 1e-13 snaps to the grid value 0.0: a config error, not a failure of every replication
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(CALIBRATED_CV_CFG + "h_lo = 1e-13\nh_step = 0.25\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        message = "bandwidth grid value must be a real number in [1e-150, 1e+150], got 0.0"
+        assert capsys.readouterr().err.splitlines() == [f"llrer: config error: {cfg}: {message}"]
+        assert not (tmp_path / "o").exists()
+
     def test_zero_jobs_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_CFG)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", "0"]) == EXIT_CONFIG
-        assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
+        assert "jobs must be an integer in [1, inf), got 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_config_error(self, tmp_path):

@@ -45,3 +45,25 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, "README.md", "exec"), {})
     assert (tmp_path / "curve.csv").is_file()
+
+
+def unused_imports(path: Path) -> list:
+    """Names that a module imports but neither uses nor lists in __all__."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(((alias.asname or alias.name).split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):  # the re-exports of llrer/__init__.py
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    modules = sorted((ROOT / "src" / "llrer").glob("*.py"))
+    assert modules
+    assert [entry for path in modules for entry in unused_imports(path)] == []

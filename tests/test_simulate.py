@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import inspect
 import math
+import re
 import tracemalloc
 from importlib import resources
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import llrer.loclin
@@ -378,7 +379,7 @@ class TestSimulationConfig:
 
     @pytest.mark.parametrize("c", ["0.5", math.nan, -math.inf])
     def test_rejects_non_real_or_non_finite_shift(self, c):
-        with pytest.raises(ConfigError, match="c must be a finite real number"):
+        with pytest.raises(ConfigError, match=r"^c must be a real number in \(-inf, inf\), got "):
             SimulationConfig(n=10, replications=1, seed=1, c=c)
 
     def test_stores_real_values_as_floats(self):
@@ -388,6 +389,18 @@ class TestSimulationConfig:
         target = SimulationConfig(n=10, replications=1, seed=1, target_cp=np.float32(0.5))
         assert type(target.target_cp) is float and target.target_cp == 0.5
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+    def test_positive_only_must_be_a_bool(self, flag):
+        # a truthy string would draw positive-only data while config.cfg printed "false"
+        with pytest.raises(ConfigError, match=f"^positive_only must be a bool, got {re.escape(repr(flag))}$"):
+            SimulationConfig(n=10, replications=1, seed=1, c=-2.0, positive_only=flag)
+        assert SimulationConfig(n=10, replications=1, seed=1, c=-2.0, positive_only=np.True_).positive_only is True
+
+    @pytest.mark.parametrize("grid", [(0.1, 1, 0.1), [0.1, 0.5], "0.1:1:0.1"])
+    def test_cv_grid_must_be_a_bandwidth_grid(self, grid):
+        with pytest.raises(ConfigError, match="^cv_grid must be a BandwidthGrid, got "):
+            SimulationConfig(n=10, replications=1, seed=1, c=-2.0, cv_grid=grid)
+
     def test_rejects_zero_replications(self):
         with pytest.raises(ConfigError):
             SimulationConfig(n=10, replications=0, seed=1, c=-2.0)
@@ -395,7 +408,8 @@ class TestSimulationConfig:
     @pytest.mark.parametrize("field", ("n", "replications", "seed"))
     def test_rejects_fractional_count(self, field):
         # n, replications and seed follow one integer rule; 2.5 is not truncated
-        with pytest.raises(ConfigError, match=f"{field} must be a .* integer, got 2.5"):
+        minimum = 0 if field == "seed" else 1
+        with pytest.raises(ConfigError, match=rf"^{field} must be an integer in \[{minimum}, inf\), got 2\.5$"):
             SimulationConfig(**{"n": 10, "replications": 1, "seed": 1, "c": -2.0, field: 2.5})
 
     @pytest.mark.parametrize(
@@ -920,6 +934,8 @@ def simulation_configs(draw):
     count = draw(st.integers(1, 200))
     lo = draw(st.floats(-1e3, 1e3))
     hi = lo if count == 1 else lo + draw(st.floats(1e-3, 1e3))
+    grid = np.linspace(lo, hi, count)
+    assume(not np.any(grid == -0.5))  # the reference curve's pole
     if draw(st.booleans()):
         censoring = {"target_cp": draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))}
     else:
@@ -927,8 +943,11 @@ def simulation_configs(draw):
     if use_h:
         bandwidth = {"h": draw(st.floats(*_BANDWIDTH_RANGE))}
     else:
-        h_lo = draw(st.floats(0.0, 1e3, exclude_min=True))
-        bandwidth = {"cv_grid": BandwidthGrid(h_lo, draw(st.floats(h_lo, 2e3)), draw(positive))}
+        # every value of the grid rounds to a bandwidth, and it holds at most about 10**4 of them
+        h_lo = draw(st.floats(1e-12, 1e3))
+        h_hi = draw(st.floats(h_lo, 2e3))
+        step = draw(st.floats((h_hi - h_lo) / 1e4, 1e300, exclude_min=h_hi == h_lo))
+        bandwidth = {"cv_grid": BandwidthGrid(h_lo, h_hi, step)}
     return SimulationConfig(
         n=n,
         replications=draw(st.integers(1, 10**6)),
@@ -936,7 +955,7 @@ def simulation_configs(draw):
         estimators=tuple(draw(st.lists(st.sampled_from(list(Estimator)), min_size=1, max_size=3, unique=True))),
         outlier_count=draw(st.integers(0, n)),
         outlier_mc=draw(positive),
-        grid=np.linspace(lo, hi, count),
+        grid=grid,
         kernel=draw(st.sampled_from(list(KernelKind))),
         positive_only=draw(st.booleans()),
         denominator_epsilon=draw(st.floats(0.0, 1.0)),

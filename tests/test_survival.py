@@ -259,6 +259,14 @@ class TestSyntheticTransform:
 
         with pytest.raises(ConfigError):
             synthetic_transform(s, step, 3)
+        # True is not order 1, and 0 lies inside [-1, 2] but is no order
+        for order, message in (
+            (True, r"^order must be an integer in \[-1, 2\], got True$"),
+            ("1", r"^order must be an integer in \[-1, 2\], got '1'$"),
+            (0, r"^order must be one of \(-1, 1, 2\), got 0$"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                synthetic_transform(s, step, order)
 
     def test_mean_matches_inverse_moment_with_true_survival(self):
         # known censoring survival, moderate n; the full-size check is in
