@@ -16,11 +16,13 @@ depend on the records but not on their order. The folds are taken in blocks
 whose factors take at most loclin._BLOCK_ENTRIES floats, with the
 leave-one-out responses of each block built once. loclin._fold_estimates
 turns a block into predictions at every bandwidth, with the weights and the
-ratio formula of points and curves; this module holds the grid, the windows,
-the folds, the scores and the selection. Each bandwidth evaluates only the
-window of columns within its kernel's support of the block, a superset of
-the non-zero weights: every column for the Gaussian kernel, whose scores do
-not depend on the block size. A group's factors and the block size are the
+ratio formula of points and curves, in chunks of bandwidths of a fixed size,
+so no score depends on the other bandwidths of the grid or on its place in
+it; this module holds the grid, the windows, the folds, the scores and the
+selection. Each bandwidth evaluates only the window of columns within its
+kernel's support of the block, a superset of the non-zero weights: every
+column for the Gaussian kernel, whose scores do not depend on the block
+size. A group's factors and the block size are the
 same whichever estimators are scored, so no trace depends on the others
 scored with it. The workspace is O(n * block) instead of O(n^2), next to one
 stored prediction per fold, bandwidth and estimator.
@@ -36,9 +38,11 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, _check_integer, _check_real
+from .errors import ConfigError, _check_instance, _check_integer, _check_real
 from .kernels import _BANDWIDTH_RANGE, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel
-from .loclin import _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _fold_estimates, _union_orders
+from .loclin import (
+    _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _check_estimator, _fold_estimates, _union_orders
+)
 from .survival import CensoredSample, _loo_responses, _write_csv
 
 
@@ -114,7 +118,7 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     loclin._fold_estimates gives its predictions at every bandwidth, each
     over its own window.
     """
-    estimators = tuple(dict.fromkeys(estimators))
+    estimators = tuple(dict.fromkeys(map(_check_estimator, estimators)))
     if not estimators:
         raise ConfigError("cross-validation needs at least one estimator")
     if sample.n < 2:
@@ -132,7 +136,7 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
         starts, stops = _windows(kernel, hs, sample.x, x[0], x[-1])
         outer = slice(int(starts.min()), int(stops.max()))  # the largest bandwidth's window
         tau = {o: t[:, outer] for o, t in fold_rows(block).items()}
-        inner = zip((starts - outer.start).tolist(), (stops - outer.start).tolist())
+        inner = (starts - outer.start, stops - outer.start)
         fits = _fold_estimates(estimators, tau, sample.x[outer], x, block.start - outer.start, kernel, hs, inner, eps)
         for e, (values, flags) in fits.items():
             preds[e][:, block] = values
@@ -166,6 +170,7 @@ def select_bandwidths(
     bit, what select_bandwidth returns for that estimator alone. Ties go to
     the smallest h: min keeps the first of equal scores.
     """
+    grid = _check_instance(grid, BandwidthGrid, "bandwidth grid")
     traces = _cv_traces(estimators, sample, kernel, grid.values(), denominator_epsilon)
     return {e: BandwidthSelection(min(trace, key=lambda p: p.score).h, trace) for e, trace in traces.items()}
 

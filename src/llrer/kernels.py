@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, _check_real
+from .errors import ConfigError, _check_instance, _check_real
 
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -43,10 +43,7 @@ def _member_named(enum: type, name: str, noun: str):
         raise ConfigError(f"unknown {noun} {name!r}; expected one of: {choices}") from None
 
 
-def _check_kernel(kernel) -> None:
-    """A ConfigError unless kernel is a KernelKind."""
-    if not isinstance(kernel, KernelKind):
-        raise ConfigError(f"kernel must be a KernelKind, got {kernel!r}")
+_check_kernel = partial(_check_instance, kind=KernelKind, name="kernel")
 
 
 # The accepted bandwidths. h * h is then a normal float, so the squared-offset
@@ -78,10 +75,11 @@ def kernel_eval(kind: KernelKind, u):
     return float(out) if out.ndim == 0 else out
 
 
-def _kernel_of_squares(kind: KernelKind, u2, h: float, out=None):
+def _kernel_of_squares(kind: KernelKind, u2, h, out=None):
     """K(u / h) from the squared offsets u2 = u * u, written to out (a new array by default).
 
-    Gaussian exp(u2 * (-0.5 / h**2)) * norm, Epanechnikov 0.75 * fmax(1 - u2 / h**2, 0), where fmax
+    h is one bandwidth, or an array of them that broadcasts against u2. Gaussian
+    exp(u2 * (-0.5 / h**2)) * norm, Epanechnikov 0.75 * fmax(1 - u2 / h**2, 0), where fmax
     maps a nan to 0 as it does every |u| > h. At h = 1 these are kernel_eval's operations. Every h
     that _check_bandwidth accepts gives scaled_kernel's weights to rounding, and the exact weight 0
     to a u2 capped at the largest float.

@@ -10,8 +10,9 @@ the layout of those sums for both ways of forming them. Points and curves
 use each weight once and form the sums from the weights (_row_sums).
 Cross-validation reuses a block of folds over every bandwidth, so it builds
 the sums' factors once per block (_fold_products, the precomputation of Fan
-& Marron, 1994) and takes each bandwidth's sums with one batched
-matrix-vector product (_fold_estimates). The quadratic double-sum forms of
+& Marron, 1994) and takes the sums of a fixed-size chunk of bandwidths, 16
+with the Gaussian kernel and one with a compact kernel, with one matrix
+product per fold (_fold_estimates). The quadratic double-sum forms of
 LLRER and LLCR, weighed by scaled_kernel, are shipped alongside as permanent
 cross-checks for that path.
 
@@ -30,9 +31,10 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _check_real
+from .errors import ConfigError, DataError, _check_instance, _check_point, _check_real
 from .kernels import (
-    _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel, _kernel_of_squares, _member_named, scaled_kernel
+    _DEFAULT_KERNEL, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, _kernel_of_squares, _member_named,
+    scaled_kernel,
 )
 from .survival import (
     CensoredSample, SurvivalStep, SyntheticResponses, _synthetic_responses, _write_csv, km_censoring_survival
@@ -54,6 +56,9 @@ class Estimator(Enum):
         return _member_named(cls, name, "estimator")
 
 
+_check_estimator = partial(_check_instance, kind=Estimator, name="estimator")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Kernel, bandwidth and degenerate-denominator threshold.
@@ -73,6 +78,16 @@ class EstimatorConfig:
         object.__setattr__(self, "bandwidth", _check_bandwidth(self.bandwidth))
         _check_kernel(self.kernel)
         object.__setattr__(self, "denominator_epsilon", _check_epsilon(self.denominator_epsilon))
+
+
+_check_config = partial(_check_instance, kind=EstimatorConfig, name="config")
+
+
+def _point_inputs(config, x) -> float:
+    """x as a float, or a ConfigError unless config is an EstimatorConfig and x a real number (nan and +-inf
+    are degenerate points)."""
+    _check_config(config)
+    return _check_point(x, "x")
 
 
 class PointEstimate(NamedTuple):
@@ -102,6 +117,7 @@ def moment_statistics(
     x: float,
 ) -> MomentStatistics:
     """Compute kernel and response moment sums at x in a single pass."""
+    x = _point_inputs(config, x)
     d = sample.x - x
     w = scaled_kernel(config.kernel, config.bandwidth, d)
     wd = w * d
@@ -111,7 +127,7 @@ def moment_statistics(
         o: np.array([(r * w).sum(), (r * wd).sum(), (r * wd2).sum()])
         for o, r in _response_map(sample, None, responses, ()).items()
     }
-    return MomentStatistics(float(x), kernel_moments, response_moments)
+    return MomentStatistics(x, kernel_moments, response_moments)
 
 
 _REQUIRED_ORDERS = {
@@ -241,7 +257,7 @@ def _fold_products(groups, tau, columns: np.ndarray, points: np.ndarray, own: in
     """({group: (folds, 5, columns) factors}, dx2) of a block of folds at points.
 
     Each group's factors are those of its five row sums (_row_sums), in that
-    order, so one matrix-vector product with a fold's weights gives its sums.
+    order, so one matrix product with a fold's weights gives its sums.
     They are capped at the largest float, so a far column, whose weight is 0,
     adds 0. Fold r's own column, own + r, is 0 in every factor: tau and dx are
     0 there, and so is the constant factor of the classical group.
@@ -265,24 +281,43 @@ def _fold_products(groups, tau, columns: np.ndarray, points: np.ndarray, own: in
     return products, dx2
 
 
+# Bandwidths that cross-validation weighs per pass with a kernel of unbounded
+# support: each fold's sums are then one (5 x columns) @ (columns x _CHUNK)
+# product. The size is fixed because in OpenBLAS a bandwidth's sums depend on
+# how many bandwidths the product holds; at one shape they are the same bits at
+# every position in it and next to any other bandwidths
+_CHUNK = 16
+
+
 def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, own: int, kernel, hs, windows, eps):
     """{estimator: (predictions, degenerate flags)}, each of shape (len(hs), folds), of a block of folds.
 
     tau[order] holds one row of leave-one-out responses over columns per fold, fold r is evaluated at
-    points[r] and its own column is own + r. The block builds each group's factors once; bandwidth
-    hs[k] then weighs columns windows[k] = (start, stop) of them, with the weights of _estimates, and
-    takes each group's sums with one batched matrix-vector product, one gemv per fold. The ratios of
-    every bandwidth and fold follow at once.
+    points[r] and its own column is own + r. The block builds each group's factors once. Bandwidth
+    hs[k] weighs columns starts[k]:stops[k] of them, windows = (starts, stops), with the weights of
+    _estimates. The bandwidths go in chunks: _CHUNK of them for the Gaussian kernel, whose windows
+    hold every column, and one for a compact kernel, so each keeps its own narrow window. A chunk's
+    weights are laid out bandwidth-major over the window of its widest bandwidth, the last chunk
+    padded with zero weights to full size, and each group's sums of a fold take one matrix product
+    with them. The ratios of every bandwidth and fold follow at once.
     """
     products, dx2 = _fold_products(dict.fromkeys(_GROUP[e] for e in estimators), tau, columns, points, own)
-    sums = {g: np.empty((len(hs), points.size, 5)) for g in products}
-    w = np.empty(dx2.size)
-    for k, (h, (start, stop)) in enumerate(zip(hs, windows)):
-        weights = w[: points.size * (stop - start)].reshape(points.size, -1)  # contiguous, so faster to write
-        _kernel_of_squares(kernel, dx2[:, start:stop], h, out=weights)
+    size = _CHUNK if KERNEL_SUPPORT[kernel] == np.inf else 1
+    hs = np.asarray(hs, dtype=float)[:, None, None]
+    firsts = np.arange(0, len(hs), size)
+    starts, stops = np.minimum.reduceat(windows[0], firsts).tolist(), np.maximum.reduceat(windows[1], firsts).tolist()
+    sums = {g: np.empty((firsts.size, points.size, 5, size)) for g in products}  # chunk, fold, sum, bandwidth
+    w = np.empty(size * dx2.size)
+    for i, (lo, start, stop) in enumerate(zip(firsts.tolist(), starts, stops)):
+        chunk = hs[lo : lo + size]
+        weights = w[: size * points.size * (stop - start)].reshape(size, points.size, -1)
+        _kernel_of_squares(kernel, dx2[:, start:stop], chunk, out=weights[: len(chunk)])
+        if len(chunk) < size:  # the last chunk, padded with zero weights
+            weights[len(chunk) :] = 0.0
         for g, factors in products.items():
-            np.matmul(factors[:, :, start:stop], weights[..., None], out=sums[g][k, :, :, None])
-    terms = _ratio_terms(estimators, {g: np.moveaxis(s, -1, 0) for g, s in sums.items()})
+            np.matmul(factors[:, :, start:stop], weights.transpose(1, 2, 0), out=sums[g][i])
+    fold_sums = {g: s.transpose(2, 0, 3, 1).reshape(5, -1, points.size)[:, : len(hs)] for g, s in sums.items()}
+    terms = _ratio_terms(estimators, fold_sums)
     return {e: _masked_ratio(*terms[e], eps) for e in estimators}
 
 
@@ -303,8 +338,9 @@ def _first_point(values, degenerate) -> PointEstimate:
 
 
 def _point(estimator, sample, step, config, x, responses) -> PointEstimate:
+    x = _point_inputs(config, x)
     tau = _response_map(sample, step, responses, _REQUIRED_ORDERS[estimator])
-    return _first_point(*_estimates((estimator,), sample, tau, config, np.array([float(x)]))[estimator])
+    return _first_point(*_estimates((estimator,), sample, tau, config, np.array([x]))[estimator])
 
 
 def llrer_point(
@@ -335,6 +371,7 @@ def llrer_point_naive(
     response factor in the numerator is the order-1 synthetic response, the
     reading under which the double sum factorises into moment statistics.
     """
+    x = _point_inputs(config, x)
     rmap = _response_map(sample, step, responses, (1, 2))
     tau1, tau2 = rmap[1], rmap[2]
     d = sample.x - x
@@ -366,6 +403,7 @@ def llcr_point_naive(
     responses: Iterable[SyntheticResponses] | None = None,
 ) -> PointEstimate:
     """Literal double-sum evaluation of the classical local linear fit."""
+    x = _point_inputs(config, x)
     tau = _response_map(sample, step, responses, (-1,))[-1]
     d = sample.x - x
     k = scaled_kernel(config.kernel, config.bandwidth, d)
@@ -421,6 +459,9 @@ def fit_curves(configs: Mapping[Estimator, EstimatorConfig], sample: CensoredSam
     One Kaplan-Meier step and one set of synthetic responses serve every estimator, and estimators
     with equal configs share each block's kernel evaluation; each curve equals fit_curve's bit for bit.
     """
+    for e, config in configs.items():
+        _check_estimator(e)
+        _check_config(config)
     grid = _check_grid(grid)
     tau = _synthetic_responses(sample, km_censoring_survival(sample), _union_orders(configs))
     fits = {}

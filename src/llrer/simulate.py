@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, DEFAULT_EPSILON, BandwidthGrid, select_bandwidths
-from .errors import CalibrationError, ConfigError, _check_integer, _check_real
+from .errors import CalibrationError, ConfigError, _check_bool, _check_instance, _check_integer, _check_real
 from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, fit_curves
 from .survival import CensoredSample, NonPositiveResponseWarning, _write_csv
@@ -94,6 +94,7 @@ def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> Gene
     """Draw one sample of the built-in process; deterministic given seed."""
     n = _check_integer(n, "n", 1)
     c = _check_real(c, "c")
+    positive_only = _check_bool(positive_only, "positive_only")
     rng = np.random.default_rng(seed)
     x, t = _draw_event_times(rng, n, positive_only)
     censor = 3.0 + c + rng.standard_normal(n)
@@ -122,6 +123,7 @@ def calibrate_censoring(
     buffer of T, so calibration holds about two arrays of _DRAWS floats.
     """
     target_cp, tolerance = _check_target(target_cp), _check_tolerance(tolerance)
+    positive_only = _check_bool(positive_only, "positive_only")
     if not isinstance(seed, np.random.SeedSequence):
         seed = _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
@@ -263,11 +265,9 @@ class SimulationConfig:
             raise ConfigError(f"cross-validation needs n >= 2, got n = {self.n}; give a fixed h")
         elif self.cv_grid is None:
             object.__setattr__(self, "cv_grid", DEFAULT_BANDWIDTH_GRID)
-        elif not isinstance(self.cv_grid, BandwidthGrid):
-            raise ConfigError(f"cv_grid must be a BandwidthGrid, got {self.cv_grid!r}")
-        if not isinstance(self.positive_only, (bool, np.bool_)):
-            raise ConfigError(f"positive_only must be a bool, got {self.positive_only!r}")
-        object.__setattr__(self, "positive_only", bool(self.positive_only))
+        else:
+            _check_instance(self.cv_grid, BandwidthGrid, "cv_grid")
+        object.__setattr__(self, "positive_only", _check_bool(self.positive_only, "positive_only"))
         object.__setattr__(self, "denominator_epsilon", _check_epsilon(self.denominator_epsilon))
         object.__setattr__(self, "calibration_tolerance", _check_tolerance(self.calibration_tolerance))
 

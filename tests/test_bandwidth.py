@@ -35,8 +35,8 @@ from llrer import (
 )
 import llrer.bandwidth
 import llrer.loclin
-from llrer.bandwidth import _windows
-from llrer.loclin import _FOLD_FACTORS, _blocks, _offsets
+from llrer.bandwidth import _cv_traces, _windows
+from llrer.loclin import _CHUNK, _FOLD_FACTORS, DEFAULT_EPSILON, _blocks, _offsets
 from llrer.survival import _loo_responses
 from llrer.kernels import _kernel_of_squares
 
@@ -566,6 +566,51 @@ def test_traces_do_not_depend_on_record_order(case):
         for est in Estimator:
             assert got[est].h_opt == want[est].h_opt
             assert traces_bits(got[est]) == traces_bits(want[est]), (kernel, est)
+
+
+class TestChunks:
+    """Cross-validation weighs the Gaussian kernel's bandwidths in chunks of _CHUNK. A bandwidth's
+    score must not depend on its position in a chunk, on the bandwidths beside it, on the zero
+    padding of the last chunk or on the block size; the Epanechnikov kernel's chunks of one must not
+    either."""
+
+    # 37 bandwidths: two full chunks and a padded one
+    GRID = BandwidthGrid(0.05, 1.85, 0.05)
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        s = random_censored_sample(np.random.default_rng(68), 301)
+        assert len(list(_blocks(s.n, _FOLD_FACTORS * s.n))) > 1
+        assert self.GRID.values().size == 37 and 37 % _CHUNK != 0
+        return s
+
+    @staticmethod
+    def bits(trace):
+        return [(p.h.hex(), p.score.hex(), p.degenerate_folds) for p in trace]
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_trace_scores_equal_cv_score_at_every_position(self, sample, kernel):
+        joint = select_bandwidths(Estimator, sample, kernel, self.GRID)
+        for est in Estimator:
+            for point in joint[est].trace:
+                assert cv_score(est, sample, kernel, point.h).hex() == point.score.hex(), (est, point)
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_a_grid_prefix_gives_the_trace_prefix(self, sample, kernel):
+        hs = self.GRID.values()
+        full = _cv_traces(Estimator, sample, kernel, hs, DEFAULT_EPSILON)
+        for m in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
+            head = _cv_traces(Estimator, sample, kernel, hs[:m], DEFAULT_EPSILON)
+            for est in Estimator:
+                assert self.bits(head[est]) == self.bits(full[est][:m]), (m, est)
+
+    def test_gaussian_traces_equal_at_every_block_size(self, sample):
+        default = select_bandwidths(Estimator, sample, KernelKind.GAUSSIAN, self.GRID)
+        for rows in (1, 2, 7):
+            with block_rows(sample.n, rows):
+                split = select_bandwidths(Estimator, sample, KernelKind.GAUSSIAN, self.GRID)
+            for est in Estimator:
+                assert traces_bits(split[est]) == traces_bits(default[est]), (rows, est)
 
 
 class TestBlocks:

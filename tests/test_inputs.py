@@ -3,6 +3,8 @@
 Each parameter below is fed None, a numeric string, a bool, nan, +-inf and
 an out-of-range value. Each must raise a ConfigError of the one message
 shape: the parameter's name, its interval and the value as Python prints it.
+Evaluation points, flags and the arguments that must be one of the
+package's types follow the same shape without an interval.
 """
 
 import math
@@ -20,12 +22,22 @@ from llrer import (
     KernelKind,
     SimulationConfig,
     calibrate_censoring,
+    cr_point,
     cv_score,
+    fit_curve,
+    fit_curves,
     generate_sample,
     inject_outliers,
+    km_censoring_survival,
+    llcr_point,
+    llcr_point_naive,
+    llrer_point,
+    llrer_point_naive,
+    moment_statistics,
     monte_carlo_run,
     select_bandwidth,
     select_bandwidths,
+    synthetic_transform,
 )
 
 SAMPLE = CensoredSample([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], [0.0, 1.0, 2.0, 3.0])
@@ -129,3 +141,101 @@ def test_stored_values_are_python_numbers():
         assert type(getattr(cfg, name)) is kind, name
     grid = BandwidthGrid(np.float32(0.5), np.int64(1), np.float64(0.25))
     assert (type(grid.lo), type(grid.hi), type(grid.step)) == (float, float, float)
+
+
+STEP = km_censoring_survival(SAMPLE)
+CONFIG = EstimatorConfig(0.5)
+GAUSSIAN = KernelKind.GAUSSIAN
+
+# (argument, call with the value, the message's "must be" part); each is fed every value of NOT_AN_INSTANCE
+TYPED = [
+    ("cv_score.estimator", lambda v: cv_score(v, SAMPLE, GAUSSIAN, 0.5), "estimator", "an Estimator"),
+    ("select_bandwidth.estimator", lambda v: select_bandwidth(v, SAMPLE, GAUSSIAN, GRID), "estimator", "an Estimator"),
+    ("select_bandwidths.estimators", lambda v: select_bandwidths((Estimator.CR, v), SAMPLE, GAUSSIAN, GRID),
+     "estimator", "an Estimator"),
+    ("select_bandwidth.grid", lambda v: select_bandwidth(Estimator.CR, SAMPLE, GAUSSIAN, v), "bandwidth grid",
+     "a BandwidthGrid"),
+    ("select_bandwidths.grid", lambda v: select_bandwidths((Estimator.CR,), SAMPLE, GAUSSIAN, v), "bandwidth grid",
+     "a BandwidthGrid"),
+    ("cv_score.kernel", lambda v: cv_score(Estimator.CR, SAMPLE, v, 0.5), "kernel", "a KernelKind"),
+    ("fit_curve.config", lambda v: fit_curve(Estimator.CR, SAMPLE, v, [0.0, 1.0]), "config", "an EstimatorConfig"),
+    ("fit_curves.estimator", lambda v: fit_curves({v: CONFIG}, SAMPLE, [0.0, 1.0]), "estimator", "an Estimator"),
+    ("fit_curves.config", lambda v: fit_curves({Estimator.LLRER: CONFIG, Estimator.CR: v}, SAMPLE, [0.0, 1.0]),
+     "config", "an EstimatorConfig"),
+    ("cr_point.config", lambda v: cr_point(SAMPLE, STEP, v, 1.0), "config", "an EstimatorConfig"),
+    ("llrer_point_naive.config", lambda v: llrer_point_naive(SAMPLE, STEP, v, 1.0), "config", "an EstimatorConfig"),
+]
+
+NOT_AN_INSTANCE = [("cr", "'cr'"), (0.5, "0.5"), ((0.1, 1.0, 0.1), "(0.1, 1.0, 0.1)"), (True, "True")]
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [pytest.param(call, value, f"{name} must be {kind}, got {shown}", id=f"{param}-{shown}")
+     for param, call, name, kind in TYPED for value, shown in NOT_AN_INSTANCE],
+)
+def test_rejects_an_argument_of_the_wrong_type(call, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+FLAGGED = [
+    ("generate_sample", lambda v: generate_sample(5, 0.0, 1, positive_only=v)),
+    ("calibrate_censoring", lambda v: calibrate_censoring(0.35, positive_only=v)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in FLAGGED], ids=[p for p, _ in FLAGGED])
+@pytest.mark.parametrize("value, shown", [("false", "'false'"), ("True", "'True'"), (0, "0"), (1, "1"),
+                                          (np.int64(0), "0"), (None, "None")])
+def test_positive_only_must_be_a_bool(call, value, shown):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'positive_only must be a bool, got {shown}')}$"):
+        call(value)
+
+
+def test_numpy_bools_are_bools():
+    for flag in (False, True):
+        python, numpy = generate_sample(50, 0.0, 3, flag), generate_sample(50, 0.0, 3, np.bool_(flag))
+        assert np.array_equal(python.sample.y, numpy.sample.y)
+        assert np.array_equal(python.event_times, numpy.event_times)
+        assert calibrate_censoring(0.35, seed=2, positive_only=np.bool_(flag)) == calibrate_censoring(
+            0.35, seed=2, positive_only=flag
+        )
+
+
+RESPONSES = [synthetic_transform(SAMPLE, STEP, 1)]
+AT_POINT = [
+    ("llrer_point", lambda x: llrer_point(SAMPLE, STEP, CONFIG, x)),
+    ("llrer_point_naive", lambda x: llrer_point_naive(SAMPLE, STEP, CONFIG, x)),
+    ("llcr_point", lambda x: llcr_point(SAMPLE, STEP, CONFIG, x)),
+    ("llcr_point_naive", lambda x: llcr_point_naive(SAMPLE, STEP, CONFIG, x)),
+    ("cr_point", lambda x: cr_point(SAMPLE, STEP, CONFIG, x)),
+    ("moment_statistics", lambda x: moment_statistics(SAMPLE, RESPONSES, CONFIG, x)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in AT_POINT], ids=[p for p, _ in AT_POINT])
+@pytest.mark.parametrize(
+    "value, shown",
+    [("0.3", "'0.3'"), (True, "True"), (np.False_, "False"), (None, "None"), (1j, "1j"), (10**400, repr(10**400))],
+    ids=("str", "bool", "numpy-bool", "None", "complex", "int-beyond-float"),
+)
+def test_point_must_be_a_real_number(call, value, shown):
+    message = f"x must be a real number (nan and +-inf included), got {shown}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call", [c for _, c in AT_POINT], ids=[p for p, _ in AT_POINT])
+def test_point_takes_ints_floats_and_numpy_reals(call):
+    want = call(1.0)
+    for x in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+        got = call(x)
+        assert repr(got) == repr(want), x
+
+
+@pytest.mark.parametrize("call", [c for p, c in AT_POINT if p != "moment_statistics"],
+                         ids=[p for p, _ in AT_POINT if p != "moment_statistics"])
+def test_point_keeps_nan_and_infinite_points_degenerate(call):
+    for x in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        assert call(x) == (0.0, True), x
