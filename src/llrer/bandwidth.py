@@ -15,11 +15,11 @@ target, folds, columns, predictions and each score's sum. So the traces
 depend on the records but not on their order. The folds are taken in blocks
 whose factors take at most loclin._BLOCK_ENTRIES floats, with the
 leave-one-out responses of each block built once. loclin._fold_estimates
-turns a block into predictions at every bandwidth, with the weights and the
-ratio formula of points and curves, in chunks of bandwidths of a fixed size,
-so no score depends on the other bandwidths of the grid or on its place in
-it; this module holds the grid, the windows, the folds, the scores and the
-selection. Each bandwidth evaluates only the window of columns within its
+turns a block into predictions at every bandwidth, with the weights, the
+sums and the ratio formula of points and curves, in chunks of bandwidths of
+a fixed size, so no score depends on the other bandwidths of the grid or on
+its place in it; this module holds the grid, the windows, the folds, the
+scores and the selection. Each bandwidth evaluates only the window of columns within its
 kernel's support of the block, a superset of the non-zero weights: every
 column for the Gaussian kernel, whose scores do not depend on the block
 size. A group's factors and the block size are the
@@ -38,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, _check_instance, _check_integer, _check_real
+from .errors import ConfigError, _check_collection, _check_instance, _check_integer, _check_real
 from .kernels import _BANDWIDTH_RANGE, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import (
     _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _check_estimator, _fold_estimates, _union_orders
@@ -118,7 +118,7 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     loclin._fold_estimates gives its predictions at every bandwidth, each
     over its own window.
     """
-    estimators = tuple(dict.fromkeys(map(_check_estimator, estimators)))
+    estimators = tuple(dict.fromkeys(map(_check_estimator, _check_collection(estimators, "estimators"))))
     if not estimators:
         raise ConfigError("cross-validation needs at least one estimator")
     if sample.n < 2:

@@ -3,12 +3,13 @@
 _check_real and _check_integer take int, float and numpy scalars, never a string, None or a bool, and
 return a Python float or int; 5.0 counts as the integer 5. _check_point takes the same numbers and
 keeps nan and +-inf, the documented degenerate evaluation points. _check_bool takes a Python or numpy
-bool and returns a bool, and _check_instance takes an instance of one class. A rejection is a
-ConfigError that names the parameter, what it must be (with its interval for a number) and shows the
-value as Python prints it.
+bool and returns a bool, _check_instance takes an instance of one class and _check_collection any
+iterable but a string, as a tuple. A rejection is a ConfigError that names the parameter, what it
+must be (with its interval for a number) and shows the value as Python prints it.
 """
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -87,3 +88,10 @@ def _check_instance(value, kind: type, name: str):
     if not isinstance(value, kind):
         raise _must_be(value, name, ("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__)
     return value
+
+
+def _check_collection(value, name: str) -> tuple:
+    """value as a tuple, or a ConfigError unless it is an iterable other than a string."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise _must_be(value, name, "a collection (not a string)")
+    return tuple(value)

@@ -4,17 +4,19 @@ LLRER is the local linear fit under squared relative error, LLCR the
 classical local linear fit on the synthetic responses and CR the
 Nadaraya-Watson form. Point estimates, curves and cross-validation share one
 weighting rule, K(dx^2 / h^2) from the capped squared offsets of _offsets,
-and one ratio formula, _ratio_terms, read from five kernel-weighted row sums
-per group of estimators, with one evaluation point per row. This module owns
-the layout of those sums for both ways of forming them. Points and curves
-use each weight once and form the sums from the weights (_row_sums).
-Cross-validation reuses a block of folds over every bandwidth, so it builds
-the sums' factors once per block (_fold_products, the precomputation of Fan
-& Marron, 1994) and takes the sums of a fixed-size chunk of bandwidths, 16
-with the Gaussian kernel and one with a compact kernel, with one matrix
-product per fold (_fold_estimates). The quadratic double-sum forms of
-LLRER and LLCR, weighed by scaled_kernel, are shipped alongside as permanent
-cross-checks for that path.
+one table of kernel sums, _SUMS, and one ratio formula, _ratio_terms, read
+from the five sums of each group of estimators, with one evaluation point
+per row. Points, curves and moment_statistics use each weight once: one
+matrix product per point gives its moments sum_j w_j dx_j^g c_j over the
+columns c of 1 and the synthetic responses (_moments), and each group reads
+its five sums out of them through the table. Cross-validation reuses a
+block of folds over every bandwidth, so it builds each sum's factor, its
+column times dx^g, once per block from the same table (_fold_products, the
+precomputation of Fan & Marron, 1994) and takes the sums of a fixed-size
+chunk of bandwidths, 16 with the Gaussian kernel and one with a compact
+kernel, with one matrix product per fold (_fold_estimates). The quadratic
+double-sum forms of LLRER and LLCR, weighed by scaled_kernel, are shipped
+alongside as permanent cross-checks for that path.
 
 A point where the fit's denominator vanishes is degenerate: it reports the
 value 0 together with an explicit flag, so downstream metrics can exclude
@@ -23,11 +25,12 @@ it instead of silently averaging zeros.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import repeat
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,7 +100,7 @@ class PointEstimate(NamedTuple):
 
 @dataclass(frozen=True)
 class MomentStatistics:
-    """One-pass kernel moment sums anchored at an evaluation point.
+    """Kernel moment sums anchored at an evaluation point, the point estimates' own.
 
     kernel_moments[g] = sum_i (x_i - x)^g K((x_i - x)/h), and
     response_moments[l][g] carries the extra synthetic-response factor of
@@ -116,25 +119,28 @@ def moment_statistics(
     config: EstimatorConfig,
     x: float,
 ) -> MomentStatistics:
-    """Compute kernel and response moment sums at x in a single pass."""
+    """Kernel and response moment sums at x, the point estimates' own (_moments)."""
     x = _point_inputs(config, x)
-    d = sample.x - x
-    w = scaled_kernel(config.kernel, config.bandwidth, d)
-    wd = w * d
-    wd2 = wd * d
-    kernel_moments = np.array([w.sum(), wd.sum(), wd2.sum()])
-    response_moments = {
-        o: np.array([(r * w).sum(), (r * wd).sum(), (r * wd2).sum()])
-        for o, r in _response_map(sample, None, responses, ()).items()
-    }
-    return MomentStatistics(x, kernel_moments, response_moments)
+    tau = _response_map(sample, None, responses, ())
+    dx, dx2 = _offsets(sample.x, np.array([x]))
+    m = _moments(_columns(tau, sample.n), dx, dx2, _kernel_of_squares(config.kernel, dx2, config.bandwidth))[0]
+    return MomentStatistics(x, m[:, 0], {o: m[:, _COLUMNS.index(o)] for o in tau})
 
 
-_REQUIRED_ORDERS = {
-    Estimator.LLRER: (1, 2),
-    Estimator.LLCR: (-1,),
-    Estimator.CR: (-1,),
+# The five kernel sums of each group of estimators, in the order _ratio_terms reads them. Sum (g, c) is
+# sum_j w_j * dx_j**g * column c over the columns _COLUMNS: 1 and the synthetic responses of orders -1, 1
+# and 2. LLRER reads (s10, s11, s20, s21, s22), LLCR and CR (t0, t1, p0, p1, p2)
+_COLUMNS = (None, -1, 1, 2)
+_RELATIVE, _CLASSICAL = "relative", "classical"
+_SUMS = {
+    _RELATIVE: ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)),
+    _CLASSICAL: ((0, 1), (1, 1), (0, 0), (1, 0), (2, 0)),
 }
+_GROUP = {Estimator.LLRER: _RELATIVE, Estimator.LLCR: _CLASSICAL, Estimator.CR: _CLASSICAL}
+
+
+# the synthetic-response orders of the columns that an estimator's sums read
+_REQUIRED_ORDERS = {e: tuple(dict.fromkeys(_COLUMNS[c] for _, c in _SUMS[g] if c)) for e, g in _GROUP.items()}
 
 
 def required_orders(estimator: Estimator) -> tuple:
@@ -147,45 +153,27 @@ def _union_orders(estimators) -> tuple:
     return tuple(dict.fromkeys(o for e in estimators for o in _REQUIRED_ORDERS[e]))
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row sums of a * b without the product array.
+def _columns(tau, n: int) -> np.ndarray:
+    """The (n, 4) columns of _COLUMNS from tau = {order: responses}; a column whose order tau lacks is 0."""
+    out = np.ones((n, len(_COLUMNS)))
+    for c, order in enumerate(_COLUMNS[1:], 1):
+        out[:, c] = tau.get(order, 0.0)
+    return out
 
-    numpy sums a lone row longer than 8192 in another order than the rows of
-    a taller array; reading it twice keeps points equal to curve values.
+
+def _moments(tau: np.ndarray, dx: np.ndarray, dx2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """m[r, g, c] = sum_j w[r, j] * dx[r, j]**g * tau[j, c], for g = 0, 1, 2 and the columns tau of _columns.
+
+    Row r holds evaluation point r: weights w and offsets dx, dx2 from _offsets. Each row takes one
+    (3 x n) @ (n x 4) product, so its moments are the same bits whichever rows and estimators one
+    call holds.
     """
-    if a.shape[0] == 1:
-        shape = (2, a.shape[1])
-        return np.einsum("ij,ij->i", np.broadcast_to(a, shape), np.broadcast_to(b, shape))[:1]
-    return np.einsum("ij,ij->i", a, b)
-
-
-# The five row sums of each group of estimators, sum_j factor_j * w_j over these factors:
-# LLRER (s10, s11, s20, s21, s22) from tau1, tau1 * dx, tau2, tau2 * dx, tau2 * dx2, and
-# LLCR and CR (t0, t1, p0, p1, p2) from tau-1, tau-1 * dx, 1, dx, dx2
-_RELATIVE, _CLASSICAL = "relative", "classical"
-_GROUP = {Estimator.LLRER: _RELATIVE, Estimator.LLCR: _CLASSICAL, Estimator.CR: _CLASSICAL}
-
-
-def _row_sums(estimators, w: np.ndarray, dx: np.ndarray, dx2: np.ndarray, tau) -> dict:
-    """{group: its five row sums} for the groups of estimators.
-
-    Row r holds evaluation point r: weights w and offsets dx, dx2 from
-    _offsets. tau[order] is 1-d and shared by every row.
-    """
-    sums = {}
-    if Estimator.LLRER in estimators:
-        a = tau[1] * w
-        s10, s11 = a.sum(axis=1), _row_dot(a, dx)
-        np.multiply(tau[2], w, out=a)
-        sums[_RELATIVE] = (s10, s11, a.sum(axis=1), _row_dot(a, dx), _row_dot(a, dx2))
-    if Estimator.LLCR in estimators or Estimator.CR in estimators:
-        a = tau[-1] * w
-        sums[_CLASSICAL] = (a.sum(axis=1), _row_dot(a, dx), w.sum(axis=1), _row_dot(w, dx), _row_dot(w, dx2))
-    return sums
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum the call's estimators do not read may overflow
+        return np.stack((w, w * dx, w * dx2), axis=1) @ tau
 
 
 def _ratio_terms(estimators, sums) -> dict:
-    """{estimator: (numerator, denominator, degeneracy scale)} from the row sums of its group."""
+    """{estimator: (numerator, denominator, degeneracy scale)} from the five sums of its group (_SUMS)."""
     out = {}
     if Estimator.LLRER in estimators:
         s10, s11, s20, s21, s22 = sums[_RELATIVE]
@@ -223,7 +211,7 @@ def _blocks(count: int, width: int):
 def _offsets(columns: np.ndarray, points: np.ndarray):
     """(dx, dx2): dx[r, j] = columns[j] - points[r], one row per point, and dx2 = dx * dx, each capped at
     the largest float in magnitude. A capped dx2 weighs exactly 0 at every accepted bandwidth, so a far
-    column adds 0 to the row sums, not 0 * inf = nan, and an infinite point, all of whose weights are
+    column adds 0 to the sums, not 0 * inf = nan, and an infinite point, all of whose weights are
     0, is degenerate. A nan point keeps its nan offsets, so it is degenerate too."""
     big = np.finfo(float).max
     with np.errstate(over="ignore"):
@@ -236,12 +224,14 @@ def _offsets(columns: np.ndarray, points: np.ndarray):
 
 def _estimates(estimators, sample, tau, config, points) -> dict:
     """{estimator: (estimates, degenerate flags)} at each of points from tau = {order: synthetic
-    responses}, in blocks of rows; each block evaluates the kernel once for every estimator."""
+    responses}, in blocks of rows; each block evaluates the kernel and the moments once for every
+    estimator, and each group reads its five sums out of the moments through _SUMS."""
     out = {e: (np.empty(points.size), np.empty(points.size, dtype=bool)) for e in estimators}
+    tau = _columns(tau, sample.n)
     for block in _blocks(points.size, sample.n):
         dx, dx2 = _offsets(sample.x, points[block])
-        w = _kernel_of_squares(config.kernel, dx2, config.bandwidth)
-        terms = _ratio_terms(estimators, _row_sums(estimators, w, dx, dx2, tau))
+        m = _moments(tau, dx, dx2, _kernel_of_squares(config.kernel, dx2, config.bandwidth))
+        terms = _ratio_terms(estimators, {group: [m[:, g, c] for g, c in sums] for group, sums in _SUMS.items()})
         for e, (values, degenerate) in out.items():
             values[block], degenerate[block] = _masked_ratio(*terms[e], config.denominator_epsilon)
     return out
@@ -256,28 +246,26 @@ _FOLD_FACTORS = 10
 def _fold_products(groups, tau, columns: np.ndarray, points: np.ndarray, own: int):
     """({group: (folds, 5, columns) factors}, dx2) of a block of folds at points.
 
-    Each group's factors are those of its five row sums (_row_sums), in that
-    order, so one matrix product with a fold's weights gives its sums.
-    They are capped at the largest float, so a far column, whose weight is 0,
-    adds 0. Fold r's own column, own + r, is 0 in every factor: tau and dx are
-    0 there, and so is the constant factor of the classical group.
+    Factor k of a group is column c times dx**g for its sum (g, c) in _SUMS,
+    so one matrix product with a fold's weights gives its five sums. They are
+    capped at the largest float, so a far column, whose weight is 0, adds 0.
+    Fold r's own column, own + r, is 0 in every factor.
     """
     dx, dx2 = _offsets(columns, points)
     big = np.finfo(float).max
+    values, powers = [1.0 if o is None else tau.get(o) for o in _COLUMNS], (1.0, dx, dx2)
+    folds = np.arange(points.size)
     products = {}
     with np.errstate(over="ignore"):  # each overflow is capped
         for group in groups:
             p = products[group] = np.empty((points.size, 5, columns.size))
-            if group == _RELATIVE:
-                p[:, 0], p[:, 2] = tau[1], tau[2]
-                np.multiply(tau[1], dx, out=p[:, 1])
-                np.multiply(tau[2], dx, out=p[:, 3])
-                np.multiply(tau[2], dx2, out=p[:, 4])
-            else:
-                p[:, 0], p[:, 2], p[:, 3], p[:, 4] = tau[-1], 1.0, dx, dx2
-                np.multiply(tau[-1], dx, out=p[:, 1])
-                np.fill_diagonal(p[:, 2, own:], 0.0)
-            np.clip(p[:, 1:], -big, big, out=p[:, 1:])  # the products; tau alone is finite
+            for k, (g, c) in enumerate(_SUMS[group]):
+                if g and c:
+                    np.multiply(values[c], powers[g], out=p[:, k])
+                else:  # a factor of 1: copy the other, which costs less than multiplying by 1.0
+                    p[:, k] = powers[g] if g else values[c]
+            np.clip(p, -big, big, out=p)
+            p[folds, :, own + folds] = 0.0
     return products, dx2
 
 
@@ -459,7 +447,7 @@ def fit_curves(configs: Mapping[Estimator, EstimatorConfig], sample: CensoredSam
     One Kaplan-Meier step and one set of synthetic responses serve every estimator, and estimators
     with equal configs share each block's kernel evaluation; each curve equals fit_curve's bit for bit.
     """
-    for e, config in configs.items():
+    for e, config in _check_instance(configs, Mapping, "configs").items():
         _check_estimator(e)
         _check_config(config)
     grid = _check_grid(grid)

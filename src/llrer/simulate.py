@@ -30,7 +30,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, DEFAULT_EPSILON, BandwidthGrid, select_bandwidths
-from .errors import CalibrationError, ConfigError, _check_bool, _check_instance, _check_integer, _check_real
+from .errors import (
+    CalibrationError, ConfigError, _check_bool, _check_collection, _check_instance, _check_integer, _check_real
+)
 from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, fit_curves
 from .survival import CensoredSample, NonPositiveResponseWarning, _write_csv
@@ -233,7 +235,8 @@ class SimulationConfig:
     def __post_init__(self):
         for name, minimum in (("n", 1), ("replications", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_integer(getattr(self, name), name, minimum))
-        ests = tuple(Estimator.from_name(e) if isinstance(e, str) else e for e in self.estimators)
+        names = _check_collection(self.estimators, "estimators")
+        ests = tuple(Estimator.from_name(e) if isinstance(e, str) else e for e in names)
         if not ests or not all(isinstance(e, Estimator) for e in ests):
             raise ConfigError(f"estimators must name at least one of llrer, llcr, cr, got {self.estimators!r}")
         if len(set(ests)) != len(ests):

@@ -3,8 +3,8 @@
 Each parameter below is fed None, a numeric string, a bool, nan, +-inf and
 an out-of-range value. Each must raise a ConfigError of the one message
 shape: the parameter's name, its interval and the value as Python prints it.
-Evaluation points, flags and the arguments that must be one of the
-package's types follow the same shape without an interval.
+Evaluation points, flags, collections and the arguments that must be one
+of the package's types follow the same shape without an interval.
 """
 
 import math
@@ -177,6 +177,38 @@ NOT_AN_INSTANCE = [("cr", "'cr'"), (0.5, "0.5"), ((0.1, 1.0, 0.1), "(0.1, 1.0, 0
 def test_rejects_an_argument_of_the_wrong_type(call, value, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+PAIRS = [(Estimator.CR, CONFIG)]
+# (argument, call with the value, the value and its print); strings and lone estimators iterate as no collection should
+NOT_A_COLLECTION = [
+    ("select_bandwidths.estimators", lambda v: select_bandwidths(v, SAMPLE, GAUSSIAN, GRID), "estimators",
+     "a collection (not a string)"),
+    ("SimulationConfig.estimators", lambda v: study(estimators=v), "estimators", "a collection (not a string)"),
+]
+COLLECTION_VALUES = [("llrer", "'llrer'"), ("cr", "'cr'"), (b"cr", "b'cr'"), (Estimator.CR, "<Estimator.CR: 'cr'>"),
+                     (None, "None"), (3, "3")]
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [pytest.param(call, value, f"{name} must be {kind}, got {shown}", id=f"{param}-{shown}")
+     for param, call, name, kind in NOT_A_COLLECTION for value, shown in COLLECTION_VALUES]
+    + [pytest.param(lambda v: fit_curves(v, SAMPLE, [0.0, 1.0]), PAIRS, f"configs must be a Mapping, got {PAIRS!r}",
+                    id="fit_curves.configs-pairs")],
+)
+def test_rejects_a_collection_argument_of_the_wrong_kind(call, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_estimators_may_be_any_other_collection():
+    pair = (Estimator.CR, Estimator.LLCR)
+    want = select_bandwidths(pair, SAMPLE, GAUSSIAN, GRID)
+    for given in (list(pair), iter(pair), dict.fromkeys(pair)):
+        assert select_bandwidths(given, SAMPLE, GAUSSIAN, GRID) == want
+    for given in (["cr", "llcr"], iter(("cr", Estimator.LLCR)), ("CR", "llcr")):
+        assert study(estimators=given).estimators == (Estimator.CR, Estimator.LLCR)
 
 
 FLAGGED = [

@@ -166,6 +166,41 @@ class TestMomentStatistics:
             )
             assert m.kernel_moments[gamma] == pytest.approx(direct, rel=1e-13, abs=1e-13)
 
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_infinite_point_has_zero_moments(self, kernel):
+        # every weight is 0 there; pyproject turns a RuntimeWarning, as of a 0 * inf, into an error
+        s = CensoredSample([1.0, 2.0, 4.0], [1, 0, 1], [0.0, 1.0, 2.0])
+        step = km_censoring_survival(s)
+        responses = [synthetic_transform(s, step, o) for o in (-1, 1, 2)]
+        for x in (math.inf, -math.inf):
+            m = moment_statistics(s, responses, EstimatorConfig(0.5, kernel), x)
+            assert m.kernel_moments.tolist() == [0.0, 0.0, 0.0]
+            assert {o: r.tolist() for o, r in m.response_moments.items()} == dict.fromkeys((-1, 1, 2), [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_ratios_of_the_sums_are_the_point_estimates(self, kernel):
+        # the point estimates read their five sums from the same moments, so their ratios agree bit for bit
+        fitted = 0
+        for seed in range(3):
+            s = random_censored_sample(np.random.default_rng(seed), 60)
+            step = km_censoring_survival(s)
+            cfg = EstimatorConfig(0.4, kernel)
+            responses = [synthetic_transform(s, step, o) for o in (-1, 1, 2)]
+            for x in np.linspace(-2.5, 2.5, 26):
+                m = moment_statistics(s, responses, cfg, x)
+                k, t, r1, r2 = m.kernel_moments, m.response_moments[-1], m.response_moments[1], m.response_moments[2]
+                ratios = {
+                    llrer_point: (r2[2] * r1[0] - r2[1] * r1[1], r2[2] * r2[0] - r2[1] * r2[1]),
+                    llcr_point: (k[2] * t[0] - k[1] * t[1], k[2] * k[0] - k[1] * k[1]),
+                    cr_point: (t[0], k[0]),
+                }
+                for point, (num, den) in ratios.items():
+                    want = point(s, step, cfg, x)
+                    if not want.degenerate:
+                        assert num / den == want.value, (point.__name__, seed, x)
+                        fitted += 1
+        assert fitted > 150
+
 
 class TestFastVsNaive:
     def test_random_agreement(self):
@@ -601,6 +636,14 @@ class TestFitCurves:
         for est in Estimator:
             assert got[est].values.tobytes() == want[est].values.tobytes(), est
             assert np.array_equal(got[est].degenerate, want[est].degenerate), est
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_overflow_in_a_sum_the_estimator_does_not_read_is_silent(self, kernel):
+        # each point's moments hold every group's sums: here sum tau-1 * w * dx overflows, but CR reads
+        # only t0 and p0, and pyproject turns a RuntimeWarning into an error
+        s = CensoredSample([1e307, 1.5e307, 1.7e307, 1e307], [1, 1, 1, 1], [0.0, 100.0, 200.0, 300.0])
+        curve = fit_curve(Estimator.CR, s, EstimatorConfig(1000.0, kernel), [0.0, 150.0, 310.0])
+        assert not curve.degenerate.any() and np.all(curve.values > 1e307)
 
     def test_computes_the_step_once(self):
         rng = np.random.default_rng(43)
