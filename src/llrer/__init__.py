@@ -5,126 +5,21 @@ observations via Kaplan-Meier synthetic responses and local linear
 smoothing, ships the classical competitors (local linear and
 Nadaraya-Watson on the same synthetic responses), leave-one-out bandwidth
 selection, and a seeded Monte Carlo harness with a CLI.
+
+Each module declares its public names in its own __all__, and the package
+re-exports them: every name of llrer.__all__ is defined in exactly one module.
 """
 
 __version__ = "0.1.0"
 
-from .bandwidth import (
-    DEFAULT_BANDWIDTH_GRID,
-    DEFAULT_EPSILON,
-    BandwidthGrid,
-    BandwidthSelection,
-    CVPoint,
-    cv_score,
-    select_bandwidth,
-    select_bandwidths,
-    write_cv_trace_csv,
-)
-from .errors import CalibrationError, ConfigError, DataError, LLRERError
-from .kernels import KernelKind, kernel_eval, scaled_kernel
-from .loclin import (
-    Estimator,
-    EstimatorConfig,
-    FittedCurve,
-    MomentStatistics,
-    PointEstimate,
-    cr_point,
-    fit_curve,
-    fit_curves,
-    llcr_point,
-    llcr_point_naive,
-    llrer_point,
-    llrer_point_naive,
-    moment_statistics,
-    required_orders,
-    write_curve_csv,
-)
-from .simulate import (
-    DEFAULT_CALIBRATION_TOLERANCE,
-    DEFAULT_GRID_SPEC,
-    ErrorMetrics,
-    GeneratedSample,
-    ReplicationResult,
-    SimulationConfig,
-    SimulationReport,
-    calibrate_censoring,
-    config_lines,
-    error_metrics,
-    generate_sample,
-    inject_outliers,
-    load_simulation_config,
-    monte_carlo_run,
-    parse_grid_spec,
-    theoretical_curve,
-    write_curves_csv,
-    write_summary_csv,
-)
-from .survival import (
-    CensoredSample,
-    NonPositiveResponseWarning,
-    SurvivalStep,
-    SyntheticResponses,
-    km_censoring_survival,
-    read_sample_csv,
-    synthetic_transform,
-)
+from . import bandwidth, errors, kernels, loclin, simulate, survival
+from .bandwidth import *
+from .errors import *
+from .kernels import *
+from .loclin import *
+from .simulate import *
+from .survival import *
 
-__all__ = [
-    "__version__",
-    "BandwidthGrid",
-    "BandwidthSelection",
-    "CVPoint",
-    "CalibrationError",
-    "CensoredSample",
-    "ConfigError",
-    "DEFAULT_BANDWIDTH_GRID",
-    "DEFAULT_CALIBRATION_TOLERANCE",
-    "DEFAULT_EPSILON",
-    "DEFAULT_GRID_SPEC",
-    "DataError",
-    "ErrorMetrics",
-    "Estimator",
-    "EstimatorConfig",
-    "FittedCurve",
-    "GeneratedSample",
-    "KernelKind",
-    "LLRERError",
-    "MomentStatistics",
-    "NonPositiveResponseWarning",
-    "PointEstimate",
-    "ReplicationResult",
-    "SimulationConfig",
-    "SimulationReport",
-    "SurvivalStep",
-    "SyntheticResponses",
-    "calibrate_censoring",
-    "config_lines",
-    "cr_point",
-    "cv_score",
-    "error_metrics",
-    "fit_curve",
-    "fit_curves",
-    "generate_sample",
-    "inject_outliers",
-    "kernel_eval",
-    "km_censoring_survival",
-    "llcr_point",
-    "llcr_point_naive",
-    "llrer_point",
-    "llrer_point_naive",
-    "load_simulation_config",
-    "moment_statistics",
-    "monte_carlo_run",
-    "parse_grid_spec",
-    "read_sample_csv",
-    "required_orders",
-    "scaled_kernel",
-    "select_bandwidth",
-    "select_bandwidths",
-    "synthetic_transform",
-    "theoretical_curve",
-    "write_curve_csv",
-    "write_curves_csv",
-    "write_cv_trace_csv",
-    "write_summary_csv",
+__all__ = ["__version__"] + [
+    name for module in (bandwidth, errors, kernels, loclin, simulate, survival) for name in module.__all__
 ]

@@ -43,7 +43,12 @@ from .kernels import _BANDWIDTH_RANGE, KERNEL_SUPPORT, KernelKind, _check_bandwi
 from .loclin import (
     _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _check_estimator, _fold_estimates, _union_orders
 )
-from .survival import CensoredSample, _loo_responses, _write_csv
+from .survival import CensoredSample, _check_sample, _loo_responses, _write_csv
+
+__all__ = [
+    "DEFAULT_BANDWIDTH_GRID", "BandwidthGrid", "BandwidthSelection", "CVPoint", "cv_score", "select_bandwidth",
+    "select_bandwidths", "write_cv_trace_csv",
+]
 
 
 # The most values a grid may hold: cross-validation stores one prediction per
@@ -121,7 +126,7 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     estimators = tuple(dict.fromkeys(map(_check_estimator, _check_collection(estimators, "estimators"))))
     if not estimators:
         raise ConfigError("cross-validation needs at least one estimator")
-    if sample.n < 2:
+    if _check_sample(sample).n < 2:
         raise ConfigError("cross-validation needs at least 2 observations")
     hs = [_check_bandwidth(h) for h in hs]
     _check_kernel(kernel)

@@ -13,6 +13,8 @@ from collections.abc import Iterable
 
 import numpy as np
 
+__all__ = ["CalibrationError", "ConfigError", "DataError", "LLRERError"]
+
 
 class LLRERError(Exception):
     """Base class for all library errors."""

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ConfigError, _check_instance, _check_real
 
+__all__ = ["KernelKind", "kernel_eval", "scaled_kernel"]
+
 _GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
 
 

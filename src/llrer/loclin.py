@@ -18,9 +18,10 @@ kernel, with one matrix product per fold (_fold_estimates). The quadratic
 double-sum forms of LLRER and LLCR, weighed by scaled_kernel, are shipped
 alongside as permanent cross-checks for that path.
 
-A point where the fit's denominator vanishes is degenerate: it reports the
-value 0 together with an explicit flag, so downstream metrics can exclude
-it instead of silently averaging zeros.
+A point where the fit's denominator vanishes, or whose ratio is not finite
+because its sums overflow, is degenerate: it reports the value 0 together
+with an explicit flag, so downstream metrics can exclude it instead of
+silently averaging zeros.
 """
 
 from __future__ import annotations
@@ -34,14 +35,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _check_instance, _check_point, _check_real
+from .errors import ConfigError, DataError, _check_collection, _check_instance, _check_point, _check_real
 from .kernels import (
     _DEFAULT_KERNEL, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, _kernel_of_squares, _member_named,
     scaled_kernel,
 )
 from .survival import (
-    CensoredSample, SurvivalStep, SyntheticResponses, _synthetic_responses, _write_csv, km_censoring_survival
+    CensoredSample, SurvivalStep, SyntheticResponses, _check_sample, _synthetic_responses, _write_csv,
+    km_censoring_survival,
 )
+
+__all__ = [
+    "DEFAULT_EPSILON", "Estimator", "EstimatorConfig", "FittedCurve", "MomentStatistics", "PointEstimate", "cr_point",
+    "fit_curve", "fit_curves", "llcr_point", "llcr_point_naive", "llrer_point", "llrer_point_naive",
+    "moment_statistics", "required_orders", "write_curve_csv",
+]
 
 DEFAULT_EPSILON = 1e-12
 _check_epsilon = partial(_check_real, name="denominator_epsilon", lo=0)
@@ -121,7 +129,7 @@ def moment_statistics(
 ) -> MomentStatistics:
     """Kernel and response moment sums at x, the point estimates' own (_moments)."""
     x = _point_inputs(config, x)
-    tau = _response_map(sample, None, responses, ())
+    tau = _response_map(sample, None, _check_collection(responses, "responses"), ())
     dx, dx2 = _offsets(sample.x, np.array([x]))
     m = _moments(_columns(tau, sample.n), dx, dx2, _kernel_of_squares(config.kernel, dx2, config.bandwidth))[0]
     return MomentStatistics(x, m[:, 0], {o: m[:, _COLUMNS.index(o)] for o in tau})
@@ -173,14 +181,16 @@ def _moments(tau: np.ndarray, dx: np.ndarray, dx2: np.ndarray, w: np.ndarray) ->
 
 
 def _ratio_terms(estimators, sums) -> dict:
-    """{estimator: (numerator, denominator, degeneracy scale)} from the five sums of its group (_SUMS)."""
+    """{estimator: (numerator, denominator, degeneracy scale)} from the five sums of its group (_SUMS).
+    A product that overflows gives an inf or nan term, which _masked_ratio flags."""
     out = {}
-    if Estimator.LLRER in estimators:
-        s10, s11, s20, s21, s22 = sums[_RELATIVE]
-        out[Estimator.LLRER] = (s22 * s10 - s21 * s11, s22 * s20 - s21 * s21, np.abs(s22 * s20))
-    if Estimator.LLCR in estimators:
-        t0, t1, p0, p1, p2 = sums[_CLASSICAL]
-        out[Estimator.LLCR] = (p2 * t0 - p1 * t1, p2 * p0 - p1 * p1, np.abs(p2 * p0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if Estimator.LLRER in estimators:
+            s10, s11, s20, s21, s22 = sums[_RELATIVE]
+            out[Estimator.LLRER] = (s22 * s10 - s21 * s11, s22 * s20 - s21 * s21, np.abs(s22 * s20))
+        if Estimator.LLCR in estimators:
+            t0, t1, p0, p1, p2 = sums[_CLASSICAL]
+            out[Estimator.LLCR] = (p2 * t0 - p1 * t1, p2 * p0 - p1 * p1, np.abs(p2 * p0))
     if Estimator.CR in estimators:
         t0, _, p0, _, _ = sums[_CLASSICAL]
         out[Estimator.CR] = (t0, p0, np.ones_like(p0))
@@ -188,10 +198,14 @@ def _ratio_terms(estimators, sums) -> dict:
 
 
 def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: float):
-    """(num / den, degenerate): degenerate, with value 0, unless |den| > eps * scale (so at a nan den)."""
-    degenerate = ~(np.abs(den) > eps * scale)
+    """(num / den, degenerate): degenerate, with value 0, unless |den| > eps * scale (so at a nan den) and
+    the ratio is finite (so at an overflowed sum or product)."""
     value = np.zeros_like(den)
-    np.divide(num, den, out=value, where=~degenerate)
+    with np.errstate(over="ignore", invalid="ignore"):  # eps = 0 times an inf scale is nan
+        ok = np.abs(den) > eps * scale
+        np.divide(num, den, out=value, where=ok)
+    degenerate = ~(ok & np.isfinite(value))
+    value[degenerate] = 0.0
     return value, degenerate
 
 
@@ -296,22 +310,29 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
     starts, stops = np.minimum.reduceat(windows[0], firsts).tolist(), np.maximum.reduceat(windows[1], firsts).tolist()
     sums = {g: np.empty((firsts.size, points.size, 5, size)) for g in products}  # chunk, fold, sum, bandwidth
     w = np.empty(size * dx2.size)
-    for i, (lo, start, stop) in enumerate(zip(firsts.tolist(), starts, stops)):
-        chunk = hs[lo : lo + size]
-        weights = w[: size * points.size * (stop - start)].reshape(size, points.size, -1)
-        _kernel_of_squares(kernel, dx2[:, start:stop], chunk, out=weights[: len(chunk)])
-        if len(chunk) < size:  # the last chunk, padded with zero weights
-            weights[len(chunk) :] = 0.0
-        for g, factors in products.items():
-            np.matmul(factors[:, :, start:stop], weights.transpose(1, 2, 0), out=sums[g][i])
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _moments: an overflowed sum is unread or flagged
+        for i, (lo, start, stop) in enumerate(zip(firsts.tolist(), starts, stops)):
+            chunk = hs[lo : lo + size]
+            weights = w[: size * points.size * (stop - start)].reshape(size, points.size, -1)
+            _kernel_of_squares(kernel, dx2[:, start:stop], chunk, out=weights[: len(chunk)])
+            if len(chunk) < size:  # the last chunk, padded with zero weights
+                weights[len(chunk) :] = 0.0
+            for g, factors in products.items():
+                np.matmul(factors[:, :, start:stop], weights.transpose(1, 2, 0), out=sums[g][i])
     fold_sums = {g: s.transpose(2, 0, 3, 1).reshape(5, -1, points.size)[:, : len(hs)] for g, s in sums.items()}
     terms = _ratio_terms(estimators, fold_sums)
     return {e: _masked_ratio(*terms[e], eps) for e in estimators}
 
 
 def _response_map(sample, step, responses, orders) -> Mapping[int, np.ndarray]:
+    """{order: responses} of the sample: responses, a collection of SyntheticResponses covering orders, or
+    when it is None the responses of orders computed from step."""
     if responses is None:
         return _synthetic_responses(sample, step, orders)
+    _check_sample(sample)
+    responses = _check_collection(responses, "responses")
+    for r in responses:
+        _check_instance(r, SyntheticResponses, "responses entry")
     mapping = {r.order: r.values for r in responses}
     missing = [o for o in orders if o not in mapping]
     if missing:

@@ -29,13 +29,22 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bandwidth import DEFAULT_BANDWIDTH_GRID, DEFAULT_EPSILON, BandwidthGrid, select_bandwidths
+from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidths
 from .errors import (
     CalibrationError, ConfigError, _check_bool, _check_collection, _check_instance, _check_integer, _check_real
 )
 from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel
-from .loclin import Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, fit_curves
-from .survival import CensoredSample, NonPositiveResponseWarning, _write_csv
+from .loclin import (
+    DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, fit_curves
+)
+from .survival import CensoredSample, NonPositiveResponseWarning, _check_sample, _write_csv
+
+__all__ = [
+    "DEFAULT_CALIBRATION_TOLERANCE", "DEFAULT_GRID_SPEC", "ErrorMetrics", "GeneratedSample", "ReplicationResult",
+    "SimulationConfig", "SimulationReport", "calibrate_censoring", "config_lines", "error_metrics", "generate_sample",
+    "inject_outliers", "load_simulation_config", "monte_carlo_run", "parse_grid_spec", "theoretical_curve",
+    "write_curves_csv", "write_summary_csv",
+]
 
 DEFAULT_GRID_SPEC = "1:4:61"
 DEFAULT_CALIBRATION_TOLERANCE = 0.005
@@ -160,7 +169,7 @@ def inject_outliers(sample: CensoredSample, count: int, multiplier: float, seed)
 
     Indices are drawn without replacement; delta and x are untouched.
     """
-    count, multiplier = _check_outliers(count, multiplier, sample.n)
+    count, multiplier = _check_outliers(count, multiplier, _check_sample(sample).n)
     if count == 0:
         return sample
     rng = np.random.default_rng(seed)
@@ -187,7 +196,7 @@ def error_metrics(curve: FittedCurve, reference) -> ErrorMetrics:
     warning. reference is called once, on the grid array, and returns an
     array of its shape or a scalar.
     """
-    _check_grid(curve.grid)
+    _check_grid(_check_instance(curve, FittedCurve, "curve").grid)
     return _score(curve, np.broadcast_to(np.asarray(reference(curve.grid), dtype=float), curve.grid.shape))
 
 

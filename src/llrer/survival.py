@@ -15,11 +15,17 @@ import csv
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _check_integer
+from .errors import ConfigError, DataError, _check_instance, _check_integer
+
+__all__ = [
+    "CensoredSample", "NonPositiveResponseWarning", "SurvivalStep", "SyntheticResponses", "km_censoring_survival",
+    "read_sample_csv", "synthetic_transform",
+]
 
 SYNTHETIC_ORDERS = (-1, 1, 2)
 
@@ -63,6 +69,9 @@ class CensoredSample:
     @property
     def n(self) -> int:
         return self.y.size
+
+
+_check_sample = partial(_check_instance, kind=CensoredSample, name="sample")
 
 
 @dataclass(frozen=True)
@@ -144,7 +153,7 @@ def km_censoring_survival(sample: CensoredSample) -> SurvivalStep:
     before censored ones at equal y, so tied uncensored records leave the
     risk set before a censored jump is taken.
     """
-    _, ys, _, plain, starts = _product_limit(sample)
+    _, ys, _, plain, starts = _product_limit(_check_sample(sample))
     last = np.flatnonzero(np.concatenate((starts[1:], [True])))  # the last record of each tie group
     times = ys[last]
     vals = plain[last + 1]
@@ -271,8 +280,10 @@ def synthetic_transform(sample: CensoredSample, step: SurvivalStep, order: int) 
 
 def _synthetic_responses(sample: CensoredSample, step: SurvivalStep, orders) -> dict:
     """{order: synthetic_transform(sample, step, order).values}, checking the
-    responses and evaluating the step's left limits once for every order."""
-    uncensored = sample.delta == 1
+    sample, the step and the responses and evaluating the step's left limits
+    once for every order."""
+    uncensored = _check_sample(sample).delta == 1
+    _check_instance(step, SurvivalStep, "step")
     _check_responses(sample.y, uncensored, orders)
     gbar = step.eval(sample.y, side="left")
     return {o: _divide_by_survival(sample.y, uncensored, o, gbar) for o in orders}

@@ -24,6 +24,7 @@ from llrer import (
     calibrate_censoring,
     cr_point,
     cv_score,
+    error_metrics,
     fit_curve,
     fit_curves,
     generate_sample,
@@ -38,6 +39,7 @@ from llrer import (
     select_bandwidth,
     select_bandwidths,
     synthetic_transform,
+    theoretical_curve,
 )
 
 SAMPLE = CensoredSample([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], [0.0, 1.0, 2.0, 3.0])
@@ -145,6 +147,7 @@ def test_stored_values_are_python_numbers():
 
 STEP = km_censoring_survival(SAMPLE)
 CONFIG = EstimatorConfig(0.5)
+RESPONSES = [synthetic_transform(SAMPLE, STEP, 1)]
 GAUSSIAN = KernelKind.GAUSSIAN
 
 # (argument, call with the value, the message's "must be" part); each is fed every value of NOT_AN_INSTANCE
@@ -164,6 +167,24 @@ TYPED = [
      "config", "an EstimatorConfig"),
     ("cr_point.config", lambda v: cr_point(SAMPLE, STEP, v, 1.0), "config", "an EstimatorConfig"),
     ("llrer_point_naive.config", lambda v: llrer_point_naive(SAMPLE, STEP, v, 1.0), "config", "an EstimatorConfig"),
+    ("cr_point.sample", lambda v: cr_point(v, STEP, CONFIG, 1.0), "sample", "a CensoredSample"),
+    ("llcr_point_naive.sample", lambda v: llcr_point_naive(v, STEP, CONFIG, 1.0, responses=RESPONSES), "sample",
+     "a CensoredSample"),
+    ("moment_statistics.sample", lambda v: moment_statistics(v, RESPONSES, CONFIG, 1.0), "sample", "a CensoredSample"),
+    ("synthetic_transform.sample", lambda v: synthetic_transform(v, STEP, 1), "sample", "a CensoredSample"),
+    ("km_censoring_survival.sample", lambda v: km_censoring_survival(v), "sample", "a CensoredSample"),
+    ("fit_curve.sample", lambda v: fit_curve(Estimator.CR, v, CONFIG, [0.0, 1.0]), "sample", "a CensoredSample"),
+    ("select_bandwidth.sample", lambda v: select_bandwidth(Estimator.CR, v, GAUSSIAN, GRID), "sample",
+     "a CensoredSample"),
+    ("inject_outliers.sample", lambda v: inject_outliers(v, 1, 2.0, 0), "sample", "a CensoredSample"),
+    ("llrer_point.step", lambda v: llrer_point(SAMPLE, v, CONFIG, 1.0), "step", "a SurvivalStep"),
+    ("llcr_point_naive.step", lambda v: llcr_point_naive(SAMPLE, v, CONFIG, 1.0), "step", "a SurvivalStep"),
+    ("synthetic_transform.step", lambda v: synthetic_transform(SAMPLE, v, 1), "step", "a SurvivalStep"),
+    ("llrer_point.responses", lambda v: llrer_point(SAMPLE, STEP, CONFIG, 1.0, responses=[v]), "responses entry",
+     "a SyntheticResponses"),
+    ("moment_statistics.responses", lambda v: moment_statistics(SAMPLE, RESPONSES + [v], CONFIG, 1.0),
+     "responses entry", "a SyntheticResponses"),
+    ("error_metrics.curve", lambda v: error_metrics(v, theoretical_curve), "curve", "a FittedCurve"),
 ]
 
 NOT_AN_INSTANCE = [("cr", "'cr'"), (0.5, "0.5"), ((0.1, 1.0, 0.1), "(0.1, 1.0, 0.1)"), (True, "True")]
@@ -185,6 +206,8 @@ NOT_A_COLLECTION = [
     ("select_bandwidths.estimators", lambda v: select_bandwidths(v, SAMPLE, GAUSSIAN, GRID), "estimators",
      "a collection (not a string)"),
     ("SimulationConfig.estimators", lambda v: study(estimators=v), "estimators", "a collection (not a string)"),
+    ("moment_statistics.responses", lambda v: moment_statistics(SAMPLE, v, CONFIG, 1.0), "responses",
+     "a collection (not a string)"),
 ]
 COLLECTION_VALUES = [("llrer", "'llrer'"), ("cr", "'cr'"), (b"cr", "b'cr'"), (Estimator.CR, "<Estimator.CR: 'cr'>"),
                      (None, "None"), (3, "3")]
@@ -200,6 +223,29 @@ COLLECTION_VALUES = [("llrer", "'llrer'"), ("cr", "'cr'"), (b"cr", "b'cr'"), (Es
 def test_rejects_a_collection_argument_of_the_wrong_kind(call, value, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+POINTS = [llrer_point, llrer_point_naive, llcr_point, llcr_point_naive, cr_point]
+LONE = synthetic_transform(SAMPLE, STEP, -1)
+
+
+@pytest.mark.parametrize("point", POINTS)
+@pytest.mark.parametrize(
+    "value, message",
+    [("12", "responses must be a collection (not a string), got '12'"),
+     (LONE, f"responses must be a collection (not a string), got {LONE!r}"),
+     ([1, 2], "responses entry must be a SyntheticResponses, got 1")],
+    ids=("str", "lone", "ints"),
+)
+def test_supplied_responses_must_be_a_collection_of_synthetic_responses(point, value, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        point(SAMPLE, STEP, CONFIG, 1.0, responses=value)
+
+
+@pytest.mark.parametrize("point", POINTS)
+def test_supplied_responses_need_no_step(point):
+    every_order = [synthetic_transform(SAMPLE, STEP, o) for o in (-1, 1, 2)]
+    assert point(SAMPLE, None, CONFIG, 1.0, responses=every_order) == point(SAMPLE, STEP, CONFIG, 1.0)
 
 
 def test_estimators_may_be_any_other_collection():
@@ -235,7 +281,6 @@ def test_numpy_bools_are_bools():
         )
 
 
-RESPONSES = [synthetic_transform(SAMPLE, STEP, 1)]
 AT_POINT = [
     ("llrer_point", lambda x: llrer_point(SAMPLE, STEP, CONFIG, x)),
     ("llrer_point_naive", lambda x: llrer_point_naive(SAMPLE, STEP, CONFIG, x)),

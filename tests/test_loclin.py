@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from llrer import (
     FittedCurve,
     KernelKind,
     cr_point,
+    cv_score,
     fit_curve,
     fit_curves,
     km_censoring_survival,
@@ -660,6 +662,40 @@ class TestFitCurves:
             for calls, bandwidths in enumerate(DISTINCT_BANDWIDTHS, start=1):
                 fit_curves({est: EstimatorConfig(h) for est, h in bandwidths.items()}, s, [0.0, 0.5])
                 assert evals.call_count == calls
+
+
+# responses near the largest float: at h = 1000 the LLCR and LLRER products of sums, and CV's sums of CR,
+# overflow
+OVERFLOWING = CensoredSample([1e307, 1.5e307, 1.7e307, 1e307], [1, 1, 1, 1], [0.0, 100.0, 200.0, 300.0])
+POINT_OF = {Estimator.LLRER: llrer_point, Estimator.LLCR: llcr_point, Estimator.CR: cr_point}
+
+
+def estimates_of(call, estimator, kernel):
+    """(values, flags) of a curve over 0, 100, 200 or of a point at 100 on OVERFLOWING, at h = 1000."""
+    config = EstimatorConfig(1000.0, kernel)
+    if call == "curve":
+        curve = fit_curve(estimator, OVERFLOWING, config, [0.0, 100.0, 200.0])
+        return curve.values, curve.degenerate
+    value, degenerate = POINT_OF[estimator](OVERFLOWING, km_censoring_survival(OVERFLOWING), config, 100.0)
+    return np.array([value]), np.array([degenerate])
+
+
+@pytest.mark.parametrize("kernel", list(KernelKind))
+@pytest.mark.parametrize("estimator", list(Estimator))
+class TestOverflowedSums:
+    @pytest.mark.parametrize("call", ["curve", "point"])
+    def test_estimate_is_finite_or_flagged_without_a_warning(self, estimator, kernel, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, degenerate = estimates_of(call, estimator, kernel)
+        assert np.all(np.isfinite(values))
+        assert np.all(values[degenerate] == 0.0)
+
+    def test_cv_score_is_a_number_or_inf_without_a_warning(self, estimator, kernel):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = cv_score(estimator, OVERFLOWING, kernel, 1000.0)
+        assert not math.isnan(score)
 
 
 class TestFittedCurve:

@@ -8,6 +8,7 @@ import llrer
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "bench"
+SRC = ROOT / "src" / "llrer"
 
 
 def bench_imports() -> dict:
@@ -48,18 +49,15 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch):
 
 
 def unused_imports(path: Path) -> list:
-    """Names that a module imports but neither uses nor lists in __all__."""
+    """Names that a module imports but does not use; a star import re-exports, so it is not counted."""
     tree = ast.parse(path.read_text(), str(path))
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(((alias.asname or alias.name).split(".")[0], node.lineno) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names if alias.name != "*")
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):  # the re-exports of llrer/__init__.py
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
     return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used)
 
 
@@ -67,3 +65,41 @@ def test_no_module_imports_a_name_it_does_not_use():
     modules = sorted((ROOT / "src" / "llrer").glob("*.py"))
     assert modules
     assert [entry for path in modules for entry in unused_imports(path)] == []
+
+
+def star_imported_modules() -> list:
+    """The modules that llrer/__init__.py star-imports, in the order it imports them."""
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [
+        node.module for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and [a.name for a in node.names] == ["*"]
+    ]
+
+
+def declared_names(module: str) -> list:
+    """The literal __all__ of src/llrer/<module>.py, asserting that it lists only names the module binds itself."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    declared = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    ]
+    assert len(declared) == 1, f"{module} has no single __all__"
+    names = ast.literal_eval(declared[0])  # a ValueError unless it is a literal
+    assert isinstance(names, list) and all(isinstance(name, str) for name in names)
+    own = set()
+    for node in tree.body:  # def, class and assignment; an import is not a definition
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            own.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert [name for name in names if name not in own] == [], f"{module} re-exports names"
+    return names
+
+
+def test_each_public_name_is_declared_once_by_the_module_that_defines_it():
+    modules = star_imported_modules()
+    assert modules
+    names = [name for module in modules for name in declared_names(module)]
+    assert len(set(names)) == len(names), "a name is declared by two modules"
+    assert llrer.__all__ == ["__version__", *names]
