@@ -22,7 +22,7 @@ its place in it; this module holds the grid, the windows, the folds, the
 scores and the selection. Each bandwidth evaluates only the window of columns within its
 kernel's support of the block, a superset of the non-zero weights: every
 column for the Gaussian kernel, whose scores do not depend on the block
-size. A group's factors and the block size are the
+size. A column pair's factors and the block size are the
 same whichever estimators are scored, so no trace depends on the others
 scored with it. The workspace is O(n * block) instead of O(n^2), next to one
 stored prediction per fold, bandwidth and estimator.
@@ -147,8 +147,10 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
             preds[e][:, block] = values
             degenerate[e] += flags.sum(axis=1)
     with np.errstate(over="ignore"):  # an overflowing score is inf, never nan, as in simulate's error metrics
-        scores = {e: [float(np.sum((target - p) ** 2)) for p in preds[e]] for e in estimators}
-    return {e: tuple(map(CVPoint, hs, scores[e], degenerate[e].tolist())) for e in estimators}
+        for p in preds.values():  # each prediction's squared error, in place
+            np.subtract(target, p, out=p)
+            np.square(p, out=p)
+    return {e: tuple(map(CVPoint, hs, preds[e].sum(axis=1).tolist(), degenerate[e].tolist())) for e in estimators}
 
 
 def cv_score(
@@ -196,6 +198,7 @@ def select_bandwidth(
 
 
 def write_cv_trace_csv(trace, path) -> None:
-    """Write a selection trace as CSV with columns h,score,degenerate_folds."""
+    """Write a selection trace, a collection of CVPoint, as CSV with columns h,score,degenerate_folds."""
+    trace = [_check_instance(p, CVPoint, "trace entry") for p in _check_collection(trace, "trace")]
     rows = ((repr(float(p.h)), repr(float(p.score)), str(int(p.degenerate_folds))) for p in trace)
     _write_csv(path, ("h", "score", "degenerate_folds"), rows)

@@ -1,22 +1,23 @@
 """Point estimators on censored samples: LLRER, LLCR and CR.
 
-LLRER is the local linear fit under squared relative error, LLCR the
-classical local linear fit on the synthetic responses and CR the
-Nadaraya-Watson form. Point estimates, curves and cross-validation share one
-weighting rule, K(dx^2 / h^2) from the capped squared offsets of _offsets,
-one table of kernel sums, _SUMS, and one ratio formula, _ratio_terms, read
-from the five sums of each group of estimators, with one evaluation point
-per row. Points, curves and moment_statistics use each weight once: one
-matrix product per point gives its moments sum_j w_j dx_j^g c_j over the
-columns c of 1 and the synthetic responses (_moments), and each group reads
-its five sums out of them through the table. Cross-validation reuses a
-block of folds over every bandwidth, so it builds each sum's factor, its
-column times dx^g, once per block from the same table (_fold_products, the
-precomputation of Fan & Marron, 1994) and takes the sums of a fixed-size
-chunk of bandwidths, 16 with the Gaussian kernel and one with a compact
-kernel, with one matrix product per fold (_fold_estimates). The quadratic
-double-sum forms of LLRER and LLCR, weighed by scaled_kernel, are shipped
-alongside as permanent cross-checks for that path.
+Each estimator is one row of _GROUP, a pair (r, v) of the columns 1 and the
+synthetic responses: the local linear least-squares fit of r / v with
+weights v * K. LLRER, the fit under squared relative error, is the pair
+(tau1, tau2), LLCR the classical fit of the pair (tau-1, 1) and CR the
+Nadaraya-Watson, local constant, fit of LLCR's pair. Point estimates, curves
+and cross-validation share one weighting rule, K(dx^2 / h^2) from the capped
+squared offsets of _offsets, one table of kernel sums, _SUMS, five per pair,
+and one ratio formula, _ratio_terms. Points, curves and moment_statistics
+use each weight once: one matrix product per point gives its moments
+sum_j w_j dx_j^g c_j over the columns c (_moments), and each pair reads its
+five sums out of them through the table. Cross-validation reuses a block of
+folds over every bandwidth, so it builds each sum's factor, its column times
+dx^g, once per block from the same table (_fold_products, the precomputation
+of Fan & Marron, 1994) and takes the sums of a fixed-size chunk of
+bandwidths, 16 with the Gaussian kernel and one with a compact kernel, with
+one matrix product per fold (_fold_estimates). The quadratic double-sum
+forms of LLRER and LLCR, weighed by scaled_kernel, are shipped alongside as
+permanent cross-checks for that path.
 
 A point where the fit's denominator vanishes, or whose ratio is not finite
 because its sums overflow, is degenerate: it reports the value 0 together
@@ -135,20 +136,16 @@ def moment_statistics(
     return MomentStatistics(x, m[:, 0], {o: m[:, _COLUMNS.index(o)] for o in tau})
 
 
-# The five kernel sums of each group of estimators, in the order _ratio_terms reads them. Sum (g, c) is
-# sum_j w_j * dx_j**g * column c over the columns _COLUMNS: 1 and the synthetic responses of orders -1, 1
-# and 2. LLRER reads (s10, s11, s20, s21, s22), LLCR and CR (t0, t1, p0, p1, p2)
+# Sum (g, c) is sum_j w_j * dx_j**g * column c of _COLUMNS: 1 and the synthetic responses of orders -1, 1 and 2
 _COLUMNS = (None, -1, 1, 2)
-_RELATIVE, _CLASSICAL = "relative", "classical"
-_SUMS = {
-    _RELATIVE: ((0, 2), (1, 2), (0, 3), (1, 3), (2, 3)),
-    _CLASSICAL: ((0, 1), (1, 1), (0, 0), (1, 0), (2, 0)),
-}
-_GROUP = {Estimator.LLRER: _RELATIVE, Estimator.LLCR: _CLASSICAL, Estimator.CR: _CLASSICAL}
-
-
-# the synthetic-response orders of the columns that an estimator's sums read
-_REQUIRED_ORDERS = {e: tuple(dict.fromkeys(_COLUMNS[c] for _, c in _SUMS[g] if c)) for e, g in _GROUP.items()}
+# Each estimator's local fit as a column pair (r, v) of _COLUMNS: the local linear least-squares fit of r / v with
+# weights v * K, so LLRER fits tau1 / tau2 with weights tau2 * K and LLCR tau-1 with weights K. CR is the local
+# constant fit of LLCR's pair
+_GROUP = {Estimator.LLRER: (2, 3), Estimator.LLCR: (1, 0), Estimator.CR: (1, 0)}
+# The five sums of each pair, in the order _ratio_terms reads them: t0, t1 over r and p0, p1, p2 over v
+_SUMS = {(r, v): ((0, r), (1, r), (0, v), (1, v), (2, v)) for r, v in _GROUP.values()}
+# the synthetic-response orders of the columns that an estimator's pair reads
+_REQUIRED_ORDERS = {e: tuple(_COLUMNS[c] for c in pair if c) for e, pair in _GROUP.items()}
 
 
 def required_orders(estimator: Estimator) -> tuple:
@@ -181,19 +178,15 @@ def _moments(tau: np.ndarray, dx: np.ndarray, dx2: np.ndarray, w: np.ndarray) ->
 
 
 def _ratio_terms(estimators, sums) -> dict:
-    """{estimator: (numerator, denominator, degeneracy scale)} from the five sums of its group (_SUMS).
-    A product that overflows gives an inf or nan term, which _masked_ratio flags."""
+    """{estimator: (numerator, denominator, degeneracy scale)} from the five sums t0, t1, p0, p1, p2 of its
+    pair (_SUMS): the local linear ratio (p2 t0 - p1 t1) / (p2 p0 - p1^2) at scale |p2 p0|, and for CR the
+    local constant t0 / p0. A product that overflows gives an inf or nan term, which _masked_ratio flags."""
     out = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        if Estimator.LLRER in estimators:
-            s10, s11, s20, s21, s22 = sums[_RELATIVE]
-            out[Estimator.LLRER] = (s22 * s10 - s21 * s11, s22 * s20 - s21 * s21, np.abs(s22 * s20))
-        if Estimator.LLCR in estimators:
-            t0, t1, p0, p1, p2 = sums[_CLASSICAL]
-            out[Estimator.LLCR] = (p2 * t0 - p1 * t1, p2 * p0 - p1 * p1, np.abs(p2 * p0))
-    if Estimator.CR in estimators:
-        t0, _, p0, _, _ = sums[_CLASSICAL]
-        out[Estimator.CR] = (t0, p0, np.ones_like(p0))
+        for e in estimators:
+            t0, t1, p0, p1, p2 = sums[_GROUP[e]]
+            out[e] = ((t0, p0, np.ones_like(p0)) if e is Estimator.CR
+                      else (p2 * t0 - p1 * t1, p2 * p0 - p1 * p1, np.abs(p2 * p0)))
     return out
 
 
@@ -239,28 +232,28 @@ def _offsets(columns: np.ndarray, points: np.ndarray):
 def _estimates(estimators, sample, tau, config, points) -> dict:
     """{estimator: (estimates, degenerate flags)} at each of points from tau = {order: synthetic
     responses}, in blocks of rows; each block evaluates the kernel and the moments once for every
-    estimator, and each group reads its five sums out of the moments through _SUMS."""
+    estimator, and each pair of columns reads its five sums out of the moments through _SUMS."""
     out = {e: (np.empty(points.size), np.empty(points.size, dtype=bool)) for e in estimators}
     tau = _columns(tau, sample.n)
     for block in _blocks(points.size, sample.n):
         dx, dx2 = _offsets(sample.x, points[block])
         m = _moments(tau, dx, dx2, _kernel_of_squares(config.kernel, dx2, config.bandwidth))
-        terms = _ratio_terms(estimators, {group: [m[:, g, c] for g, c in sums] for group, sums in _SUMS.items()})
+        terms = _ratio_terms(estimators, {pair: [m[:, g, c] for g, c in sums] for pair, sums in _SUMS.items()})
         for e, (values, degenerate) in out.items():
             values[block], degenerate[block] = _masked_ratio(*terms[e], config.denominator_epsilon)
     return out
 
 
 # Factor entries a block of folds builds per (fold, column): five for each
-# group of estimators, counted whichever estimators are asked for, so the
-# blocks, their windows and so the traces are the same for every subset
-_FOLD_FACTORS = 10
+# pair of _SUMS, counted whichever estimators are asked for, so the blocks,
+# their windows and so the traces are the same for every subset
+_FOLD_FACTORS = 5 * len(_SUMS)
 
 
-def _fold_products(groups, tau, columns: np.ndarray, points: np.ndarray, own: int):
-    """({group: (folds, 5, columns) factors}, dx2) of a block of folds at points.
+def _fold_products(pairs, tau, columns: np.ndarray, points: np.ndarray, own: int):
+    """({pair: (folds, 5, columns) factors}, dx2) of a block of folds at points.
 
-    Factor k of a group is column c times dx**g for its sum (g, c) in _SUMS,
+    Factor k of a pair is column c times dx**g for its sum (g, c) in _SUMS,
     so one matrix product with a fold's weights gives its five sums. They are
     capped at the largest float, so a far column, whose weight is 0, adds 0.
     Fold r's own column, own + r, is 0 in every factor.
@@ -271,9 +264,9 @@ def _fold_products(groups, tau, columns: np.ndarray, points: np.ndarray, own: in
     folds = np.arange(points.size)
     products = {}
     with np.errstate(over="ignore"):  # each overflow is capped
-        for group in groups:
-            p = products[group] = np.empty((points.size, 5, columns.size))
-            for k, (g, c) in enumerate(_SUMS[group]):
+        for pair in pairs:
+            p = products[pair] = np.empty((points.size, 5, columns.size))
+            for k, (g, c) in enumerate(_SUMS[pair]):
                 if g and c:
                     np.multiply(values[c], powers[g], out=p[:, k])
                 else:  # a factor of 1: copy the other, which costs less than multiplying by 1.0
@@ -295,12 +288,12 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
     """{estimator: (predictions, degenerate flags)}, each of shape (len(hs), folds), of a block of folds.
 
     tau[order] holds one row of leave-one-out responses over columns per fold, fold r is evaluated at
-    points[r] and its own column is own + r. The block builds each group's factors once. Bandwidth
+    points[r] and its own column is own + r. The block builds each pair's factors once. Bandwidth
     hs[k] weighs columns starts[k]:stops[k] of them, windows = (starts, stops), with the weights of
     _estimates. The bandwidths go in chunks: _CHUNK of them for the Gaussian kernel, whose windows
     hold every column, and one for a compact kernel, so each keeps its own narrow window. A chunk's
     weights are laid out bandwidth-major over the window of its widest bandwidth, the last chunk
-    padded with zero weights to full size, and each group's sums of a fold take one matrix product
+    padded with zero weights to full size, and each pair's sums of a fold take one matrix product
     with them. The ratios of every bandwidth and fold follow at once.
     """
     products, dx2 = _fold_products(dict.fromkeys(_GROUP[e] for e in estimators), tau, columns, points, own)
@@ -308,7 +301,7 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
     hs = np.asarray(hs, dtype=float)[:, None, None]
     firsts = np.arange(0, len(hs), size)
     starts, stops = np.minimum.reduceat(windows[0], firsts).tolist(), np.maximum.reduceat(windows[1], firsts).tolist()
-    sums = {g: np.empty((firsts.size, points.size, 5, size)) for g in products}  # chunk, fold, sum, bandwidth
+    sums = {pair: np.empty((firsts.size, points.size, 5, size)) for pair in products}  # chunk, fold, sum, bandwidth
     w = np.empty(size * dx2.size)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _moments: an overflowed sum is unread or flagged
         for i, (lo, start, stop) in enumerate(zip(firsts.tolist(), starts, stops)):
@@ -317,9 +310,9 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
             _kernel_of_squares(kernel, dx2[:, start:stop], chunk, out=weights[: len(chunk)])
             if len(chunk) < size:  # the last chunk, padded with zero weights
                 weights[len(chunk) :] = 0.0
-            for g, factors in products.items():
-                np.matmul(factors[:, :, start:stop], weights.transpose(1, 2, 0), out=sums[g][i])
-    fold_sums = {g: s.transpose(2, 0, 3, 1).reshape(5, -1, points.size)[:, : len(hs)] for g, s in sums.items()}
+            for pair, factors in products.items():
+                np.matmul(factors[:, :, start:stop], weights.transpose(1, 2, 0), out=sums[pair][i])
+    fold_sums = {pair: s.transpose(2, 0, 3, 1).reshape(5, -1, points.size)[:, : len(hs)] for pair, s in sums.items()}
     terms = _ratio_terms(estimators, fold_sums)
     return {e: _masked_ratio(*terms[e], eps) for e in estimators}
 
@@ -386,10 +379,11 @@ def llrer_point_naive(
     d = sample.x - x
     k = scaled_kernel(config.kernel, config.bandwidth, d)
     d = np.where(k != 0.0, d, 0.0)  # a zero-weight record adds exactly 0, and a far one's d * d cannot overflow
-    base = d[:, None] * (d[:, None] - d[None, :]) * k[:, None] * k[None, :] * tau2[:, None]
-    num = float((base * tau1[None, :]).sum())
-    den = float((base * tau2[None, :]).sum())
-    lead = float(((d * d * k * tau2)[:, None] * (k * tau2)[None, :]).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is flagged, as in the fast path
+        base = d[:, None] * (d[:, None] - d[None, :]) * k[:, None] * k[None, :] * tau2[:, None]
+        num = float((base * tau1[None, :]).sum())
+        den = float((base * tau2[None, :]).sum())
+        lead = float(((d * d * k * tau2)[:, None] * (k * tau2)[None, :]).sum())
     return _first_point(*_masked_ratio(np.array([num]), np.array([den]), abs(lead), config.denominator_epsilon))
 
 
@@ -417,10 +411,11 @@ def llcr_point_naive(
     d = sample.x - x
     k = scaled_kernel(config.kernel, config.bandwidth, d)
     d = np.where(k != 0.0, d, 0.0)  # a zero-weight record adds exactly 0, and a far one's d * d cannot overflow
-    v = d[:, None] * (d[:, None] - d[None, :]) * k[:, None] * k[None, :]
-    num = float((v * tau[None, :]).sum())
-    den = float(v.sum())
-    lead = float(((d * d * k)[:, None] * k[None, :]).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows is flagged, as in the fast path
+        v = d[:, None] * (d[:, None] - d[None, :]) * k[:, None] * k[None, :]
+        num = float((v * tau[None, :]).sum())
+        den = float(v.sum())
+        lead = float(((d * d * k)[:, None] * k[None, :]).sum())
     return _first_point(*_masked_ratio(np.array([num]), np.array([den]), abs(lead), config.denominator_epsilon))
 
 
@@ -491,5 +486,6 @@ def _curve_rows(curve: FittedCurve, xs, *lead):
 
 def write_curve_csv(curve: FittedCurve, path) -> None:
     """Write a fitted curve as CSV with columns x,estimate,degenerate."""
+    _check_instance(curve, FittedCurve, "curve")
     _write_csv(path, ("x", "estimate", "degenerate"), _curve_rows(curve, map(repr, curve.grid.tolist())))
 

@@ -384,6 +384,7 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
     for any jobs >= 1; jobs > 1 runs them in at most min(jobs, replications,
     CPU count) worker processes.
     """
+    _check_instance(config, SimulationConfig, "config")
     jobs = _check_integer(jobs, "jobs", 1)
     if config.c is not None:
         c = config.c
@@ -406,6 +407,7 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
 
 def write_curves_csv(report: SimulationReport, path) -> None:
     """Per-replication curves on the config's grid as CSV rep,estimator,x,estimate,degenerate."""
+    _check_instance(report, SimulationReport, "report")
     xs = [repr(x) for x in report.config.grid.tolist()]  # formatted once for every curve
     rows = chain.from_iterable(
         _curve_rows(r.curves[est], xs, str(r.rep), est.value)
@@ -416,6 +418,7 @@ def write_curves_csv(report: SimulationReport, path) -> None:
 
 def write_summary_csv(report: SimulationReport, path) -> None:
     """Aggregate metrics as CSV estimator,metric,median,q1,q3."""
+    _check_instance(report, SimulationReport, "report")
     rows = ((est, metric, *map(repr, quartiles)) for est, metric, *quartiles in report.summary_rows())
     _write_csv(path, ("estimator", "metric", "median", "q1", "q3"), rows)
 
@@ -496,6 +499,7 @@ def config_lines(config: SimulationConfig) -> list:
     """Print a config as the `key = value` lines that load_simulation_config
     reads back to an equal config; keys whose value is None are left out.
     Raises ConfigError for a grid that no lo:hi:count spec reproduces."""
+    _check_instance(config, SimulationConfig, "config")
     lines = []
     for key in _KEYS:
         value = getattr(config.cv_grid, key.part, None) if key.part else getattr(config, key.name)

@@ -325,6 +325,8 @@ def read_sample_csv(path) -> CensoredSample:
 def _write_csv(path, header, rows) -> None:
     """Write a CSV file of one header row and then rows, each a sequence of text fields, in one write.
     No field holds a comma, quote or line break, so these are the bytes csv.writer writes: fields
-    joined by commas, and every line ended by CRLF."""
+    joined by commas, and every line ended by CRLF. The text is built before the file is opened, so a
+    row that fails leaves an existing file as it was."""
+    text = "\r\n".join(map(",".join, chain([header], rows))) + "\r\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(map(",".join, chain([header], rows))) + "\r\n")
+        fh.write(text)

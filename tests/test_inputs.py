@@ -22,6 +22,7 @@ from llrer import (
     KernelKind,
     SimulationConfig,
     calibrate_censoring,
+    config_lines,
     cr_point,
     cv_score,
     error_metrics,
@@ -40,6 +41,10 @@ from llrer import (
     select_bandwidths,
     synthetic_transform,
     theoretical_curve,
+    write_curve_csv,
+    write_curves_csv,
+    write_cv_trace_csv,
+    write_summary_csv,
 )
 
 SAMPLE = CensoredSample([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 1], [0.0, 1.0, 2.0, 3.0])
@@ -185,6 +190,8 @@ TYPED = [
     ("moment_statistics.responses", lambda v: moment_statistics(SAMPLE, RESPONSES + [v], CONFIG, 1.0),
      "responses entry", "a SyntheticResponses"),
     ("error_metrics.curve", lambda v: error_metrics(v, theoretical_curve), "curve", "a FittedCurve"),
+    ("monte_carlo_run.config", lambda v: monte_carlo_run(v), "config", "a SimulationConfig"),
+    ("config_lines.config", lambda v: config_lines(v), "config", "a SimulationConfig"),
 ]
 
 NOT_AN_INSTANCE = [("cr", "'cr'"), (0.5, "0.5"), ((0.1, 1.0, 0.1), "(0.1, 1.0, 0.1)"), (True, "True")]
@@ -223,6 +230,29 @@ COLLECTION_VALUES = [("llrer", "'llrer'"), ("cr", "'cr'"), (b"cr", "b'cr'"), (Es
 def test_rejects_a_collection_argument_of_the_wrong_kind(call, value, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+# (writer, its first argument's name, the message's "must be" part, the values it is fed)
+WRITERS = [
+    (write_curves_csv, "report", "a SimulationReport", NOT_AN_INSTANCE + [(None, "None")]),
+    (write_summary_csv, "report", "a SimulationReport", NOT_AN_INSTANCE + [(None, "None")]),
+    (write_curve_csv, "curve", "a FittedCurve", NOT_AN_INSTANCE + [(None, "None")]),
+    (write_cv_trace_csv, "trace", "a collection (not a string)", COLLECTION_VALUES),
+    (write_cv_trace_csv, "trace entry", "a CVPoint", [([1], "1"), ([(0.5, 1.0, 0)], "(0.5, 1.0, 0)")]),
+]
+
+
+@pytest.mark.parametrize(
+    "writer, value, message",
+    [pytest.param(writer, value, f"{name} must be {kind}, got {shown}", id=f"{writer.__name__}.{name}-{shown}")
+     for writer, name, kind, values in WRITERS for value, shown in values],
+)
+def test_a_writer_rejects_its_argument_and_leaves_the_file_as_it_was(tmp_path, writer, value, message):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"kept\r\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        writer(value, path)
+    assert path.read_bytes() == b"kept\r\n"
 
 
 POINTS = [llrer_point, llrer_point_naive, llcr_point, llcr_point_naive, cr_point]

@@ -30,6 +30,7 @@ from llrer import (
     generate_sample,
     moment_statistics,
     required_orders,
+    scaled_kernel,
     SurvivalStep,
     SyntheticResponses,
     synthetic_transform,
@@ -311,6 +312,32 @@ class TestReproduction:
         for x0 in (-0.5, 0.0, 0.8):
             assert llrer_point(s, step, cfg, x0).value == pytest.approx(a * x0 + b, abs=1e-8)
             assert llcr_point(s, step, cfg, x0).value == pytest.approx(a * x0 + b, abs=1e-8)
+
+
+@pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+@pytest.mark.parametrize("kernel", list(KernelKind))
+@pytest.mark.parametrize("estimator", [Estimator.LLRER, Estimator.LLCR])
+def test_point_is_the_weighted_least_squares_fit_of_its_loss(estimator, kernel):
+    # LLRER minimises sum_j K_j tau2_j (tau1_j / tau2_j - a - b d_j)^2, the censored squared relative error,
+    # and LLCR sum_j K_j (tau-1_j - a - b d_j)^2; each estimate is the intercept a of its fit
+    fitted = 0
+    for seed in range(40):
+        s = generate_sample(60, -1.113, seed).sample
+        step = km_censoring_survival(s)
+        r, w = ((synthetic_transform(s, step, o).values for o in (1, 2)) if estimator is Estimator.LLRER
+                else (synthetic_transform(s, step, -1).values, np.ones(s.n)))
+        keep = w > 0
+        for h, x in itertools.product((0.3, 0.8), (-0.5, 0.0, 0.7)):
+            got = POINT_FN[estimator](s, step, EstimatorConfig(h, kernel), x)
+            if got.degenerate:
+                continue
+            d = s.x[keep] - x
+            root = np.sqrt(scaled_kernel(kernel, h, d) * w[keep])
+            design = root[:, None] * np.column_stack((np.ones(d.size), d))
+            (intercept, _), *_ = np.linalg.lstsq(design, root * r[keep] / w[keep], rcond=None)
+            assert got.value == pytest.approx(intercept, rel=1e-9), (seed, h, x)
+            fitted += 1
+    assert fitted > 200
 
 
 class TestCrPoint:
@@ -696,6 +723,25 @@ class TestOverflowedSums:
             warnings.simplefilter("error")
             score = cv_score(estimator, OVERFLOWING, kernel, 1000.0)
         assert not math.isnan(score)
+
+
+# responses near the smallest float: at h = 5000 the double sums of LLRER's oracle over tau2 ~ 1e200 overflow
+TINY_RESPONSES = CensoredSample([1e-100, 2e-100, 3e-100, 4e-100], [1, 1, 1, 1], [0.0, 1e3, 2e3, 3e3])
+
+
+@pytest.mark.parametrize("kernel", list(KernelKind))
+@pytest.mark.parametrize(
+    "fast, naive, sample, h, x",
+    [(llcr_point, llcr_point_naive, OVERFLOWING, 1000.0, 100.0),
+     (llrer_point, llrer_point_naive, TINY_RESPONSES, 5e3, 1500.0)],
+    ids=["llcr-huge-responses", "llrer-tiny-responses"],
+)
+def test_naive_oracle_flags_an_overflowed_sum_without_a_warning(fast, naive, sample, h, x, kernel):
+    config, step = EstimatorConfig(h, kernel), km_censoring_survival(sample)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = naive(sample, step, config, x)
+    assert got == fast(sample, step, config, x) == (0.0, True)
 
 
 class TestFittedCurve:
