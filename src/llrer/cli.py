@@ -4,9 +4,9 @@ campaigns and censoring calibration with file-based I/O.
 Exit codes are a stable contract: 0 success, 2 input data error, 3
 configuration error, 4 I/O error (unwritable outputs), 5 simulate wrote its
 outputs but at least one replication failed. All randomness flows
-from a seed: the --seed flag for calibrate, the config file's seed (or the
---seed override) for simulate; estimation and bandwidth selection are
-deterministic and take none.
+from the config file's seed (or the --seed override) of simulate;
+estimation, bandwidth selection and calibration, which computes the
+censoring proportion exactly, are deterministic and take none.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from pathlib import Path
 
 from . import __version__
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidth, write_cv_trace_csv
-from .errors import CalibrationError, ConfigError, DataError
+from .errors import ConfigError, DataError
 from .kernels import _DEFAULT_KERNEL, KernelKind
 from .loclin import Estimator, EstimatorConfig, fit_curve, write_curve_csv
 from .simulate import (
-    DEFAULT_CALIBRATION_TOLERANCE,
     DEFAULT_GRID_SPEC,
-    _DEFAULT_CALIBRATION_SEED,
     calibrate_censoring,
     config_lines,
     load_simulation_config,
@@ -101,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="find the censoring shift c for a target censoring proportion")
     p_cal.add_argument("--target", type=float, required=True, help="target censoring proportion in (0, 1)")
-    p_cal.add_argument(
-        "--tol", type=float, default=DEFAULT_CALIBRATION_TOLERANCE,
-        help="tolerance on the proportion (default %(default)s)",
-    )
-    p_cal.add_argument("--seed", type=int, default=_DEFAULT_CALIBRATION_SEED, help="seed for the calibration draws")
     p_cal.set_defaults(func=_cmd_calibrate)
     return parser
 
@@ -202,7 +195,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    c = calibrate_censoring(args.target, args.tol, seed=args.seed)
+    c = calibrate_censoring(args.target)
     print(f"c={c!r}")
     return EXIT_OK
 
@@ -235,7 +228,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"llrer: input error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigError, CalibrationError) as exc:
+    except ConfigError as exc:
         print(f"llrer: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

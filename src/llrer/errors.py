@@ -13,7 +13,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-__all__ = ["CalibrationError", "ConfigError", "DataError", "LLRERError"]
+__all__ = ["ConfigError", "DataError", "LLRERError"]
 
 
 class LLRERError(Exception):
@@ -26,10 +26,6 @@ class DataError(LLRERError, ValueError):
 
 class ConfigError(LLRERError, ValueError):
     """Invalid configuration or parameter value."""
-
-
-class CalibrationError(LLRERError, RuntimeError):
-    """Censoring calibration could not reach the requested tolerance."""
 
 
 _NUMBERS = (int, float, np.integer, np.floating)

@@ -11,28 +11,28 @@ positive_only=True switches to rejection sampling on (X, e) for users who
 need strictly positive responses.
 
 Seed discipline: a run consumes one master seed. Child streams derive from
-numpy SeedSequence spawn keys, (0,) for calibration, (1, r, 0) for the data
-of replication r and (1, r, 1) for its outlier selection, so any replication
-can be reproduced in isolation and replications can run in any order or in
-parallel without changing the output.
+numpy SeedSequence spawn keys, (1, r, 0) for the data of replication r and
+(1, r, 1) for its outlier selection, so any replication can be reproduced in
+isolation and replications can run in any order or in parallel without
+changing the output. Calibration is exact and draws nothing; the key (0,)
+that once seeded it stays reserved, so the data keys do not move.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidths
-from .errors import (
-    CalibrationError, ConfigError, _check_bool, _check_collection, _check_instance, _check_integer, _check_real
-)
+from .bandwidth import DEFAULT_BANDWIDTH_GRID, _MAX_GRID_SIZE, BandwidthGrid, select_bandwidths
+from .errors import ConfigError, _check_bool, _check_collection, _check_instance, _check_integer, _check_real
 from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import (
     DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, fit_curves
@@ -48,12 +48,6 @@ __all__ = [
 
 DEFAULT_GRID_SPEC = "1:4:61"
 DEFAULT_CALIBRATION_TOLERANCE = 0.005
-_DEFAULT_CALIBRATION_SEED = 0
-# calibrate_censoring's fixed draws and bisection budget
-_DRAWS = 1_000_000
-_MAX_ITER = 200
-# draws per slice of _draw_event_times's pass over the noise
-_SLICE = 1 << 16
 
 
 def theoretical_curve(x):
@@ -84,30 +78,25 @@ class GeneratedSample:
         return int(np.count_nonzero((self.sample.delta == 1) & (self.sample.y <= 0.0)))
 
 
-def _draw_event_times(rng: np.random.Generator, n: int, positive_only: bool):
-    """(X, T) of n draws of the built-in process; with positive_only, (X, e) is redrawn where T <= 0.
-    T overwrites the noise draws a slice at a time, so no temporary is as long as a draw."""
+def _check_seed(seed):
+    """seed, or a ConfigError unless it is an integer >= 0 or a numpy SeedSequence."""
+    return seed if isinstance(seed, np.random.SeedSequence) else _check_integer(seed, "seed", 0)
+
+
+def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> GeneratedSample:
+    """Draw one sample of the built-in process, deterministic given seed; positive_only redraws (X, e) where T <= 0."""
+    n = _check_integer(n, "n", 1)
+    c = _check_real(c, "c")
+    positive_only = _check_bool(positive_only, "positive_only")
+    rng = np.random.default_rng(_check_seed(seed))
     x = rng.standard_normal(n)
-    t = rng.standard_normal(n)
-    for start in range(0, n, _SLICE):
-        part = slice(start, start + _SLICE)
-        t[part] = 2.0 * x[part] + 1.0 + 0.2 * t[part]
+    t = 2.0 * x + 1.0 + 0.2 * rng.standard_normal(n)
     if positive_only:
         bad = np.flatnonzero(t <= 0.0)
         while bad.size:
             x[bad] = rng.standard_normal(bad.size)
             t[bad] = 2.0 * x[bad] + 1.0 + 0.2 * rng.standard_normal(bad.size)
             bad = bad[t[bad] <= 0.0]
-    return x, t
-
-
-def generate_sample(n: int, c: float, seed, positive_only: bool = False) -> GeneratedSample:
-    """Draw one sample of the built-in process; deterministic given seed."""
-    n = _check_integer(n, "n", 1)
-    c = _check_real(c, "c")
-    positive_only = _check_bool(positive_only, "positive_only")
-    rng = np.random.default_rng(seed)
-    x, t = _draw_event_times(rng, n, positive_only)
     censor = 3.0 + c + rng.standard_normal(n)
     y = np.minimum(t, censor)
     delta = (t <= censor).astype(int)
@@ -119,44 +108,44 @@ _check_target = partial(_check_real, name="target censoring proportion", lo=0, h
 _check_tolerance = partial(_check_real, name="calibration tolerance", lo=0, open_lo=True)
 
 
-def calibrate_censoring(
-    target_cp: float, tolerance: float = DEFAULT_CALIBRATION_TOLERANCE, seed=_DEFAULT_CALIBRATION_SEED,
-    positive_only: bool = False,
-) -> float:
-    """Bisect the censoring shift c to a target censoring proportion.
+@cache
+def _positive_event_nodes():
+    """64 Gauss-Legendre nodes t on [0, 1 + 12 sd] for T ~ N(1, sd^2 = 4.04), and their weights times
+    its density, up to a factor that cancels in _censored_fraction."""
+    u, w = np.polynomial.legendre.leggauss(64)
+    t = (0.5 + 6.0 * math.sqrt(4.04)) * (u + 1.0)
+    return tuple(t.tolist()), tuple((w * np.exp((t - 1.0) ** 2 / -8.08)).tolist())
 
-    One fixed set of _DRAWS draws of generate_sample's process, positive_only
-    included, is reused across bisection steps, so the Monte Carlo censoring
-    proportion is monotone non-increasing in c and the bisection is well
-    behaved. Raises CalibrationError when the tolerance is unattainable within
-    _MAX_ITER steps (the estimate moves in steps of 1 / _DRAWS, so tolerances
-    below that cannot be met). The margin T - 3 - z is formed in place in the
-    buffer of T, so calibration holds about two arrays of _DRAWS floats.
-    """
-    target_cp, tolerance = _check_target(target_cp), _check_tolerance(tolerance)
+
+def _censored_fraction(c: float, positive_only: bool) -> float:
+    """The exact P(T > C) of the built-in process at shift c, where T - C is N(-2 - c, 5.04); with
+    positive_only, P(T > C | T > 0), the mean of P(C < T) over T ~ N(1, 4.04) cut at 0."""
+    if not positive_only:
+        return 0.5 * math.erfc((2.0 + c) / math.sqrt(10.08))
+    t, mass = _positive_event_nodes()
+    # fsum rounds the exact sum, so each sum is monotone in its terms and the proportion in c
+    return math.fsum(m * 0.5 * math.erfc((3.0 + c - s) / math.sqrt(2.0)) for s, m in zip(t, mass)) / math.fsum(mass)
+
+
+def calibrate_censoring(
+    target_cp: float, tolerance: float = DEFAULT_CALIBRATION_TOLERANCE, seed=0, positive_only: bool = False,
+) -> float:
+    """The censoring shift c at which generate_sample's process, positive_only included, censors the
+    target proportion exactly: a bisection in c over [-100, 100] to a width of 1e-12 inverts
+    _censored_fraction. tolerance and seed are checked but do not change c; they stay so that calls
+    written for the earlier Monte Carlo calibration keep working."""
+    target_cp = _check_target(target_cp)
+    _check_tolerance(tolerance)
     positive_only = _check_bool(positive_only, "positive_only")
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = _check_integer(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    margin = _draw_event_times(rng, _DRAWS, positive_only)[1]
-    # T > C  <=>  (T - 3 - z) > c with C = 3 + c + z
-    margin -= 3.0
-    margin -= rng.standard_normal(_DRAWS)
-    above = np.empty(_DRAWS, dtype=bool)
-    lo, hi = -60.0, 60.0
-    for _ in range(_MAX_ITER):
+    _check_seed(seed)
+    lo, hi = -100.0, 100.0
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        cp = int(np.count_nonzero(np.greater(margin, mid, out=above))) / _DRAWS
-        if abs(cp - target_cp) <= tolerance:
-            return mid
-        if cp > target_cp:
+        if _censored_fraction(mid, positive_only) > target_cp:
             lo = mid
         else:
             hi = mid
-    raise CalibrationError(
-        f"could not reach censoring proportion {target_cp} within +/-{tolerance} "
-        f"in {_MAX_ITER} bisection steps"
-    )
+    return 0.5 * (lo + hi)
 
 
 def _check_outliers(count, multiplier, n: int):
@@ -170,6 +159,7 @@ def inject_outliers(sample: CensoredSample, count: int, multiplier: float, seed)
     Indices are drawn without replacement; delta and x are untouched.
     """
     count, multiplier = _check_outliers(count, multiplier, _check_sample(sample).n)
+    seed = _check_seed(seed)
     if count == 0:
         return sample
     rng = np.random.default_rng(seed)
@@ -389,12 +379,7 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
     if config.c is not None:
         c = config.c
     else:
-        c = calibrate_censoring(
-            config.target_cp,
-            config.calibration_tolerance,
-            seed=np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)),
-            positive_only=config.positive_only,
-        )
+        c = calibrate_censoring(config.target_cp, positive_only=config.positive_only)
     tasks = [(config, c, rep) for rep in range(config.replications)]
     workers = min(jobs, config.replications, os.cpu_count() or 1)
     if workers <= 1:
@@ -435,9 +420,10 @@ def parse_grid_spec(spec: str) -> np.ndarray:
         raise ConfigError(f"grid spec must be lo:hi:count, got {spec!r}") from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ConfigError(f"grid needs finite lo and hi, got {spec!r}")
+    count = _check_integer(count, "evaluation grid size", 1, _MAX_GRID_SIZE)
     if count == 1 and hi != lo:
         raise ConfigError("a single-point grid needs lo == hi")
-    return _check_grid(np.linspace(lo, hi, max(count, 0)))  # a count < 0 gives an empty grid
+    return _check_grid(np.linspace(lo, hi, count))
 
 
 def _grid_spec(grid: np.ndarray) -> str:

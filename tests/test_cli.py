@@ -1,5 +1,4 @@
 import csv
-import inspect
 import math
 import os
 import subprocess
@@ -9,7 +8,6 @@ import numpy as np
 import pytest
 
 from llrer import (
-    DEFAULT_CALIBRATION_TOLERANCE,
     DEFAULT_GRID_SPEC,
     EstimatorConfig,
     KernelKind,
@@ -75,6 +73,19 @@ class TestEstimate:
         ])
         assert code == EXIT_CONFIG
         assert "bandwidth h must be a real number in [1e-150, 1e+150], got 0.0" in capsys.readouterr().err
+
+    def test_oversized_grid_is_config_error(self, tmp_path, capsys):
+        data = write_hand_csv(tmp_path)
+        out = tmp_path / "o.csv"
+        code = main([
+            "estimate", "--input", str(data), "--out", str(out), "--estimator", "cr", "--h", "1",
+            "--grid", "1:2:10000000000000",
+        ])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "llrer: config error: evaluation grid size must be an integer in [1, 100000], got 10000000000000"
+        ]
+        assert not out.exists()
 
     def test_empty_data_file(self, tmp_path):
         data = tmp_path / "empty.csv"
@@ -202,32 +213,26 @@ class TestCv:
 
 class TestCalibrate:
     def test_half_prints_minus_two(self, capsys):
-        assert main(["calibrate", "--target", "0.5", "--seed", "11"]) == EXIT_OK
+        assert main(["calibrate", "--target", "0.5"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("c=")
-        assert float(out.split("=", 1)[1]) == pytest.approx(-2.0, abs=0.05)
+        assert float(out.split("=", 1)[1]) == pytest.approx(-2.0, abs=1e-9)
+
+    def test_prints_the_library_shift(self, capsys):
+        assert main(["calibrate", "--target", "0.35"]) == EXIT_OK
+        assert capsys.readouterr().out == f"c={calibrate_censoring(0.35)!r}\n"
 
     def test_out_of_range_target(self, capsys):
-        assert main(["calibrate", "--target", "1.5", "--seed", "11"]) == EXIT_CONFIG
-
-    @pytest.mark.parametrize("tol", ["inf", "nan"])
-    def test_non_finite_tolerance(self, capsys, tol):
-        assert main(["calibrate", "--target", "0.5", "--tol", tol, "--seed", "11"]) == EXIT_CONFIG
+        assert main(["calibrate", "--target", "1.5"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"calibration tolerance must be a real number in (0, inf), got {tol}" in captured.err
+        assert "target censoring proportion must be a real number in (0, 1), got 1.5" in captured.err
 
-    def test_negative_seed(self, capsys):
-        assert main(["calibrate", "--target", "0.5", "--seed", "-1"]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "seed must be an integer in [0, inf), got -1" in captured.err
-
-    def test_reproducible(self, capsys):
-        main(["calibrate", "--target", "0.65", "--tol", "0.005", "--seed", "7"])
-        first = capsys.readouterr().out
-        main(["calibrate", "--target", "0.65", "--tol", "0.005", "--seed", "7"])
-        assert capsys.readouterr().out == first
+    @pytest.mark.parametrize("flag", ["--tol", "--seed"])
+    def test_takes_no_tolerance_or_seed(self, capsys, flag):
+        # calibration is exact and draws nothing, so neither would change c
+        assert main(["calibrate", "--target", "0.5", flag, "1"]) == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 SMALL_CFG = (
@@ -280,6 +285,15 @@ class TestSimulate:
         cfg.write_text(body + line + "\n")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert not (tmp_path / "o").exists()
+
+    def test_oversized_grid_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("grid = 1:2:6\n", "grid = 1:2:10000000000000\n"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert not (tmp_path / "o").exists()
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("llrer: config error: ")
+        assert line.endswith("evaluation grid size must be an integer in [1, 100000], got 10000000000000")
 
     def test_grid_through_the_pole_is_config_error(self, tmp_path, capsys):
         # the theoretical curve is undefined at x = -0.5, so no replication
@@ -417,9 +431,6 @@ def test_defaults_come_from_named_constants():
     cv = parser.parse_args(["cv", "--input", "d.csv", "--out", "t.csv", "--estimator", "cr"])
     for args in (estimate, cv):
         assert KernelKind.from_name(args.kernel) is EstimatorConfig.kernel is SimulationConfig.kernel
-    calibrate = parser.parse_args(["calibrate", "--target", "0.5"])
-    assert calibrate.tol == DEFAULT_CALIBRATION_TOLERANCE
-    assert calibrate.seed == inspect.signature(calibrate_censoring).parameters["seed"].default
 
 
 def test_module_entry_point(tmp_path):

@@ -37,6 +37,7 @@ from llrer import (
     llrer_point_naive,
     moment_statistics,
     monte_carlo_run,
+    parse_grid_spec,
     select_bandwidth,
     select_bandwidths,
     synthetic_transform,
@@ -95,6 +96,11 @@ CASES = [
      (5, "5"), False),
     ("inject_outliers.multiplier", lambda v: inject_outliers(SAMPLE, 1, v, 1), "outlier multiplier", REAL,
      "(0, inf)", (-2.0, "-2.0"), False),
+    ("generate_sample.seed", lambda v: generate_sample(5, 0.0, v), "seed", INTEGER, "[0, inf)", (-1, "-1"), False),
+    ("inject_outliers.seed", lambda v: inject_outliers(SAMPLE, 1, 2.0, v), "seed", INTEGER, "[0, inf)",
+     (-1, "-1"), False),
+    ("inject_outliers.seed at count 0", lambda v: inject_outliers(SAMPLE, 0, 2.0, v), "seed", INTEGER, "[0, inf)",
+     (np.int64(-1), "-1"), False),
     ("SimulationConfig.n", lambda v: study(n=v), "n", INTEGER, "[1, inf)", (0, "0"), False),
     ("SimulationConfig.replications", lambda v: study(replications=v), "replications", INTEGER, "[1, inf)",
      (0.0, "0.0"), False),
@@ -192,6 +198,10 @@ TYPED = [
     ("error_metrics.curve", lambda v: error_metrics(v, theoretical_curve), "curve", "a FittedCurve"),
     ("monte_carlo_run.config", lambda v: monte_carlo_run(v), "config", "a SimulationConfig"),
     ("config_lines.config", lambda v: config_lines(v), "config", "a SimulationConfig"),
+    # a seed is an integer >= 0 or a SeedSequence, with the integer rule's message
+    ("generate_sample.seed", lambda v: generate_sample(5, 0.0, v), "seed", "an integer in [0, inf)"),
+    ("inject_outliers.seed", lambda v: inject_outliers(SAMPLE, 1, 2.0, v), "seed", "an integer in [0, inf)"),
+    ("calibrate_censoring.seed", lambda v: calibrate_censoring(0.5, 0.005, v), "seed", "an integer in [0, inf)"),
 ]
 
 NOT_AN_INSTANCE = [("cr", "'cr'"), (0.5, "0.5"), ((0.1, 1.0, 0.1), "(0.1, 1.0, 0.1)"), (True, "True")]
@@ -276,6 +286,17 @@ def test_supplied_responses_must_be_a_collection_of_synthetic_responses(point, v
 def test_supplied_responses_need_no_step(point):
     every_order = [synthetic_transform(SAMPLE, STEP, o) for o in (-1, 1, 2)]
     assert point(SAMPLE, None, CONFIG, 1.0, responses=every_order) == point(SAMPLE, STEP, CONFIG, 1.0)
+
+
+@pytest.mark.parametrize("count", ["0", "-3", "100001", "10000000000000"])
+def test_evaluation_grid_size_follows_the_bandwidth_grid_rule(count):
+    message = f"evaluation grid size must be an integer in [1, 100000], got {count}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_grid_spec(f"1:2:{count}")
+
+
+def test_evaluation_grid_may_hold_the_largest_size():
+    assert parse_grid_spec("1:2:100000").size == 100000
 
 
 def test_estimators_may_be_any_other_collection():

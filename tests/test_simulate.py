@@ -3,13 +3,13 @@ import dataclasses
 import inspect
 import math
 import re
-import tracemalloc
+from statistics import NormalDist
 from importlib import resources
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import llrer.loclin
@@ -19,7 +19,6 @@ from llrer import (
     DEFAULT_CALIBRATION_TOLERANCE,
     DEFAULT_GRID_SPEC,
     BandwidthGrid,
-    CalibrationError,
     ConfigError,
     CVPoint,
     ErrorMetrics,
@@ -50,7 +49,7 @@ from llrer import (
 )
 from llrer.cli import bundled_config_names
 from llrer.kernels import _BANDWIDTH_RANGE
-from llrer.simulate import _quartiles
+from llrer.simulate import _censored_fraction, _quartiles
 
 SD_DIFF = math.sqrt(5.04)  # var(T) + var(C) = 4.04 + 1
 
@@ -83,22 +82,6 @@ def whole_array_event_times(rng, n, positive_only):
             t[bad] = 2.0 * x[bad] + 1.0 + 0.2 * noise[bad]
             bad = bad[t[bad] <= 0.0]
     return x, t
-
-
-def whole_array_bisection(margin, target, tolerance):
-    """calibrate_censoring's bisection on margin = T - 3 - z, with np.mean for the proportion; None
-    when the tolerance is not met."""
-    lo, hi = -60.0, 60.0
-    for _ in range(llrer.simulate._MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        cp = float(np.mean(margin > mid))
-        if abs(cp - target) <= tolerance:
-            return mid
-        if cp > target:
-            lo = mid
-        else:
-            hi = mid
-    return None
 
 
 class TestTheoreticalCurve:
@@ -170,7 +153,7 @@ class TestGenerateSample:
         assert str(direct.value) == str(config.value)
 
     @pytest.mark.parametrize("positive_only", [False, True])
-    @pytest.mark.parametrize("n", [1, 300, 2 * llrer.simulate._SLICE + 7])
+    @pytest.mark.parametrize("n", [1, 300, 131079])
     def test_equals_whole_array_formulas_bit_for_bit(self, n, positive_only):
         c, rng = -1.0, np.random.default_rng(29)
         x, t = whole_array_event_times(rng, n, positive_only)
@@ -226,35 +209,51 @@ class TestCalibrateCensoring:
     def test_near_zero_target_needs_large_positive_shift(self):
         assert calibrate_censoring(0.05, 0.005, seed=6) > 0.0
 
-    @pytest.mark.parametrize("positive_only", [False, True])
-    @pytest.mark.parametrize("seed", [0, np.random.SeedSequence(entropy=20260810, spawn_key=(0,))], ids=["int", "spawned"])
-    def test_equals_whole_array_formulas_bit_for_bit(self, seed, positive_only):
-        rng = np.random.default_rng(seed)
-        t = whole_array_event_times(rng, llrer.simulate._DRAWS, positive_only)[1]
-        margin = t - 3.0 - rng.standard_normal(llrer.simulate._DRAWS)
-        del t
-        for target in (0.05, 0.35, 0.65, 0.95):
-            for tolerance in (0.005, 1e-5):
-                expected = whole_array_bisection(margin, target, tolerance)
-                assert expected is not None
-                c = calibrate_censoring(target, tolerance, seed=seed, positive_only=positive_only)
-                assert type(c) is float and c.hex() == expected.hex(), (target, tolerance)
+    @settings(deadline=None)
+    @given(st.floats(1e-6, 1.0 - 1e-6))
+    @example(1e-6).via("the low end")
+    @example(1.0 - 1e-6).via("the high end")
+    def test_built_in_shift_is_the_normal_quantile(self, target):
+        # T - C is N(-2 - c, 5.04), so P(T > C) = target at c = -sqrt(5.04) * Phi^-1(target) - 2
+        want = -SD_DIFF * NormalDist().inv_cdf(target) - 2.0
+        assert calibrate_censoring(target) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("positive_only", [False, True])
-    def test_holds_less_than_three_draws(self, positive_only):
-        tracemalloc.start()
-        try:
-            calibrate_censoring(0.35, 0.005, seed=0, positive_only=positive_only)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * llrer.simulate._DRAWS * 8, peak
+    @pytest.mark.parametrize("target", [0.35, 0.5])
+    def test_proportion_matches_a_million_draws(self, target, positive_only):
+        c = calibrate_censoring(target, positive_only=positive_only)
+        rng = np.random.default_rng(2718)
+        t = whole_array_event_times(rng, 10**6, positive_only)[1]
+        drawn = float(np.mean(t > 3.0 + c + rng.standard_normal(10**6)))
+        assert abs(_censored_fraction(c, positive_only) - drawn) <= 4.0 * math.sqrt(drawn * (1.0 - drawn) / 10**6)
 
-    def test_unattainable_tolerance_raises(self):
-        # the 1e6-draw estimate moves in 1e-6 steps, so 1e-10 around an
-        # off-grid target cannot be met
-        with pytest.raises(CalibrationError):
-            calibrate_censoring(1.0 / 3.0, 1e-10, seed=2)
+    def test_positive_only_quadrature_matches_adaptive_quadrature(self):
+        from scipy import integrate
+
+        sd = math.sqrt(4.04)
+        for c in np.linspace(-20.0, 20.0, 41):
+            def density_times_censored(t):
+                return math.exp(-0.5 * ((t - 1.0) / sd) ** 2) * 0.5 * math.erfc((3.0 + c - t) / math.sqrt(2.0))
+
+            numerator = integrate.quad(density_times_censored, 0.0, math.inf, epsabs=1e-15, epsrel=1e-13)[0]
+            positive = sd * math.sqrt(2.0 * math.pi) * 0.5 * math.erfc(-1.0 / (sd * math.sqrt(2.0)))
+            assert _censored_fraction(c, True) == pytest.approx(numerator / positive, abs=1e-12), c
+
+    @settings(deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.booleans())
+    def test_shift_is_finite_non_increasing_and_inverts_the_proportion(self, a, b, positive_only):
+        low, high = sorted((a, b))
+        c_low, c_high = (calibrate_censoring(t, positive_only=positive_only) for t in (low, high))
+        assert math.isfinite(c_low) and math.isfinite(c_high)
+        assert c_low >= c_high
+        for target, c in ((low, c_low), (high, c_high)):
+            assert abs(_censored_fraction(c, positive_only) - target) <= 1e-9
+
+    def test_tolerance_and_seed_do_not_move_the_shift(self):
+        c = calibrate_censoring(0.35)
+        assert calibrate_censoring(0.35, 0.2, seed=np.random.SeedSequence(entropy=3, spawn_key=(0,))) == c
+        assert calibrate_censoring(0.35, 1e-12, seed=11) == c
 
 
 class TestInjectOutliers:
@@ -574,8 +573,8 @@ class TestMonteCarloRun:
         assert report.c == pytest.approx(-2.0, abs=0.05)
 
     def test_positive_only_calibration_reaches_the_target(self):
-        # calibration draws the process with the rejection step that the
-        # replications draw, so the realized censoring meets the target
+        # calibration computes the proportion of the process with the rejection
+        # step that the replications draw, so the realized censoring meets the target
         cfg = SimulationConfig(
             n=2000, replications=20, seed=14, target_cp=0.35, h=0.5, positive_only=True,
             estimators=(Estimator.CR,), grid=np.linspace(1.0, 2.0, 3),
