@@ -19,6 +19,13 @@ one matrix product per fold (_fold_estimates). The quadratic double-sum
 forms of LLRER and LLCR, weighed by scaled_kernel, are shipped alongside as
 permanent cross-checks for that path.
 
+Curves fit samples stacked in rows: a block of simulate's replications, or
+fit_curves' one sample. The rows share one Kaplan-Meier pass and one set of
+synthetic responses (_fit_rows), and _estimates takes each row's points in
+blocks, with the weight rows w, w dx and w dx^2 of a block written into one
+buffer that every row reuses; the ratios of all rows follow at once. A row's
+arithmetic is its own, so its curves are the same bits in any stack.
+
 A point where the fit's denominator vanishes, or whose ratio is not finite
 because its sums overflow, is degenerate: it reports the value 0 together
 with an explicit flag, so downstream metrics can exclude it instead of
@@ -42,8 +49,8 @@ from .kernels import (
     scaled_kernel,
 )
 from .survival import (
-    CensoredSample, SurvivalStep, SyntheticResponses, _check_sample, _synthetic_responses, _write_csv,
-    km_censoring_survival,
+    CensoredSample, SurvivalStep, SyntheticResponses, _check_sample, _kaplan_meier_responses, _synthetic_responses,
+    _write_csv,
 )
 
 __all__ = [
@@ -131,8 +138,7 @@ def moment_statistics(
     """Kernel and response moment sums at x, the point estimates' own (_moments)."""
     x = _point_inputs(config, x)
     tau = _response_map(sample, None, _check_collection(responses, "responses"), ())
-    dx, dx2 = _offsets(sample.x, np.array([x]))
-    m = _moments(_columns(tau, sample.n), dx, dx2, _kernel_of_squares(config.kernel, dx2, config.bandwidth))[0]
+    m = _moments(_columns(tau, sample.x.shape), _moment_weights(sample.x, np.array([x]), config))[0]
     return MomentStatistics(x, m[:, 0], {o: m[:, _COLUMNS.index(o)] for o in tau})
 
 
@@ -158,33 +164,48 @@ def _union_orders(estimators) -> tuple:
     return tuple(dict.fromkeys(o for e in estimators for o in _REQUIRED_ORDERS[e]))
 
 
-def _columns(tau, n: int) -> np.ndarray:
-    """The (n, 4) columns of _COLUMNS from tau = {order: responses}; a column whose order tau lacks is 0."""
-    out = np.ones((n, len(_COLUMNS)))
+def _columns(tau, shape: tuple) -> np.ndarray:
+    """The columns of _COLUMNS, on a last axis of 4, from tau = {order: responses of the given shape}; a
+    column whose order tau lacks is 0."""
+    out = np.ones(shape + (len(_COLUMNS),))
     for c, order in enumerate(_COLUMNS[1:], 1):
-        out[:, c] = tau.get(order, 0.0)
+        out[..., c] = tau.get(order, 0.0)
     return out
 
 
-def _moments(tau: np.ndarray, dx: np.ndarray, dx2: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _moment_weights(x: np.ndarray, points: np.ndarray, config, out=None) -> np.ndarray:
+    """The weight rows w, w * dx and w * dx2 of each point, as a (points, 3, len(x)) view of out, a
+    (3, points, len(x)) array (a new one by default): dx, dx2 from _offsets and w = K(dx2 / h^2) at
+    config's kernel and bandwidth. Each of the three is one contiguous plane of out, and no other
+    temporary of their size is made."""
+    out = np.empty((3, points.size, x.size)) if out is None else out
+    w, dx, dx2 = out
+    _offsets(x, points, out=(dx, dx2))
+    _kernel_of_squares(config.kernel, dx2, config.bandwidth, out=w)
+    np.multiply(w, dx2, out=dx2)
+    np.multiply(w, dx, out=dx)
+    return out.transpose(1, 0, 2)
+
+
+def _moments(tau: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """m[r, g, c] = sum_j w[r, j] * dx[r, j]**g * tau[j, c], for g = 0, 1, 2 and the columns tau of _columns.
 
-    Row r holds evaluation point r: weights w and offsets dx, dx2 from _offsets. Each row takes one
-    (3 x n) @ (n x 4) product, so its moments are the same bits whichever rows and estimators one
-    call holds.
+    Row r holds evaluation point r: its weight rows from _moment_weights. Each row takes one
+    (3 x n) @ (n x 4) product, so its moments are the same bits whichever rows, estimators and samples
+    one call holds.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a sum the call's estimators do not read may overflow
-        return np.stack((w, w * dx, w * dx2), axis=1) @ tau
+        return weights @ tau
 
 
-def _ratio_terms(estimators, sums) -> dict:
-    """{estimator: (numerator, denominator, degeneracy scale)} from the five sums t0, t1, p0, p1, p2 of its
-    pair (_SUMS): the local linear ratio (p2 t0 - p1 t1) / (p2 p0 - p1^2) at scale |p2 p0|, and for CR the
-    local constant t0 / p0. A product that overflows gives an inf or nan term, which _masked_ratio flags."""
+def _ratio_terms(sums) -> dict:
+    """{estimator: (numerator, denominator, degeneracy scale)} from sums = {estimator: the five sums t0, t1,
+    p0, p1, p2 of its pair (_SUMS)}: the local linear ratio (p2 t0 - p1 t1) / (p2 p0 - p1^2) at scale
+    |p2 p0|, and for CR the local constant t0 / p0. A product that overflows gives an inf or nan term,
+    which _masked_ratio flags."""
     out = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for e in estimators:
-            t0, t1, p0, p1, p2 = sums[_GROUP[e]]
+        for e, (t0, t1, p0, p1, p2) in sums.items():
             out[e] = ((t0, p0, np.ones_like(p0)) if e is Estimator.CR
                       else (p2 * t0 - p1 * t1, p2 * p0 - p1 * p1, np.abs(p2 * p0)))
     return out
@@ -215,33 +236,48 @@ def _blocks(count: int, width: int):
         yield slice(lo, lo + rows)
 
 
-def _offsets(columns: np.ndarray, points: np.ndarray):
+def _offsets(columns: np.ndarray, points: np.ndarray, out=None):
     """(dx, dx2): dx[r, j] = columns[j] - points[r], one row per point, and dx2 = dx * dx, each capped at
-    the largest float in magnitude. A capped dx2 weighs exactly 0 at every accepted bandwidth, so a far
-    column adds 0 to the sums, not 0 * inf = nan, and an infinite point, all of whose weights are
-    0, is degenerate. A nan point keeps its nan offsets, so it is degenerate too."""
+    the largest float in magnitude, written to out = (dx, dx2) (new arrays by default). A capped dx2
+    weighs exactly 0 at every accepted bandwidth, so a far column adds 0 to the sums, not 0 * inf = nan,
+    and an infinite point, all of whose weights are 0, is degenerate. A nan point keeps its nan
+    offsets, so it is degenerate too."""
     big = np.finfo(float).max
+    dx, dx2 = (None, None) if out is None else out
     with np.errstate(over="ignore"):
-        dx = columns[None, :] - points[:, None]
+        dx = np.subtract(columns[None, :], points[:, None], out=dx)
         np.clip(dx, -big, big, out=dx)
-        dx2 = dx * dx
+        dx2 = np.multiply(dx, dx, out=dx2)
     np.minimum(dx2, big, out=dx2)
     return dx, dx2
 
 
-def _estimates(estimators, sample, tau, config, points) -> dict:
-    """{estimator: (estimates, degenerate flags)} at each of points from tau = {order: synthetic
-    responses}, in blocks of rows; each block evaluates the kernel and the moments once for every
-    estimator, and each pair of columns reads its five sums out of the moments through _SUMS."""
-    out = {e: (np.empty(points.size), np.empty(points.size, dtype=bool)) for e in estimators}
-    tau = _columns(tau, sample.n)
-    for block in _blocks(points.size, sample.n):
-        dx, dx2 = _offsets(sample.x, points[block])
-        m = _moments(tau, dx, dx2, _kernel_of_squares(config.kernel, dx2, config.bandwidth))
-        terms = _ratio_terms(estimators, {pair: [m[:, g, c] for g, c in sums] for pair, sums in _SUMS.items()})
-        for e, (values, degenerate) in out.items():
-            values[block], degenerate[block] = _masked_ratio(*terms[e], config.denominator_epsilon)
-    return out
+def _estimates(x: np.ndarray, columns: np.ndarray, configs, points: np.ndarray) -> dict:
+    """{estimator: (estimates, degenerate flags)}, each of shape (rows, points), of samples stacked in rows.
+
+    Row r has covariates x[r], the columns of _columns over its synthetic responses in columns[r], and
+    its estimators' configs in configs[r], a mapping estimator -> EstimatorConfig with the same keys in
+    every row. Each row goes in blocks of points; a block evaluates the kernel and the moments once for
+    the estimators of the row that share a config, and each estimator reads its five sums out of the
+    moments through _SUMS. The ratios of every row, point and estimator follow at once, so a row's
+    estimates are the same bits whichever rows the call holds.
+    """
+    estimators = tuple(configs[0])
+    sums = {e: np.empty((len(configs), points.size, 5)) for e in estimators}
+    picks = {e: tuple(zip(*_SUMS[_GROUP[e]])) for e in estimators}  # the (g, c) of the five sums
+    blocks = list(_blocks(points.size, x.shape[-1]))
+    weights = np.empty((3, points[blocks[0]].size, x.shape[-1]))  # the first block is the largest; all reuse it
+    for r, row in enumerate(configs):
+        for config in dict.fromkeys(row.values()):
+            shared = [e for e in estimators if row[e] == config]
+            for block in blocks:
+                at = points[block]
+                m = _moments(columns[r], _moment_weights(x[r], at, config, weights[:, : at.size]))
+                for e in shared:
+                    sums[e][r, block] = m[(slice(None), *picks[e])]
+    terms = _ratio_terms({e: np.moveaxis(s, -1, 0) for e, s in sums.items()})
+    eps = {e: np.array([[row[e].denominator_epsilon] for row in configs]) for e in estimators}
+    return {e: _masked_ratio(*terms[e], eps[e]) for e in estimators}
 
 
 # Factor entries a block of folds builds per (fold, column): five for each
@@ -313,7 +349,7 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
             for pair, factors in products.items():
                 np.matmul(factors[:, :, start:stop], weights.transpose(1, 2, 0), out=sums[pair][i])
     fold_sums = {pair: s.transpose(2, 0, 3, 1).reshape(5, -1, points.size)[:, : len(hs)] for pair, s in sums.items()}
-    terms = _ratio_terms(estimators, fold_sums)
+    terms = _ratio_terms({e: fold_sums[_GROUP[e]] for e in estimators})
     return {e: _masked_ratio(*terms[e], eps) for e in estimators}
 
 
@@ -336,13 +372,14 @@ def _response_map(sample, step, responses, orders) -> Mapping[int, np.ndarray]:
 
 
 def _first_point(values, degenerate) -> PointEstimate:
-    return PointEstimate(float(values[0]), bool(degenerate[0]))
+    return PointEstimate(float(values.flat[0]), bool(degenerate.flat[0]))
 
 
 def _point(estimator, sample, step, config, x, responses) -> PointEstimate:
     x = _point_inputs(config, x)
     tau = _response_map(sample, step, responses, _REQUIRED_ORDERS[estimator])
-    return _first_point(*_estimates((estimator,), sample, tau, config, np.array([x]))[estimator])
+    columns = _columns(tau, (1, sample.n))
+    return _first_point(*_estimates(sample.x[None], columns, [{estimator: config}], np.array([x]))[estimator])
 
 
 def llrer_point(
@@ -450,28 +487,53 @@ class FittedCurve:
 
 
 def _check_grid(grid) -> np.ndarray:
-    """grid as a 1-d float array, or a ConfigError unless non-empty and strictly ascending."""
-    grid = np.array(grid, dtype=float, ndmin=1)
-    if grid.size == 0 or not np.all(np.diff(grid) > 0):  # a nan compares false, so it fails
-        raise ConfigError("evaluation grid must be non-empty and strictly ascending")
-    return grid
+    """grid as a 1-d float array, or a ConfigError unless it is a non-empty, strictly ascending 1-d array of
+    real numbers: ints and floats, not strings, bools or complex numbers. A lone number is a grid of one."""
+    try:
+        values = np.array(grid, dtype=float, ndmin=1) if np.asarray(grid).dtype.kind in "iuf" else None
+    except ValueError:  # a ragged sequence
+        values = None
+    # a nan compares false, so it fails
+    if values is None or values.ndim != 1 or values.size == 0 or not np.all(np.diff(values) > 0):
+        raise ConfigError("evaluation grid must be a non-empty, strictly ascending 1-d array of real numbers")
+    return values
 
 
 def fit_curves(configs: Mapping[Estimator, EstimatorConfig], sample: CensoredSample, grid) -> dict:
     """{estimator: FittedCurve} over an ascending grid, each estimator at its config in configs.
 
-    One Kaplan-Meier step and one set of synthetic responses serve every estimator, and estimators
+    One Kaplan-Meier pass and one set of synthetic responses serve every estimator, and estimators
     with equal configs share each block's kernel evaluation; each curve equals fit_curve's bit for bit.
     """
     for e, config in _check_instance(configs, Mapping, "configs").items():
         _check_estimator(e)
         _check_config(config)
     grid = _check_grid(grid)
-    tau = _synthetic_responses(sample, km_censoring_survival(sample), _union_orders(configs))
-    fits = {}
-    for config in dict.fromkeys(configs.values()):
-        fits.update(_estimates([e for e, c in configs.items() if c == config], sample, tau, config, grid))
-    return {e: FittedCurve(grid, *fits[e]) for e in configs}
+    faults, fits = _fit_rows([dict(configs)], [_check_sample(sample)], grid)
+    if faults[0] is not None:
+        raise faults[0]
+    return {e: FittedCurve(grid, values[0], degenerate[0]) for e, (values, degenerate) in fits.items()}
+
+
+def _fit_rows(configs, samples, grid: np.ndarray) -> tuple:
+    """(faults, fits) of fit_curves(configs[r], samples[r], grid) for each r, with equally long samples,
+    configs with the same estimators and a grid already checked.
+
+    faults[r] is the DataError that call raises, or None. fits = {estimator: (values, degenerate)} holds
+    one row of shape (grid size,) per sample without a fault, in order. The rows share one stacked
+    Kaplan-Meier pass and one set of synthetic responses (survival._kaplan_meier_responses) and one
+    _estimates call, and each row's arithmetic is its own, so its curves are the same bits whichever
+    rows the call holds.
+    """
+    tau, faults = _kaplan_meier_responses(
+        np.stack([s.y for s in samples]), np.stack([s.delta for s in samples]), _union_orders(configs[0])
+    )
+    ok = [r for r, fault in enumerate(faults) if fault is None]
+    if not ok:
+        return faults, {}
+    columns = _columns({o: t[ok] for o, t in tau.items()}, (len(ok), samples[0].n))
+    del tau  # the kernel loop's buffers then take the place of every row's responses
+    return faults, _estimates(np.stack([samples[r].x for r in ok]), columns, [configs[r] for r in ok], grid)
 
 
 def fit_curve(estimator: Estimator, sample: CensoredSample, config: EstimatorConfig, grid) -> FittedCurve:

@@ -16,6 +16,16 @@ numpy SeedSequence spawn keys, (1, r, 0) for the data of replication r and
 isolation and replications can run in any order or in parallel without
 changing the output. Calibration is exact and draws nothing; the key (0,)
 that once seeded it stays reserved, so the data keys do not move.
+
+Replications run in blocks of at most _REPLICATION_BLOCK, which bounds what
+a block holds at once. Each replication of a block draws its data and, with
+no fixed h, selects its bandwidths alone; the rest of the work is shared:
+one loclin._fit_rows call fits every curve of the block, over one stacked
+Kaplan-Meier pass, and one _scores call per estimator gives the error
+metrics. Each row of that work is computed as a block of one would compute
+it, so the outputs do not depend on the block size or on the number of
+worker processes. A replication that fails, in its own steps or in the
+shared fit, is recorded alone and the run goes on.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from .bandwidth import DEFAULT_BANDWIDTH_GRID, _MAX_GRID_SIZE, BandwidthGrid, se
 from .errors import ConfigError, _check_bool, _check_collection, _check_instance, _check_integer, _check_real
 from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import (
-    DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, fit_curves
+    DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, _fit_rows
 )
 from .survival import CensoredSample, NonPositiveResponseWarning, _check_sample, _write_csv
 
@@ -184,25 +194,32 @@ def error_metrics(curve: FittedCurve, reference) -> ErrorMetrics:
     (None) and only the count is reported. An error whose square overflows
     (beyond about 1.3e154) makes the mise inf, never nan, and raises no numpy
     warning. reference is called once, on the grid array, and returns an
-    array of its shape or a scalar.
+    array of its shape or a scalar; any other shape is a ConfigError.
     """
-    _check_grid(_check_instance(curve, FittedCurve, "curve").grid)
-    return _score(curve, np.broadcast_to(np.asarray(reference(curve.grid), dtype=float), curve.grid.shape))
+    grid = _check_grid(_check_instance(curve, FittedCurve, "curve").grid)
+    ref = np.asarray(reference(curve.grid), dtype=float)
+    if ref.shape not in ((), grid.shape):
+        name = getattr(reference, "__name__", repr(reference))
+        raise ConfigError(f"reference {name} must return a scalar or an array of shape {grid.shape}, "
+                          f"got shape {ref.shape}")
+    return _scores(curve.values[None], curve.degenerate[None], grid, ref)[0]
 
 
-def _score(curve: FittedCurve, ref: np.ndarray) -> ErrorMetrics:
-    """error_metrics(curve, reference) with ref the reference on curve.grid, which is not checked again."""
-    count = int(np.count_nonzero(curve.degenerate))
-    if count == curve.degenerate.size:
-        return ErrorMetrics(None, None, count)
-    ok = ~curve.degenerate
+def _scores(values: np.ndarray, degenerate: np.ndarray, grid: np.ndarray, ref: np.ndarray) -> list:
+    """[error_metrics of each row of values and degenerate flags on grid], with ref the reference on the
+    grid or a scalar; nothing is checked again. Each row's arithmetic is its own, so its metrics are the
+    same bits whichever rows the call holds."""
+    count = np.count_nonzero(degenerate, axis=-1).tolist()
+    ok = ~degenerate
     with np.errstate(over="ignore"):  # an overflow gives inf
-        err = np.abs(curve.values - ref)
+        err = np.abs(values - ref)
         e2 = err * err
-        segments = 0.5 * (e2[:-1] + e2[1:]) * np.diff(curve.grid)
+        segments = 0.5 * (e2[:, :-1] + e2[:, 1:]) * np.diff(grid)
         # a segment with a degenerate end adds 0, also where its inf * 0 would be nan
-        mise = float(np.sum(np.where(ok[:-1] & ok[1:], segments, 0.0)))
-    return ErrorMetrics(float(err[ok].max()), mise, count)
+        mise = np.sum(np.where(ok[:, :-1] & ok[:, 1:], segments, 0.0), axis=-1).tolist()
+    sup = np.max(np.where(ok, err, -np.inf), axis=-1).tolist()
+    return [ErrorMetrics(None, None, k) if k == grid.size else ErrorMetrics(e, m, k)
+            for e, m, k in zip(sup, mise, count)]
 
 
 @dataclass(frozen=True)
@@ -336,43 +353,88 @@ def _replication_seed(master: int, rep: int, stream: int) -> np.random.SeedSeque
     return np.random.SeedSequence(entropy=master, spawn_key=(1, rep, stream))
 
 
-def _run_replication(config: SimulationConfig, c: float, rep: int) -> ReplicationResult:
+def _draw_replication(config: SimulationConfig, c: float, rep: int) -> tuple:
+    """(realized censoring, non-positive uncensored count, the sample the curves fit, {estimator:
+    bandwidth}) of replication rep: its data from spawn key (1, rep, 0), its outliers from (1, rep, 1),
+    and its bandwidths by cross-validation unless config.h is fixed."""
     gen = generate_sample(config.n, c, _replication_seed(config.seed, rep, 0), config.positive_only)
     sample = gen.sample
     if config.outlier_count:
         sample = inject_outliers(
             sample, config.outlier_count, config.outlier_mc, _replication_seed(config.seed, rep, 1)
         )
+    h_used = dict.fromkeys(config.estimators, config.h)
+    if config.h is None:
+        selections = select_bandwidths(
+            config.estimators, sample, config.kernel, config.cv_grid, config.denominator_epsilon
+        )
+        h_used = {est: float(selection.h_opt) for est, selection in selections.items()}
+    return gen.realized_cp, gen.nonpositive_uncensored, sample, h_used
+
+
+def _failed(rep: int, exc: Exception) -> ReplicationResult:
+    return ReplicationResult(rep, float("nan"), 0, {}, {}, {}, error=f"{type(exc).__name__}: {exc}")
+
+
+# Replications whose curves one block fits together. A block stacks its
+# samples, synthetic responses, sums and curves, so this bounds the memory a
+# block holds beyond one replication's
+_REPLICATION_BLOCK = 16
+
+
+def _run_block(config: SimulationConfig, c: float, reps) -> list:
+    """The ReplicationResults of reps, one block of replications.
+
+    Each replication draws its data and selects its bandwidths alone, and a failure there is recorded
+    for it alone. The rest share one _fit_rows call, whose per-row DataErrors are recorded per
+    replication too, and one _scores call per estimator. A failure of the shared steps is recorded for
+    each of their replications. Never raises.
+    """
+    results, drawn = {}, {}
     with warnings.catch_warnings():
         # the per-replication non-positive count already reports this
         warnings.simplefilter("ignore", NonPositiveResponseWarning)
-        h_used = dict.fromkeys(config.estimators, config.h)
-        if config.h is None:
-            selections = select_bandwidths(
-                config.estimators, sample, config.kernel, config.cv_grid, config.denominator_epsilon
-            )
-            h_used = {est: float(selection.h_opt) for est, selection in selections.items()}
-        configs = {est: EstimatorConfig(h, config.kernel, config.denominator_epsilon) for est, h in h_used.items()}
-        curves = fit_curves(configs, sample, config.grid)
+        for rep in reps:
+            try:
+                drawn[rep] = _draw_replication(config, c, rep)
+            except Exception as exc:  # recorded, never fatal to the run
+                results[rep] = _failed(rep, exc)
+        if drawn:
+            try:
+                results.update(_fit_block(config, drawn))
+            except Exception as exc:  # recorded, never fatal to the run
+                results.update((rep, _failed(rep, exc)) for rep in drawn)
+    return [results[rep] for rep in reps]
+
+
+def _fit_block(config: SimulationConfig, drawn: dict) -> dict:
+    """{rep: ReplicationResult} of the replications drawn = {rep: _draw_replication(config, c, rep)}."""
+    configs = [
+        {est: EstimatorConfig(h, config.kernel, config.denominator_epsilon) for est, h in h_used.items()}
+        for *_, h_used in drawn.values()
+    ]
+    faults, fits = _fit_rows(configs, [sample for *_, sample, _ in drawn.values()], config.grid)
     ref = theoretical_curve(config.grid)
-    metrics = {est: _score(curves[est], ref) for est in config.estimators}
-    return ReplicationResult(rep, gen.realized_cp, gen.nonpositive_uncensored, h_used, curves, metrics)
-
-
-def _replication_task(args) -> ReplicationResult:
-    config, c, rep = args
-    try:
-        return _run_replication(config, c, rep)
-    except Exception as exc:  # recorded, never fatal to the run
-        return ReplicationResult(rep, float("nan"), 0, {}, {}, {}, error=f"{type(exc).__name__}: {exc}")
+    metrics = {est: _scores(values, degenerate, config.grid, ref) for est, (values, degenerate) in fits.items()}
+    out, row = {}, 0
+    for (rep, (cp, nonpositive, _, h_used)), fault in zip(drawn.items(), faults):
+        if fault is not None:
+            out[rep] = _failed(rep, fault)
+            continue
+        curves = {est: FittedCurve(config.grid, values[row], flags[row]) for est, (values, flags) in fits.items()}
+        scores = {est: metrics[est][row] for est in fits}
+        out[rep] = ReplicationResult(rep, cp, nonpositive, h_used, curves, scores)
+        row += 1
+    return out
 
 
 def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport:
     """Run the full replication study; deterministic given config.seed.
 
-    Replications use independent derived seeds, so the output is identical
-    for any jobs >= 1; jobs > 1 runs them in at most min(jobs, replications,
-    CPU count) worker processes.
+    Replications use independent derived seeds and go in blocks of at most _REPLICATION_BLOCK, and a
+    replication's outputs do not depend on its block, so the output is identical for any jobs >= 1;
+    jobs > 1 runs the blocks in at most min(jobs, replications, CPU count) worker processes, with
+    blocks of at most a quarter of a worker's share, or of one replication.
     """
     _check_instance(config, SimulationConfig, "config")
     jobs = _check_integer(jobs, "jobs", 1)
@@ -380,14 +442,18 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
         c = config.c
     else:
         c = calibrate_censoring(config.target_cp, positive_only=config.positive_only)
-    tasks = [(config, c, rep) for rep in range(config.replications)]
     workers = min(jobs, config.replications, os.cpu_count() or 1)
+    size = _REPLICATION_BLOCK
+    if workers > 1:  # at least four blocks per worker where there are enough replications, for an even load
+        size = max(1, min(size, config.replications // (4 * workers)))
+    blocks = [range(lo, min(lo + size, config.replications)) for lo in range(0, config.replications, size)]
+    run = partial(_run_block, config, c)
     if workers <= 1:
-        results = [_replication_task(t) for t in tasks]
+        results = map(run, blocks)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replication_task, tasks))
-    return SimulationReport(config, c, tuple(results))
+            results = list(pool.map(run, blocks))
+    return SimulationReport(config, c, tuple(chain.from_iterable(results)))
 
 
 def write_curves_csv(report: SimulationReport, path) -> None:

@@ -7,6 +7,13 @@ through its LEFT limit: the step itself is zero at the largest observation,
 so the largest uncensored response would otherwise divide by zero. The left
 limit agrees with the step at every non-jump point and keeps every synthetic
 response finite.
+
+The product-limit pass (_product_limit) runs over the last axis, so one pass
+serves one sample or samples of one length stacked in rows, a block of
+simulated replications, each row's arithmetic its own. A record's left limit
+is plain[s], the product of the at-risk factors before its tie group, which
+equals the step's left limit bit for bit; curves (_kaplan_meier_responses)
+and cross-validation's target read it without building a step.
 """
 
 from __future__ import annotations
@@ -135,15 +142,31 @@ class SyntheticResponses:
         object.__setattr__(self, "values", values)
 
 
-def _product_limit(sample: CensoredSample):
-    """(order, ys, censored = 1 - delta, plain, starts) of the records sorted by y, uncensored first
-    at equal y: plain[k] multiplies the first k at-risk factors, starts flags each tie group's first record."""
-    order = np.lexsort((-sample.delta, sample.y))
-    ys = sample.y[order]
-    censored = 1.0 - sample.delta[order]
-    plain = np.cumprod(np.concatenate(([1.0], 1.0 - censored / (sample.n - np.arange(sample.n)))))
-    starts = np.concatenate(([True], ys[1:] != ys[:-1]))
-    return order, ys, censored, plain, starts
+def _product_limit(y: np.ndarray, delta: np.ndarray):
+    """(ys, censored = 1 - delta, plain, starts, p, s) of the records of y and delta, or of each row of them:
+    one pass over the last axis, each row's arithmetic its own. The records are sorted by y, uncensored
+    first at equal y; ys and censored are in that order, plain[k] multiplies the first k at-risk factors
+    and starts flags each tie group's first record. p is each record's sorted position and s the sorted
+    position of the first record of its tie group, both in record order, so plain[s] is each record's
+    left limit Gbar(y-)."""
+    n = y.shape[-1]
+    order = np.lexsort((-delta, y))
+    ys = np.take_along_axis(y, order, -1)
+    censored = 1.0 - np.take_along_axis(delta, order, -1)
+    lead = y.shape[:-1] + (1,)
+    plain = np.cumprod(np.concatenate((np.ones(lead), 1.0 - censored / (n - np.arange(n))), axis=-1), axis=-1)
+    starts = np.concatenate((np.ones(lead, dtype=bool), ys[..., 1:] != ys[..., :-1]), axis=-1)
+    p = np.argsort(order, axis=-1)
+    s = np.take_along_axis(np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=-1), p, -1)
+    return ys, censored, plain, starts, p, s
+
+
+def _left_limits(y: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The Kaplan-Meier censoring survival's left limit at each record, plain[s] of _product_limit: for
+    one sample km_censoring_survival(sample).eval(sample.y, side="left"), bit for bit, and for samples
+    stacked along the first axis that of each row, from one pass."""
+    _, _, plain, _, _, s = _product_limit(y, delta)
+    return np.take_along_axis(plain, s, -1)
 
 
 def km_censoring_survival(sample: CensoredSample) -> SurvivalStep:
@@ -153,7 +176,8 @@ def km_censoring_survival(sample: CensoredSample) -> SurvivalStep:
     before censored ones at equal y, so tied uncensored records leave the
     risk set before a censored jump is taken.
     """
-    _, ys, _, plain, starts = _product_limit(_check_sample(sample))
+    _check_sample(sample)
+    ys, _, plain, starts, _, _ = _product_limit(sample.y, sample.delta)
     last = np.flatnonzero(np.concatenate((starts[1:], [True])))  # the last record of each tie group
     times = ys[last]
     vals = plain[last + 1]
@@ -181,11 +205,9 @@ def _loo_responses(sample: CensoredSample, orders):
     if n < 2:
         raise DataError("leave-one-out responses need at least 2 observations")
     uncensored = sample.delta == 1
-    order, _, censored, plain, starts = _product_limit(sample)
+    _, censored, plain, _, p, s = _product_limit(sample.y, sample.delta)
     k = np.arange(n)
     reduced = np.cumprod(np.concatenate(([1.0], 1.0 - censored[:-1] / (n - 1 - k[:-1]))))
-    p = np.argsort(order)  # sorted position of each record
-    s = np.maximum.accumulate(np.where(starts, k, 0))[p]
     # factors p_i+1 .. s_j-1 are plain: reduced[p_i] * plain[s_j] / plain[p_i+1];
     # the last sorted record has no later group, so its ratio is never used
     rescale = reduced[p] / plain[np.minimum(p + 1, n - 1)]
@@ -223,9 +245,7 @@ def _check_order(order) -> None:
 def _check_responses(y, uncensored, orders) -> None:
     """The checks of the synthetic responses that depend on the responses alone.
 
-    One call covers several orders and raises or warns at most once. The
-    warning names the first frame outside the package's modules, so it points
-    at the user's call however deep inside the package the check runs.
+    One call covers several orders and raises or warns at most once.
     """
     for order in orders:
         _check_order(order)
@@ -233,17 +253,26 @@ def _check_responses(y, uncensored, orders) -> None:
     if inverse:
         y = np.asarray(y, dtype=float)
         if np.any(uncensored & (y == 0.0)):
-            raise DataError(f"inverse moment of order {inverse[0]} undefined at an uncensored zero response")
+            raise _zero_response(inverse[0])
         if np.any(uncensored & (y < 0.0)):
-            frame, level = sys._getframe(), 1
-            while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith("llrer."):
-                frame, level = frame.f_back, level + 1
-            warnings.warn(
-                "uncensored non-positive responses: the relative-error framework "
-                "assumes positive lifetimes",
-                NonPositiveResponseWarning,
-                stacklevel=level,
-            )
+            _warn_nonpositive()
+
+
+def _zero_response(order: int) -> DataError:
+    return DataError(f"inverse moment of order {order} undefined at an uncensored zero response")
+
+
+def _warn_nonpositive() -> None:
+    """Issue the NonPositiveResponseWarning at the first frame outside the package's modules, so it
+    points at the user's call however deep inside the package the check runs."""
+    frame, level = sys._getframe(), 1
+    while frame.f_back is not None and frame.f_globals.get("__name__", "").startswith("llrer."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(
+        "uncensored non-positive responses: the relative-error framework assumes positive lifetimes",
+        NonPositiveResponseWarning,
+        stacklevel=level,
+    )
 
 
 def _moment(y, uncensored, order: int) -> np.ndarray:
@@ -252,10 +281,13 @@ def _moment(y, uncensored, order: int) -> np.ndarray:
         return np.where(uncensored, y ** (-order), 0.0)
 
 
+_OVERFLOW = "synthetic responses overflow; responses too close to zero"
+
+
 def _check_finite(responses: np.ndarray) -> np.ndarray:
     """responses, or a DataError unless every one is finite."""
     if not np.isfinite(responses).all():
-        raise DataError("synthetic responses overflow; responses too close to zero")
+        raise DataError(_OVERFLOW)
     return responses
 
 
@@ -287,6 +319,31 @@ def _synthetic_responses(sample: CensoredSample, step: SurvivalStep, orders) -> 
     _check_responses(sample.y, uncensored, orders)
     gbar = step.eval(sample.y, side="left")
     return {o: _divide_by_survival(sample.y, uncensored, o, gbar) for o in orders}
+
+
+def _kaplan_meier_responses(y: np.ndarray, delta: np.ndarray, orders) -> tuple:
+    """({order: responses}, faults) of samples stacked along the first axis of y and delta, each under
+    its own Kaplan-Meier left limits, from one product-limit pass (_left_limits) for all of them.
+
+    Row r's responses are _synthetic_responses(sample r, km_censoring_survival(sample r), orders)
+    bit for bit. faults[r] is the DataError that call raises, or None, and a row with a fault is
+    not to be read. At most one NonPositiveResponseWarning is issued, as _check_responses issues
+    it, for the rows without a zero response.
+    """
+    uncensored = delta == 1
+    inverse = [o for o in orders if o in (1, 2)]
+    zero = np.any(uncensored & (y == 0.0), axis=-1) & bool(inverse)
+    if inverse and np.any(uncensored & (y < 0.0) & ~zero[:, None]):
+        _warn_nonpositive()
+    gbar = _left_limits(y, delta)  # at least 1/n: the factors before position s multiply to at least (n - s) / n
+    with np.errstate(over="ignore"):  # an overflow fails the row
+        tau = {o: np.divide(_moment(y, uncensored, o), gbar, out=np.zeros(y.shape), where=uncensored) for o in orders}
+    finite = np.ones(len(y), dtype=bool)
+    for t in tau.values():
+        finite &= np.isfinite(t).all(axis=-1)
+    faults = [_zero_response(inverse[0]) if z else None if f else DataError(_OVERFLOW)
+              for z, f in zip(zero.tolist(), finite.tolist())]
+    return tau, faults
 
 
 def read_sample_csv(path) -> CensoredSample:

@@ -23,6 +23,7 @@ from llrer import (
     NonPositiveResponseWarning,
     cr_point,
     cv_score,
+    fit_curves,
     generate_sample,
     inject_outliers,
     km_censoring_survival,
@@ -747,3 +748,58 @@ def test_window_holds_every_non_zero_weight(x, a, b, h):
             if lo <= p <= hi:
                 _, dx2 = _offsets(outside, np.array([p]))
                 assert not np.any(_kernel_of_squares(kind, dx2, h)), (kind, p, start, stop)
+
+
+@st.composite
+def invariance_cases(draw):
+    """(sample, grid, bandwidths): small samples with tied responses and covariates, censoring random,
+    total or of all records but one, n from 2, covariates, grid points and bandwidths on scales where
+    no weight, response or product of sums is subnormal."""
+    n = draw(st.integers(2, 24))
+    values = draw(st.lists(st.sampled_from((0.3, 1.0, 2.5, -0.7, -2.0, 7.0)) | st.floats(0.05, 20.0)
+                           | st.floats(-20.0, -0.05), min_size=1, max_size=n))
+    y = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    pattern = draw(st.sampled_from(("random", "all_censored", "one_uncensored")))
+    if pattern == "random":
+        delta = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        delta = [int(pattern == "one_uncensored" and i == 0) for i in range(n)]
+    spots = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=n))
+    x = draw(st.lists(st.sampled_from(spots), min_size=n, max_size=n))
+    grid = np.unique(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7)))
+    hs = draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=4))
+    return CensoredSample(y, delta, x), grid, hs
+
+
+class TestExactInvariances:
+    """Scaling by a power of two commutes with rounding, and the Kaplan-Meier estimate depends on the
+    ranks of y alone, so these hold bit for bit at any n, with no oracle and no tolerance."""
+
+    @staticmethod
+    def fits(sample, grid, hs, kernel):
+        configs = {e: EstimatorConfig(hs[i % len(hs)], kernel) for i, e in enumerate(Estimator)}
+        curves = fit_curves(configs, sample, grid)
+        traces = _cv_traces(tuple(Estimator), sample, kernel, hs, DEFAULT_EPSILON)
+        return curves, traces
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(invariance_cases())
+    def test_scaling_y_and_the_covariate_scale(self, case):
+        sample, grid, hs = case
+        by4 = CensoredSample(4.0 * sample.y, sample.delta, sample.x)
+        by2 = CensoredSample(sample.y, sample.delta, 2.0 * sample.x)
+        for kernel in KernelKind:
+            curves, traces = self.fits(sample, grid, hs, kernel)
+            # y -> 4y: curves times 4, scores times 16
+            curves4, traces4 = self.fits(by4, grid, hs, kernel)
+            # (x, grid, h) -> 2 (x, grid, h): curves and traces unchanged
+            curves2, traces2 = self.fits(by2, 2.0 * grid, [2.0 * h for h in hs], kernel)
+            for e in Estimator:
+                assert curves4[e].values.tobytes() == (4.0 * curves[e].values).tobytes(), (kernel, e)
+                assert curves2[e].values.tobytes() == curves[e].values.tobytes(), (kernel, e)
+                assert np.array_equal(curves4[e].degenerate, curves[e].degenerate)
+                assert np.array_equal(curves2[e].degenerate, curves[e].degenerate)
+                for p, p4, p2 in zip(traces[e], traces4[e], traces2[e]):
+                    assert p4.score == 16.0 * p.score and p2.score == p.score, (kernel, e, p, p4, p2)
+                    assert p4.degenerate_folds == p2.degenerate_folds == p.degenerate_folds

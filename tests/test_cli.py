@@ -338,14 +338,14 @@ class TestSimulate:
         assert np.array_equal(parse_grid_spec(grid_spec), load_simulation_config(cfg).grid)
 
     def test_failed_replication_sets_exit_code(self, tmp_path, monkeypatch, capsys):
-        run_replication = llrer.simulate._run_replication
+        draw_replication = llrer.simulate._draw_replication
 
         def fail_second(config, c, rep):
             if rep == 1:
                 raise RuntimeError("forced failure")
-            return run_replication(config, c, rep)
+            return draw_replication(config, c, rep)
 
-        monkeypatch.setattr(llrer.simulate, "_run_replication", fail_second)
+        monkeypatch.setattr(llrer.simulate, "_draw_replication", fail_second)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_CFG)
         out = tmp_path / "out"

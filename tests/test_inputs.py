@@ -288,6 +288,35 @@ def test_supplied_responses_need_no_step(point):
     assert point(SAMPLE, None, CONFIG, 1.0, responses=every_order) == point(SAMPLE, STEP, CONFIG, 1.0)
 
 
+# (call with the evaluation grid, its name); each is fed every grid of BAD_GRIDS
+GRID_CALLS = [
+    ("fit_curve", lambda g: fit_curve(Estimator.CR, SAMPLE, CONFIG, g)),
+    ("fit_curves", lambda g: fit_curves({Estimator.LLRER: CONFIG, Estimator.CR: CONFIG}, SAMPLE, g)),
+    ("SimulationConfig.grid", lambda g: study(grid=g)),
+]
+# not a non-empty, strictly ascending 1-d array of real numbers
+BAD_GRIDS = [
+    ([[0.0, 1.0]], "2-d"), ([[0.0], [1.0]], "column"), ([[0.0, 1.0], [2.0]], "ragged"), ("abc", "str"),
+    ("0.5", "numeric-str"), ([0.0, "1"], "str-entry"), ([0.0, None], "None-entry"), (None, "None"),
+    ([False, True], "bools"), ([1j, 2j], "complex"), ([], "empty"), ([1.0, 0.5], "descending"),
+    ([0.0, 0.0], "repeated"), ([0.0, math.nan], "nan"),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in GRID_CALLS], ids=[p for p, _ in GRID_CALLS])
+@pytest.mark.parametrize("grid", [g for g, _ in BAD_GRIDS], ids=[i for _, i in BAD_GRIDS])
+def test_evaluation_grid_is_a_one_dimensional_array_of_real_numbers(call, grid):
+    message = "evaluation grid must be a non-empty, strictly ascending 1-d array of real numbers"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(grid)
+
+
+@pytest.mark.parametrize("call", [c for _, c in GRID_CALLS], ids=[p for p, _ in GRID_CALLS])
+def test_evaluation_grid_takes_ints_floats_and_a_lone_number(call):
+    for grid in ([0, 1], np.arange(2), np.float32([0.0, 0.5]), [np.int64(0), 0.5], 0.5, (0.0, 1.0)):
+        call(grid)
+
+
 @pytest.mark.parametrize("count", ["0", "-3", "100001", "10000000000000"])
 def test_evaluation_grid_size_follows_the_bandwidth_grid_rule(count):
     message = f"evaluation grid size must be an integer in [1, 100000], got {count}"

@@ -31,12 +31,12 @@ from llrer import (
     moment_statistics,
     required_orders,
     scaled_kernel,
-    SurvivalStep,
     SyntheticResponses,
     synthetic_transform,
     write_curve_csv,
 )
 import llrer.loclin
+import llrer.survival
 from llrer.loclin import _blocks
 
 
@@ -675,9 +675,12 @@ class TestFitCurves:
         assert not curve.degenerate.any() and np.all(curve.values > 1e307)
 
     def test_computes_the_step_once(self):
+        # one product-limit pass per call
         rng = np.random.default_rng(43)
         s = random_censored_sample(rng, 30)
-        with mock.patch.object(llrer.loclin, "km_censoring_survival", wraps=km_censoring_survival) as km:
+        with mock.patch.object(
+            llrer.loclin, "_kaplan_meier_responses", wraps=llrer.survival._kaplan_meier_responses
+        ) as km:
             for calls, bandwidths in enumerate(DISTINCT_BANDWIDTHS, start=1):
                 fit_curves({est: EstimatorConfig(h) for est, h in bandwidths.items()}, s, [0.0, 0.5])
                 assert km.call_count == calls
@@ -685,7 +688,7 @@ class TestFitCurves:
     def test_evaluates_the_left_limits_once(self):
         rng = np.random.default_rng(45)
         s = random_censored_sample(rng, 30)
-        with mock.patch.object(SurvivalStep, "eval", autospec=True, side_effect=SurvivalStep.eval) as evals:
+        with mock.patch.object(llrer.survival, "_left_limits", wraps=llrer.survival._left_limits) as evals:
             for calls, bandwidths in enumerate(DISTINCT_BANDWIDTHS, start=1):
                 fit_curves({est: EstimatorConfig(h) for est, h in bandwidths.items()}, s, [0.0, 0.5])
                 assert evals.call_count == calls

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import llrer.loclin
 import llrer.simulate
+import llrer.survival
 from llrer import (
     DEFAULT_BANDWIDTH_GRID,
     DEFAULT_CALIBRATION_TOLERANCE,
@@ -21,6 +22,7 @@ from llrer import (
     BandwidthGrid,
     ConfigError,
     CVPoint,
+    DataError,
     ErrorMetrics,
     Estimator,
     EstimatorConfig,
@@ -34,9 +36,9 @@ from llrer import (
     config_lines,
     error_metrics,
     fit_curve,
+    fit_curves,
     generate_sample,
     inject_outliers,
-    km_censoring_survival,
     load_simulation_config,
     monte_carlo_run,
     parse_grid_spec,
@@ -357,6 +359,18 @@ class TestErrorMetrics:
         m = error_metrics(FittedCurve(grid, np.array([1.5, 0.5, 1.0]), np.zeros(3, dtype=bool)), lambda x: 1.0)
         assert m == (0.5, 0.5 * 0.25 * 1.0 + 0.5 * 0.25 * 1.0 + 0.5 * 0.25 * 2.0, 0)
 
+    @pytest.mark.parametrize("shape", [(3,), (1,), (5, 1), (1, 5)])
+    def test_reference_of_another_shape_is_config_error(self, shape):
+        grid = np.linspace(0.0, 1.0, 5)
+        curve = FittedCurve(grid, np.zeros(5), np.zeros(5, dtype=bool))
+
+        def wrong_shape(x):
+            return np.ones(shape)
+
+        message = f"reference wrong_shape must return a scalar or an array of shape (5,), got shape {shape}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            error_metrics(curve, wrong_shape)
+
     def test_overflowing_square_gives_inf_never_nan(self):
         # the squares of these errors overflow; pyproject turns numpy's
         # RuntimeWarning into an error
@@ -671,8 +685,9 @@ class TestReplication:
     @pytest.mark.parametrize("config", [FIXED_H_STUDY, CV_STUDY], ids=["fixed_h", "cv"])
     def test_equals_per_estimator_recipe(self, config):
         groups = set()
+        results = monte_carlo_run(config).results
         for rep in range(config.replications):
-            result = llrer.simulate._run_replication(config, -1.0, rep)
+            result = results[rep]
             want = per_estimator_recipe(config, -1.0, rep)
             for est, (h, curve, metrics) in want.items():
                 assert type(result.h_used[est]) is float and result.h_used[est] == h
@@ -687,21 +702,72 @@ class TestReplication:
     @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
     @pytest.mark.parametrize("config", [FIXED_H_STUDY, CV_STUDY], ids=["fixed_h", "cv"])
     def test_one_kaplan_meier_fit_for_the_curves(self, config):
-        # cross-validation fits its own target step inside bandwidth
-        fits = mock.patch.object(llrer.loclin, "km_censoring_survival", wraps=km_censoring_survival)
-        calls = mock.patch.object(llrer.simulate, "fit_curves", wraps=llrer.simulate.fit_curves)
-        with fits as km, calls as curves:
+        # one stacked Kaplan-Meier pass and one fit serve each block of two replications; cross-validation
+        # fits its own target step inside bandwidth
+        passes = mock.patch.object(
+            llrer.loclin, "_kaplan_meier_responses", wraps=llrer.survival._kaplan_meier_responses
+        )
+        calls = mock.patch.object(llrer.simulate, "_fit_rows", wraps=llrer.simulate._fit_rows)
+        with mock.patch.object(llrer.simulate, "_REPLICATION_BLOCK", 2), passes as km, calls as fits:
             report = monte_carlo_run(config)
         assert not report.failures()
-        assert km.call_count == curves.call_count == config.replications
+        assert km.call_count == fits.call_count == (config.replications + 1) // 2
 
     @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
     def test_one_left_limit_evaluation_per_fixed_h_replication(self):
+        # in blocks of one replication; the left limits come from the product-limit pass, not a step
         assert len(FIXED_H_STUDY.estimators) == 3
-        with mock.patch.object(SurvivalStep, "eval", autospec=True, side_effect=SurvivalStep.eval) as evals:
+        limits = mock.patch.object(llrer.survival, "_left_limits", wraps=llrer.survival._left_limits)
+        steps = mock.patch.object(SurvivalStep, "eval", autospec=True, side_effect=SurvivalStep.eval)
+        with mock.patch.object(llrer.simulate, "_REPLICATION_BLOCK", 1), limits as evals, steps as step_evals:
             report = monte_carlo_run(FIXED_H_STUDY)
         assert not report.failures()
         assert evals.call_count == FIXED_H_STUDY.replications
+        assert step_evals.call_count == 0
+
+
+# one outlier scaled by 1e-300 overflows y**-2 where it is uncensored: replications 1, 3, 5 and 6 fail
+OVERFLOWING_STUDY = SimulationConfig(
+    n=30, replications=7, seed=1, c=-2.0, h=0.5, outlier_count=1, outlier_mc=1e-300,
+    estimators=tuple(Estimator), grid=np.linspace(0.0, 2.0, 11),
+)
+
+
+class TestBlocks:
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @pytest.mark.parametrize("size", [1, 3, 16])
+    def test_a_failed_replication_is_recorded_alone(self, size):
+        config = OVERFLOWING_STUDY
+        with mock.patch.object(llrer.simulate, "_REPLICATION_BLOCK", size):
+            report = monte_carlo_run(config)
+        assert [r.rep for r in report.failures()] == [1, 3, 5, 6]
+        for result in report.results:
+            sample = generate_sample(config.n, config.c, replication_seed(config.seed, result.rep, 0)).sample
+            sample = inject_outliers(sample, 1, 1e-300, replication_seed(config.seed, result.rep, 1))
+            configs = dict.fromkeys(config.estimators, EstimatorConfig(0.5))
+            try:
+                want = fit_curves(configs, sample, config.grid)
+            except DataError as exc:
+                assert result.error == f"DataError: {exc}"
+                continue
+            assert result.error is None and result.h_used == dict.fromkeys(config.estimators, 0.5)
+            for est, curve in want.items():
+                assert result.curves[est].values.tobytes() == curve.values.tobytes()
+                assert np.array_equal(result.curves[est].degenerate, curve.degenerate)
+                assert result.metrics[est] == error_metrics(curve, theoretical_curve)
+
+    def test_a_failed_shared_step_is_recorded_for_each_replication_of_its_block(self):
+        def fail_second_block(configs, samples, grid):
+            if fit_rows.call_count == 2:
+                raise RuntimeError("forced failure")
+            return llrer.loclin._fit_rows(configs, samples, grid)
+
+        patcher = mock.patch.object(llrer.simulate, "_fit_rows", side_effect=fail_second_block)
+        with mock.patch.object(llrer.simulate, "_REPLICATION_BLOCK", 2), patcher as fit_rows:
+            report = monte_carlo_run(dataclasses.replace(FIXED_H_STUDY, replications=5))
+        assert [(r.rep, r.error) for r in report.failures()] == [(2, "RuntimeError: forced failure"),
+                                                                (3, "RuntimeError: forced failure")]
+        assert all(r.curves for r in report.results if r.error is None)
 
 
 class TestWriteCurvesCsv:

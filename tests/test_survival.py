@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import llrer.survival
@@ -290,6 +292,55 @@ class TestSyntheticTransform:
             )
             se = float(np.std(vals, ddof=1)) / math.sqrt(n)
             assert abs(float(vals.mean()) - truth) <= 5.0 * se
+
+
+@st.composite
+def stacked_samples(draw):
+    """Samples of one length n >= 1, from 1 to 4 of them, with tied responses from a pool that holds
+    zero, negative and tiny values, each censored at random, totally or in all records but one."""
+    n = draw(st.integers(1, 12))
+    pool = st.sampled_from((0.0, -0.5, 1e-170, 0.3, 1.0, 2.5)) | st.floats(-5.0, 5.0)
+    values = draw(st.lists(pool, min_size=1, max_size=n))
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        y = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+        pattern = draw(st.sampled_from(("random", "all_censored", "one_uncensored")))
+        if pattern == "random":
+            delta = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        else:
+            delta = [int(pattern == "one_uncensored" and i == n - 1) for i in range(n)]
+        samples.append(make(y, delta))
+    return samples
+
+
+class TestStackedKaplanMeier:
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_samples())
+    @example([make([2.0], [0])]).via("n = 1")
+    @example([make([1.0, 1.0], [0, 1]), make([3.0, 1.0], [0, 0])]).via("n = 2, ties, all censored")
+    def test_left_limits_are_the_steps_left_limits(self, samples):
+        y, delta = np.stack([s.y for s in samples]), np.stack([s.delta for s in samples])
+        stacked = llrer.survival._left_limits(y, delta)
+        for s, got in zip(samples, stacked):
+            want = km_censoring_survival(s).eval(s.y, side="left")
+            assert got.tobytes() == want.tobytes()
+            assert llrer.survival._left_limits(s.y, s.delta).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(stacked_samples(), st.sampled_from([(-1,), (1, 2), (2, -1, 1)]))
+    def test_responses_and_faults_are_each_samples_own(self, samples, orders):
+        y, delta = np.stack([s.y for s in samples]), np.stack([s.delta for s in samples])
+        tau, faults = llrer.survival._kaplan_meier_responses(y, delta, orders)
+        for r, (s, fault) in enumerate(zip(samples, faults)):
+            try:
+                want = llrer.survival._synthetic_responses(s, km_censoring_survival(s), orders)
+            except DataError as exc:
+                assert type(fault) is DataError and str(fault) == str(exc)
+                continue
+            assert fault is None
+            for o in orders:
+                assert tau[o][r].tobytes() == want[o].tobytes()
 
 
 class TestReadSampleCsv:
