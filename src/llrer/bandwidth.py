@@ -18,8 +18,9 @@ leave-one-out responses of each block built once. loclin._fold_estimates
 turns a block into predictions at every bandwidth, with the weights, the
 sums and the ratio formula of points and curves, in chunks of bandwidths of
 a fixed size, so no score depends on the other bandwidths of the grid or on
-its place in it; this module holds the grid, the windows, the folds, the
-scores and the selection. Each bandwidth evaluates only the window of columns within its
+its place in it, and over tiles of the block's folds sized to stay in cache,
+so no score depends on the tile either; this module holds the grid, the
+windows, the folds, the scores and the selection. Each bandwidth evaluates only the window of columns within its
 kernel's support of the block, a superset of the non-zero weights: every
 column for the Gaussian kernel, whose scores do not depend on the block
 size. A column pair's factors and the block size are the

@@ -15,7 +15,11 @@ folds over every bandwidth, so it builds each sum's factor, its column times
 dx^g, once per block from the same table (_fold_products, the precomputation
 of Fan & Marron, 1994) and takes the sums of a fixed-size chunk of
 bandwidths, 16 with the Gaussian kernel and one with a compact kernel, with
-one matrix product per fold (_fold_estimates). The quadratic double-sum
+one matrix product per fold (_fold_estimates). The folds of a block go in
+tiles of at most _TILE weights per chunk, outermost, so a chunk's weights of
+a tile are still in cache when the tile's products read them; a fold's
+product is the same in any tile, so no sum depends on the tile size, and a
+compact kernel's tile is the whole block. The quadratic double-sum
 forms of LLRER and LLCR, weighed by scaled_kernel, are shipped alongside as
 permanent cross-checks for that path.
 
@@ -318,6 +322,14 @@ def _fold_products(pairs, tau, columns: np.ndarray, points: np.ndarray, own: int
 # how many bandwidths the product holds; at one shape they are the same bits at
 # every position in it and next to any other bandwidths
 _CHUNK = 16
+# Weights that one kernel pass of cross-validation writes at most: a block's
+# folds go in tiles of _TILE // (chunk size * block columns) folds, or one. At
+# n = 300 a Gaussian tile is 13 folds, and its 512 KiB of weights and its
+# factors fit in a core's L2 cache, so each chunk's weights are still there when
+# the tile's fold products read them. A fold's product does not depend on the
+# tile, so neither do its sums. At _TILE >= _BLOCK_ENTRIES / _FOLD_FACTORS a
+# compact kernel's tile, of chunks of one bandwidth, holds the whole block
+_TILE = 2**16
 
 
 def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, own: int, kernel, hs, windows, eps):
@@ -327,28 +339,35 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
     points[r] and its own column is own + r. The block builds each pair's factors once. Bandwidth
     hs[k] weighs columns starts[k]:stops[k] of them, windows = (starts, stops), with the weights of
     _estimates. The bandwidths go in chunks: _CHUNK of them for the Gaussian kernel, whose windows
-    hold every column, and one for a compact kernel, so each keeps its own narrow window. A chunk's
-    weights are laid out bandwidth-major over the window of its widest bandwidth, the last chunk
-    padded with zero weights to full size, and each pair's sums of a fold take one matrix product
-    with them. The ratios of every bandwidth and fold follow at once.
+    hold every column, and one for a compact kernel, so each keeps its own narrow window. The folds
+    go in tiles of _TILE weights per chunk, outermost: each chunk's weights of a tile are laid out
+    bandwidth-major over the window of its widest bandwidth, the last chunk padded with zero weights
+    to full size, and each pair's sums of a fold take one matrix product with them. The sums are
+    laid out so that each of a pair's five, over every bandwidth and fold, is a view, and the ratios
+    of every bandwidth and fold follow at once.
     """
     products, dx2 = _fold_products(dict.fromkeys(_GROUP[e] for e in estimators), tau, columns, points, own)
     size = _CHUNK if KERNEL_SUPPORT[kernel] == np.inf else 1
     hs = np.asarray(hs, dtype=float)[:, None, None]
     firsts = np.arange(0, len(hs), size)
     starts, stops = np.minimum.reduceat(windows[0], firsts).tolist(), np.maximum.reduceat(windows[1], firsts).tolist()
-    sums = {pair: np.empty((firsts.size, points.size, 5, size)) for pair in products}  # chunk, fold, sum, bandwidth
-    w = np.empty(size * dx2.size)
+    sums = {pair: np.empty((5, points.size, firsts.size, size)) for pair in products}  # sum, fold, chunk, bandwidth
+    tile = min(points.size, max(1, _TILE // (size * columns.size)))
+    w = np.empty(size * tile * columns.size)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _moments: an overflowed sum is unread or flagged
-        for i, (lo, start, stop) in enumerate(zip(firsts.tolist(), starts, stops)):
-            chunk = hs[lo : lo + size]
-            weights = w[: size * points.size * (stop - start)].reshape(size, points.size, -1)
-            _kernel_of_squares(kernel, dx2[:, start:stop], chunk, out=weights[: len(chunk)])
-            if len(chunk) < size:  # the last chunk, padded with zero weights
-                weights[len(chunk) :] = 0.0
-            for pair, factors in products.items():
-                np.matmul(factors[:, :, start:stop], weights.transpose(1, 2, 0), out=sums[pair][i])
-    fold_sums = {pair: s.transpose(2, 0, 3, 1).reshape(5, -1, points.size)[:, : len(hs)] for pair, s in sums.items()}
+        for f in range(0, points.size, tile):
+            folds = slice(f, min(f + tile, points.size))
+            count = folds.stop - f
+            for i, (lo, start, stop) in enumerate(zip(firsts.tolist(), starts, stops)):
+                chunk = hs[lo : lo + size]
+                weights = w[: size * count * (stop - start)].reshape(size, count, -1)
+                _kernel_of_squares(kernel, dx2[folds, start:stop], chunk, out=weights[: len(chunk)])
+                if len(chunk) < size:  # the last chunk, padded with zero weights
+                    weights[len(chunk) :] = 0.0
+                for pair, factors in products.items():
+                    out = sums[pair][:, folds, i].transpose(1, 0, 2)  # fold, sum, bandwidth
+                    np.matmul(factors[folds, :, start:stop], weights.transpose(1, 2, 0), out=out)
+    fold_sums = {pair: s.reshape(5, points.size, -1)[:, :, : len(hs)].transpose(0, 2, 1) for pair, s in sums.items()}
     terms = _ratio_terms({e: fold_sums[_GROUP[e]] for e in estimators})
     return {e: _masked_ratio(*terms[e], eps) for e in estimators}
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cache, partial
 from itertools import chain
@@ -451,6 +450,8 @@ def monte_carlo_run(config: SimulationConfig, jobs: int = 1) -> SimulationReport
     if workers <= 1:
         results = map(run, blocks)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so a run without workers never imports it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, blocks))
     return SimulationReport(config, c, tuple(chain.from_iterable(results)))

@@ -223,11 +223,11 @@ def _loo_responses(sample: CensoredSample, orders):
 
     def rows(folds: slice) -> dict:
         before = s <= p[folds, None]
+        survival = rescale[folds, None] * plain_s  # the refit's left limits at the later records, for every order
         out = {}
         for o, m in moments.items():
-            tau = rescale[folds, None] * plain_s
             with np.errstate(all="ignore"):  # a 0 rescale is read only where before holds
-                np.divide(m, tau, out=tau)
+                tau = m / survival
             np.copyto(tau, early[o], where=before)
             np.fill_diagonal(tau[:, folds.start :], 0.0)  # each fold's own record
             out[o] = _check_finite(tau)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 import math
 import re
@@ -37,7 +38,7 @@ from llrer import (
 import llrer.bandwidth
 import llrer.loclin
 from llrer.bandwidth import _cv_traces, _windows
-from llrer.loclin import _CHUNK, _FOLD_FACTORS, DEFAULT_EPSILON, _blocks, _offsets
+from llrer.loclin import _CHUNK, _FOLD_FACTORS, _TILE, DEFAULT_EPSILON, _blocks, _offsets
 from llrer.survival import _loo_responses
 from llrer.kernels import _kernel_of_squares
 
@@ -614,6 +615,48 @@ class TestChunks:
                 assert traces_bits(split[est]) == traces_bits(default[est]), (rows, est)
 
 
+@contextlib.contextmanager
+def tile_folds(n, folds, kernel):
+    """Force tiles of `folds` folds on a sample of n observations with the Gaussian kernel, whose windows
+    hold every column, and of at least `folds` with a compact one."""
+    size = _CHUNK if kernel is KernelKind.GAUSSIAN else 1
+    with mock.patch.object(llrer.loclin, "_TILE", folds * size * n):
+        yield
+
+
+class TestTiles:
+    """Cross-validation weighs each chunk of bandwidths over tiles of a block's folds. A fold's sums
+    take the same matrix product in any tile, so no trace may depend on the tile size."""
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    @pytest.mark.parametrize("subset", TestSelectBandwidths.SUBSETS, ids=lambda c: "+".join(e.value for e in c))
+    def test_traces_equal_the_default_tiles_bit_for_bit(self, subset, kernel):
+        # n = 61: one block and one tile by default; tiles of 2 and 7 folds leave a short last tile
+        s = random_censored_sample(np.random.default_rng(70), 61)
+        assert _TILE // (_CHUNK * s.n) >= s.n
+        for rows in (None, 1, 2, 7):
+            cut = functools.partial(block_rows, s.n, rows) if rows else contextlib.nullcontext
+            with cut():
+                default = select_bandwidths(subset, s, kernel, TestChunks.GRID)
+            for folds in (1, 2, 7, s.n):
+                with cut(), tile_folds(s.n, folds, kernel):
+                    tiled = select_bandwidths(subset, s, kernel, TestChunks.GRID)
+                for est in subset:
+                    assert traces_bits(tiled[est]) == traces_bits(default[est]), (rows, folds, est)
+
+    def test_several_tiles_per_block_and_a_short_last_one(self):
+        s = random_censored_sample(np.random.default_rng(71), 300)
+        block = next(_blocks(s.n, _FOLD_FACTORS * s.n)).stop
+        tile = _TILE // (_CHUNK * s.n)
+        assert 1 < tile < block and block % tile
+        default = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, TestChunks.GRID)
+        for folds in (1, block):
+            with tile_folds(s.n, folds, KernelKind.GAUSSIAN):
+                tiled = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, TestChunks.GRID)
+            for est in Estimator:
+                assert traces_bits(tiled[est]) == traces_bits(default[est]), (folds, est)
+
+
 class TestBlocks:
     @pytest.mark.parametrize("rows", (1, 2, 7))
     def test_gaussian_traces_equal_one_block_bit_for_bit(self, rows):
@@ -764,9 +807,12 @@ def invariance_cases(draw):
         delta = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     else:
         delta = [int(pattern == "one_uncensored" and i == 0) for i in range(n)]
-    spots = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=n))
+    # 0 or at least 1e-100 in magnitude, so that no offset between a covariate and a grid point squares to a
+    # subnormal (a grid point of 7.7e-157 over covariates at 0 did)
+    place = st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+    spots = draw(st.lists(place, min_size=1, max_size=n))
     x = draw(st.lists(st.sampled_from(spots), min_size=n, max_size=n))
-    grid = np.unique(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7)))
+    grid = np.unique(draw(st.lists(place, min_size=1, max_size=7)))
     hs = draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=4))
     return CensoredSample(y, delta, x), grid, hs
 

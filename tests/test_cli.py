@@ -446,6 +446,17 @@ def test_module_entry_point(tmp_path):
     assert len(read_curve_rows(out)) == 3
 
 
+def test_import_leaves_the_process_pool_out():
+    # only simulate --jobs N > 1 starts a pool, so importing the command line loads none of its modules
+    modules = ("concurrent.futures.process", "multiprocessing", "logging")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, llrer.cli; print([m for m in {modules!r} if m in sys.modules])"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("command", (["cv"], ["estimate", "--cv", "--grid", "0:1:3"]), ids=("cv", "estimate"))
 def test_non_positive_response_warning_is_one_line(tmp_path, command):
     # an uncensored negative response: LLRER's inverse moments warn, in CV

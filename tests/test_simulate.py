@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import inspect
@@ -556,7 +557,7 @@ class TestMonteCarloRun:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(llrer.simulate, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(llrer.simulate.os, "cpu_count", lambda: cpus)
         cfg = SimulationConfig(
             n=25, replications=3, seed=9, c=-2.0, h=0.5,
