@@ -14,10 +14,12 @@ estimator. It sorts the records by (x, y, delta) once and runs on that copy:
 target, folds, columns, predictions and each score's sum. So the traces
 depend on the records but not on their order. The folds are taken in blocks
 whose factors take at most loclin._BLOCK_ENTRIES floats, with the
-leave-one-out responses of each block built once. loclin._fold_estimates
-turns a block into predictions at every bandwidth, with the weights, the
-sums and the ratio formula of points and curves, in chunks of bandwidths of
-a fixed size, so no score depends on the other bandwidths of the grid or on
+leave-one-out responses of each block built once, over the block's window;
+survival._loo_responses checks once, over every fold and column, that they
+are finite, so an overflow that no window reads still fails the call.
+loclin._fold_estimates turns a block into predictions at every bandwidth,
+with the weights, the sums and the ratio formula of points and curves, in
+chunks of bandwidths of a fixed size, so no score depends on the other bandwidths of the grid or on
 its place in it, and over tiles of the block's folds sized to stay in cache,
 so no score depends on the tile either; this module holds the grid, the
 windows, the folds, the scores and the selection. Each bandwidth evaluates only the window of columns within its
@@ -141,7 +143,7 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
         x = sample.x[block]  # ascending, so x[0] and x[-1] bound the block
         starts, stops = _windows(kernel, hs, sample.x, x[0], x[-1])
         outer = slice(int(starts.min()), int(stops.max()))  # the largest bandwidth's window
-        tau = {o: t[:, outer] for o, t in fold_rows(block).items()}
+        tau = fold_rows(block, outer)
         inner = (starts - outer.start, stops - outer.start)
         fits = _fold_estimates(estimators, tau, sample.x[outer], x, block.start - outer.start, kernel, hs, inner, eps)
         for e, (values, flags) in fits.items():

@@ -73,7 +73,7 @@ def kernel_eval(kind: KernelKind, u):
     out = np.empty(u.shape)
     with np.errstate(over="ignore"):  # a u * u that overflows gives the exact weight 0
         np.multiply(u, u, out=out)
-    _kernel_of_squares(kind, out, 1.0, out=out)
+        _kernel_of_squares(kind, out, 1.0, out=out)
     return float(out) if out.ndim == 0 else out
 
 
@@ -84,19 +84,19 @@ def _kernel_of_squares(kind: KernelKind, u2, h, out=None):
     exp(u2 * (-0.5 / h**2)) * norm, Epanechnikov 0.75 * fmax(1 - u2 / h**2, 0), where fmax
     maps a nan to 0 as it does every |u| > h. At h = 1 these are kernel_eval's operations. Every h
     that _check_bandwidth accepts gives scaled_kernel's weights to rounding, and the exact weight 0
-    to a u2 capped at the largest float.
+    to a u2 capped at the largest float. That u2 / h**2 overflows, so each caller holds one
+    np.errstate(over="ignore") around its calls.
     """
     h2 = h * h
-    with np.errstate(over="ignore"):  # an overflow gives the exact weight 0
-        if kind is KernelKind.GAUSSIAN:
-            out = np.multiply(u2, -0.5 / h2, out=out)
-            np.exp(out, out=out)
-            out *= _GAUSS_NORM
-        else:  # KernelKind.EPANECHNIKOV
-            out = np.divide(u2, h2, out=out)
-            np.subtract(1.0, out, out=out)
-            np.fmax(out, 0.0, out=out)
-            out *= 0.75
+    if kind is KernelKind.GAUSSIAN:
+        out = np.multiply(u2, -0.5 / h2, out=out)
+        np.exp(out, out=out)
+        out *= _GAUSS_NORM
+    else:  # KernelKind.EPANECHNIKOV
+        out = np.divide(u2, h2, out=out)
+        np.subtract(1.0, out, out=out)
+        np.fmax(out, 0.0, out=out)
+        out *= 0.75
     return out
 
 

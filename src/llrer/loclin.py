@@ -185,7 +185,8 @@ def _moment_weights(x: np.ndarray, points: np.ndarray, config, out=None) -> np.n
     out = np.empty((3, points.size, x.size)) if out is None else out
     w, dx, dx2 = out
     _offsets(x, points, out=(dx, dx2))
-    _kernel_of_squares(config.kernel, dx2, config.bandwidth, out=w)
+    with np.errstate(over="ignore"):  # a capped dx2 weighs exactly 0
+        _kernel_of_squares(config.kernel, dx2, config.bandwidth, out=w)
     np.multiply(w, dx2, out=dx2)
     np.multiply(w, dx, out=dx)
     return out.transpose(1, 0, 2)

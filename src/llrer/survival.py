@@ -19,6 +19,7 @@ and cross-validation's target read it without building a step.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -190,16 +191,21 @@ def _loo_responses(sample: CensoredSample, orders):
     """(target, rows): cross-validation's synthetic responses from one product-limit pass.
 
     target holds the order -1 responses under the full-sample Kaplan-Meier
-    estimate. rows maps a slice of folds to {order: tau}, where tau[r, j] is
-    record j's response under the estimate refitted without record
-    folds.start + r, and 0 for that record itself. Dropping i from the sorted
-    sample keeps the order of the rest and lowers the at-risk count by one
-    before i's sorted position p_i, so those factors become
+    estimate. rows maps a slice of folds and a slice of columns (every column
+    by default) that holds them to {order: tau}, where tau[r, c] is the
+    response of the record at column c under the estimate refitted without
+    record folds.start + r, and 0 for that record itself. Dropping i from the
+    sorted sample keeps the order of the rest and lowers the at-risk count by
+    one before i's sorted position p_i, so those factors become
     1 - (1-d_k)/(n-1-k); the factors after p_i are the plain ones, and i's own
     factor is gone. The left limit at y_j multiplies the factors before the
     start s_j of j's tie group: a record with s_j <= p_i has one response for
     every such fold, computed once, and a later one is divided by the fold's
-    survival there. A block of rows costs O(rows * n).
+    survival there. A block of rows costs O(rows * columns).
+
+    Every response that some fold other than the record's own holds is
+    checked once here, for every fold and column, so a DataError is raised
+    exactly when one of them is not finite, whichever columns rows reads.
     """
     n = sample.n
     if n < 2:
@@ -208,29 +214,36 @@ def _loo_responses(sample: CensoredSample, orders):
     _, censored, plain, _, p, s = _product_limit(sample.y, sample.delta)
     k = np.arange(n)
     reduced = np.cumprod(np.concatenate(([1.0], 1.0 - censored[:-1] / (n - 1 - k[:-1]))))
-    # factors p_i+1 .. s_j-1 are plain: reduced[p_i] * plain[s_j] / plain[p_i+1];
-    # the last sorted record has no later group, so its ratio is never used
-    rescale = reduced[p] / plain[np.minimum(p + 1, n - 1)]
+    # factors p_i+1 .. s_j-1 are plain: reduced[p_i] * plain[s_j] / plain[p_i+1], by sorted
+    # position; the last sorted record has no later group, so its ratio is never used
+    ratio = reduced / plain[np.minimum(k + 1, n - 1)]
+    rescale = ratio[p]
     plain_s = plain[s]
     target = _check_finite(_moment(sample.y, uncensored, -1) / plain_s)
     _check_responses(sample.y, uncensored, orders)
     moments = {o: _moment(sample.y, uncensored, o) for o in orders}
-    # reduced[s_j] is 0 only for a unique largest record after a censored one,
-    # and only its own fold, whose entry is zeroed, reads it; a value that
-    # overflows elsewhere fails _check_finite
-    with np.errstate(all="ignore"):
+    # the folds sorted before j's tie group divide m_j by rescale_i * plain[s_j], and rounding is
+    # monotone, so the largest in magnitude is at the least rescale_i among them
+    least = np.minimum.accumulate(ratio)[np.maximum(s - 1, 0)]
+    with np.errstate(all="ignore"):  # a response that is not finite fails the check, or no fold reads it
         early = {o: m / reduced[s] for o, m in moments.items()}
+        for o, m in moments.items():
+            # early[o][j] is read by a fold other than j's unless j sits alone at the last position,
+            # where reduced[s_j] may be 0, and j has late responses when a fold sorts before s_j
+            _check_finite(np.where(s < n - 1, early[o], 0.0))
+            _check_finite(np.where(s > 0, m / (least * plain_s), 0.0))
 
-    def rows(folds: slice) -> dict:
-        before = s <= p[folds, None]
-        survival = rescale[folds, None] * plain_s  # the refit's left limits at the later records, for every order
+    def rows(folds: slice, columns: slice = slice(None)) -> dict:
+        before = s[columns] <= p[folds, None]
+        survival = rescale[folds, None] * plain_s[columns]  # the refit's left limits at the later records
+        own = folds.start - columns.indices(n)[0]
         out = {}
         for o, m in moments.items():
             with np.errstate(all="ignore"):  # a 0 rescale is read only where before holds
-                tau = m / survival
-            np.copyto(tau, early[o], where=before)
-            np.fill_diagonal(tau[:, folds.start :], 0.0)  # each fold's own record
-            out[o] = _check_finite(tau)
+                tau = m[columns] / survival
+            np.copyto(tau, early[o][columns], where=before)
+            np.fill_diagonal(tau[:, own:], 0.0)  # each fold's own record
+            out[o] = tau
         return out
 
     return target, rows
@@ -371,7 +384,7 @@ def read_sample_csv(path) -> CensoredSample:
                 raise DataError(f"{path}: row {lineno}: could not parse y,delta,x values") from None
             if d not in (0, 1):
                 raise DataError(f"{path}: row {lineno}: delta must be 0 or 1, got {d}")
-            if not (np.isfinite(y) and np.isfinite(x)):
+            if not (math.isfinite(y) and math.isfinite(x)):
                 raise DataError(f"{path}: row {lineno}: y and x must be finite, got y={y}, x={x}")
             records.append((y, d, x))
     if not records:

@@ -37,6 +37,7 @@ from llrer import (
 )
 import llrer.bandwidth
 import llrer.loclin
+import llrer.survival
 from llrer.bandwidth import _cv_traces, _windows
 from llrer.loclin import _CHUNK, _FOLD_FACTORS, _TILE, DEFAULT_EPSILON, _blocks, _offsets
 from llrer.survival import _loo_responses
@@ -442,6 +443,63 @@ class TestLeaveOneOutResponses:
         with pytest.raises(DataError):
             _loo_responses(CensoredSample([1.0], [1], [0.0]), (-1,))
 
+    @settings(max_examples=200, deadline=None)
+    @given(tied_samples(), st.data())
+    def test_a_window_of_columns_is_the_slice_of_every_column(self, sample, data):
+        # cross-validation builds a block's responses over its window only
+        n = sample.n
+        _, rows = _loo_responses(sample, (-1, 1, 2))
+        for size in (1, 2, 7, n):
+            for block in (slice(lo, lo + size) for lo in range(0, n, size)):  # as _blocks cuts them
+                start = data.draw(st.integers(0, block.start))
+                stop = data.draw(st.integers(min(block.stop, n), n))
+                window, full = rows(block, slice(start, stop)), rows(block)
+                for o in (-1, 1, 2):
+                    assert window[o].tobytes() == full[o][:, start:stop].tobytes(), (size, block, start, stop)
+
+    def test_raises_exactly_when_a_fold_holds_a_non_finite_response(self):
+        # order 2 responses near 1.6e308 overflow in the folds whose refit divides them by a survival
+        # below their moment's headroom, and censored records below them set that survival; each
+        # response of every fold and column, its own entry excluded, is built without the check
+        rng = np.random.default_rng(24)
+        edge = 1.6e308 ** -0.5
+        pool = np.concatenate([edge * np.array([0.9, 0.95, 0.98, 1.0, 1.02, 1.05, 1.1, 1.3]), [1e-160, 0.3, 1.0, 2.0]])
+        # by hand: an overflowed moment alone at the last position, which only the other record's fold
+        # reads, and a last record after a censored one, whose own fold alone divides by 0
+        cases = [(CensoredSample([1e-170, 1e-160], [0, 1], [0.0, 0.0]), (2,)),
+                 (CensoredSample([1.0, 2.0], [0, 1], [0.0, 0.0]), (1, 2))]
+        for _ in range(400):
+            n = int(rng.integers(2, 11))
+            cases.append((CensoredSample(rng.choice(pool, n), rng.integers(0, 2, n), np.zeros(n)),
+                          ((1, 2), (2,), (-1, 1, 2))[int(rng.integers(3))]))
+        raised = []
+        for sample, orders in cases:
+            n = sample.n
+            with mock.patch.object(llrer.survival, "_check_finite", lambda responses: responses):
+                target, rows = _loo_responses(sample, orders)
+                built = rows(slice(0, n))
+            off_diagonal = ~np.eye(n, dtype=bool)
+            finite = np.isfinite(target).all() and all(np.isfinite(t[off_diagonal]).all() for t in built.values())
+            try:
+                _loo_responses(sample, orders)
+            except DataError as exc:
+                assert str(exc) == "synthetic responses overflow; responses too close to zero"
+                raised.append(True)
+            else:
+                raised.append(False)
+            assert raised[-1] == (not finite), (sample, orders)
+        assert raised[:2] == [True, False]
+        assert 40 <= sum(raised) <= 360  # both outcomes are common
+
+    @pytest.mark.parametrize("kernel", list(KernelKind))
+    def test_an_overflow_that_no_window_reads_still_raises(self, kernel):
+        # the tiny uncensored response's early response, m / reduced[1], overflows in every fold sorted
+        # after it; with folds of one record and covariates 10 apart, no Epanechnikov window reads it
+        y = [1e-160, 7.905694150420949e-155, 0.3, 0.5, 1.0, 2.0, 3.0, 4.0]
+        s = CensoredSample(y, [0, 1, 1, 0, 1, 1, 0, 1], 10.0 * np.arange(8))
+        with block_rows(s.n, 1), pytest.raises(DataError, match="synthetic responses overflow"):
+            select_bandwidths((Estimator.LLRER,), s, kernel)
+
 
 class TestSelectBandwidths:
     SUBSETS = [c for r in (1, 2, 3) for c in itertools.combinations(Estimator, r)]
@@ -790,7 +848,8 @@ def test_window_holds_every_non_zero_weight(x, a, b, h):
         for p in (lo, hi, 0.5 * (lo + hi), np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)):
             if lo <= p <= hi:
                 _, dx2 = _offsets(outside, np.array([p]))
-                assert not np.any(_kernel_of_squares(kind, dx2, h)), (kind, p, start, stop)
+                with np.errstate(over="ignore"):  # as every caller of _kernel_of_squares holds it
+                    assert not np.any(_kernel_of_squares(kind, dx2, h)), (kind, p, start, stop)
 
 
 @st.composite

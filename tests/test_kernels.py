@@ -169,9 +169,9 @@ def test_squared_offset_weights_are_the_scaled_kernel_at_every_accepted_bandwidt
         except ConfigError:
             continue
         accepted += 1
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # as every caller of _kernel_of_squares holds it
             dx, dx2 = _offsets(np.concatenate([u * h, far]), np.array([0.0]))
-        got, want = _kernel_of_squares(kind, dx2, h)[0], scaled_kernel(kind, h, dx)[0]
+            got, want = _kernel_of_squares(kind, dx2, h)[0], scaled_kernel(kind, h, dx)[0]
         capped = dx2[0] == np.finfo(float).max
         assert capped[-far.size :].all() and not np.any(got[capped]) and not np.any(want[capped]), h
         got, want, u2 = got[~capped], want[~capped], (dx[0, ~capped] / h) ** 2
