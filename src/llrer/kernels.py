@@ -3,7 +3,10 @@
 Bandwidth scaling follows the convention K_h(u) = K(u / h) with no 1/h
 prefactor: all estimators here are ratios of kernel-weighted sums, so any
 constant factor cancels. This deliberately differs from the density
-estimation convention, where K_h carries a 1/h.
+estimation convention, where K_h carries a 1/h. The fits weigh by
+K(u / h) / K(0) (_relative_kernel_of_squares), which skips a pass over
+every weight, and scale their few sums by K(0) (_KERNEL_AT_ZERO), so each
+sum keeps its meaning and scale.
 """
 
 from __future__ import annotations
@@ -17,9 +20,6 @@ import numpy as np
 from .errors import ConfigError, _check_instance, _check_real
 
 __all__ = ["KernelKind", "kernel_eval", "scaled_kernel"]
-
-_GAUSS_NORM = 1.0 / math.sqrt(2.0 * math.pi)
-
 
 class KernelKind(Enum):
     """Supported kernel shapes; the values double as CLI/config names."""
@@ -59,6 +59,8 @@ _check_bandwidth = partial(_check_real, name="bandwidth h", lo=_BANDWIDTH_RANGE[
 # Half-width of each kernel's support: kernel_eval is exactly 0 at and beyond
 # |u| = KERNEL_SUPPORT[kind], so weights outside it need not be computed.
 KERNEL_SUPPORT = {KernelKind.GAUSSIAN: math.inf, KernelKind.EPANECHNIKOV: 1.0}
+# Each kernel's peak K(0), the factor between _kernel_of_squares and _relative_kernel_of_squares
+_KERNEL_AT_ZERO = {KernelKind.GAUSSIAN: 1.0 / math.sqrt(2.0 * math.pi), KernelKind.EPANECHNIKOV: 0.75}
 
 
 def kernel_eval(kind: KernelKind, u):
@@ -78,25 +80,32 @@ def kernel_eval(kind: KernelKind, u):
 
 
 def _kernel_of_squares(kind: KernelKind, u2, h, out=None):
-    """K(u / h) from the squared offsets u2 = u * u, written to out (a new array by default).
+    """K(u / h) from the squared offsets u2 = u * u, written to out (a new array by default):
+    _relative_kernel_of_squares, with its arguments and its np.errstate, times K(0). At h = 1 these are
+    kernel_eval's operations, and every accepted h gives scaled_kernel's weights to rounding."""
+    out = _relative_kernel_of_squares(kind, u2, h, out)
+    out *= _KERNEL_AT_ZERO[kind]
+    return out
 
-    h is one bandwidth, or an array of them that broadcasts against u2. Gaussian
-    exp(u2 * (-0.5 / h**2)) * norm, Epanechnikov 0.75 * fmax(1 - u2 / h**2, 0), where fmax
-    maps a nan to 0 as it does every |u| > h. At h = 1 these are kernel_eval's operations. Every h
-    that _check_bandwidth accepts gives scaled_kernel's weights to rounding, and the exact weight 0
-    to a u2 capped at the largest float. That u2 / h**2 overflows, so each caller holds one
+
+def _relative_kernel_of_squares(kind: KernelKind, u2, h, out=None):
+    """K(u / h) / K(0) from the squared offsets u2 = u * u, written to out (a new array by default).
+
+    h is one bandwidth, or an array of them that broadcasts against u2. Gaussian exp(u2 * (-0.5 / h**2)),
+    Epanechnikov fmax(h**2 - u2, 0) * (1 / h**2), with no division per weight, where fmax maps a nan to 0
+    as it does every |u| > h; a u2 equal to h**2, of a |u| of exactly h, weighs exactly 0. Every h that
+    _check_bandwidth accepts gives scaled_kernel's weights over K(0) to rounding, and the exact weight 0 to
+    a u2 capped at the largest float. That u2 * (-0.5 / h**2) overflows, so each caller holds one
     np.errstate(over="ignore") around its calls.
     """
     h2 = h * h
     if kind is KernelKind.GAUSSIAN:
         out = np.multiply(u2, -0.5 / h2, out=out)
         np.exp(out, out=out)
-        out *= _GAUSS_NORM
     else:  # KernelKind.EPANECHNIKOV
-        out = np.divide(u2, h2, out=out)
-        np.subtract(1.0, out, out=out)
+        out = np.subtract(h2, u2, out=out)
         np.fmax(out, 0.0, out=out)
-        out *= 0.75
+        np.multiply(out, 1.0 / h2, out=out)
     return out
 
 

@@ -5,9 +5,11 @@ synthetic responses: the local linear least-squares fit of r / v with
 weights v * K. LLRER, the fit under squared relative error, is the pair
 (tau1, tau2), LLCR the classical fit of the pair (tau-1, 1) and CR the
 Nadaraya-Watson, local constant, fit of LLCR's pair. Point estimates, curves
-and cross-validation share one weighting rule, K(dx^2 / h^2) from the capped
-squared offsets of _offsets, one table of kernel sums, _SUMS, five per pair,
-and one ratio formula, _ratio_terms. Points, curves and moment_statistics
+and cross-validation share one weighting rule, K(dx^2 / h^2) / K(0) from the
+squared offsets of _offsets, capped only where one can overflow, with each
+sum then scaled by K(0), so the weights take one pass less and the sums keep
+their scale; one table of kernel sums, _SUMS, five per pair; and one ratio
+formula, _ratio_terms. Points, curves and moment_statistics
 use each weight once: one matrix product per point gives its moments
 sum_j w_j dx_j^g c_j over the columns c (_moments), and each pair reads its
 five sums out of them through the table. Cross-validation reuses a block of
@@ -49,8 +51,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, _check_collection, _check_instance, _check_point, _check_real
 from .kernels import (
-    _DEFAULT_KERNEL, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, _kernel_of_squares, _member_named,
-    scaled_kernel,
+    _DEFAULT_KERNEL, _KERNEL_AT_ZERO, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, _member_named,
+    _relative_kernel_of_squares, scaled_kernel,
 )
 from .survival import (
     CensoredSample, SurvivalStep, SyntheticResponses, _check_sample, _kaplan_meier_responses, _synthetic_responses,
@@ -142,7 +144,7 @@ def moment_statistics(
     """Kernel and response moment sums at x, the point estimates' own (_moments)."""
     x = _point_inputs(config, x)
     tau = _response_map(sample, None, _check_collection(responses, "responses"), ())
-    m = _moments(_columns(tau, sample.x.shape), _moment_weights(sample.x, np.array([x]), config))[0]
+    m = _moments(_columns(tau, sample.x.shape), _moment_weights(sample.x, np.array([x]), config), config.kernel)[0]
     return MomentStatistics(x, m[:, 0], {o: m[:, _COLUMNS.index(o)] for o in tau})
 
 
@@ -179,28 +181,31 @@ def _columns(tau, shape: tuple) -> np.ndarray:
 
 def _moment_weights(x: np.ndarray, points: np.ndarray, config, out=None) -> np.ndarray:
     """The weight rows w, w * dx and w * dx2 of each point, as a (points, 3, len(x)) view of out, a
-    (3, points, len(x)) array (a new one by default): dx, dx2 from _offsets and w = K(dx2 / h^2) at
-    config's kernel and bandwidth. Each of the three is one contiguous plane of out, and no other
-    temporary of their size is made."""
+    (3, points, len(x)) array (a new one by default): dx, dx2 from _offsets and w = K(dx2 / h^2) / K(0)
+    at config's kernel and bandwidth, so _moments scales its sums by K(0). Each of the three is one
+    contiguous plane of out, and no other temporary of their size is made."""
     out = np.empty((3, points.size, x.size)) if out is None else out
     w, dx, dx2 = out
     _offsets(x, points, out=(dx, dx2))
     with np.errstate(over="ignore"):  # a capped dx2 weighs exactly 0
-        _kernel_of_squares(config.kernel, dx2, config.bandwidth, out=w)
+        _relative_kernel_of_squares(config.kernel, dx2, config.bandwidth, out=w)
     np.multiply(w, dx2, out=dx2)
     np.multiply(w, dx, out=dx)
     return out.transpose(1, 0, 2)
 
 
-def _moments(tau: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """m[r, g, c] = sum_j w[r, j] * dx[r, j]**g * tau[j, c], for g = 0, 1, 2 and the columns tau of _columns.
+def _moments(tau: np.ndarray, weights: np.ndarray, kernel: KernelKind) -> np.ndarray:
+    """m[r, g, c] = sum_j K(dx[r, j] / h) * dx[r, j]**g * tau[j, c], for g = 0, 1, 2 and the columns tau of
+    _columns.
 
-    Row r holds evaluation point r: its weight rows from _moment_weights. Each row takes one
-    (3 x n) @ (n x 4) product, so its moments are the same bits whichever rows, estimators and samples
-    one call holds.
+    Row r holds evaluation point r: its weight rows from _moment_weights, at kernel, relative to K(0).
+    Each row takes one (3 x n) @ (n x 4) product, scaled by K(0), so its moments are the same bits
+    whichever rows, estimators and samples one call holds.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a sum the call's estimators do not read may overflow
-        return weights @ tau
+        m = weights @ tau
+        m *= _KERNEL_AT_ZERO[kernel]
+    return m
 
 
 def _ratio_terms(sums) -> dict:
@@ -241,14 +246,24 @@ def _blocks(count: int, width: int):
         yield slice(lo, lo + rows)
 
 
+# The bound on max |columns| + max |points| below which no offset of _offsets, nor its square, overflows
+_ROOT_BIG = float(np.sqrt(np.finfo(float).max))
+
+
 def _offsets(columns: np.ndarray, points: np.ndarray, out=None):
     """(dx, dx2): dx[r, j] = columns[j] - points[r], one row per point, and dx2 = dx * dx, each capped at
     the largest float in magnitude, written to out = (dx, dx2) (new arrays by default). A capped dx2
     weighs exactly 0 at every accepted bandwidth, so a far column adds 0 to the sums, not 0 * inf = nan,
     and an infinite point, all of whose weights are 0, is degenerate. A nan point keeps its nan
-    offsets, so it is degenerate too."""
+    offsets, so it is degenerate too. The caps are passes over every offset, so they are skipped where
+    max |columns| + max |points| < sqrt(largest float), false at a nan or inf, proves that no dx and no
+    dx2 overflows: rounding is monotone, so |dx| stays within that bound and dx2 within the largest
+    float, and the result is the same bits."""
     big = np.finfo(float).max
     dx, dx2 = (None, None) if out is None else out
+    if float(np.abs(columns).max()) + float(np.abs(points).max()) < _ROOT_BIG:
+        dx = np.subtract(columns[None, :], points[:, None], out=dx)
+        return dx, np.multiply(dx, dx, out=dx2)
     with np.errstate(over="ignore"):
         dx = np.subtract(columns[None, :], points[:, None], out=dx)
         np.clip(dx, -big, big, out=dx)
@@ -277,7 +292,7 @@ def _estimates(x: np.ndarray, columns: np.ndarray, configs, points: np.ndarray) 
             shared = [e for e in estimators if row[e] == config]
             for block in blocks:
                 at = points[block]
-                m = _moments(columns[r], _moment_weights(x[r], at, config, weights[:, : at.size]))
+                m = _moments(columns[r], _moment_weights(x[r], at, config, weights[:, : at.size]), config.kernel)
                 for e in shared:
                     sums[e][r, block] = m[(slice(None), *picks[e])]
     terms = _ratio_terms({e: np.moveaxis(s, -1, 0) for e, s in sums.items()})
@@ -297,14 +312,16 @@ def _fold_products(pairs, tau, columns: np.ndarray, points: np.ndarray, own: int
     Factor k of a pair is column c times dx**g for its sum (g, c) in _SUMS,
     so one matrix product with a fold's weights gives its five sums. They are
     capped at the largest float, so a far column, whose weight is 0, adds 0.
-    Fold r's own column, own + r, is 0 in every factor.
+    The responses and the capped offsets are finite, so only a product that
+    overflows can exceed that cap, and the pass that caps runs only after one
+    did. Fold r's own column, own + r, is 0 in every factor.
     """
     dx, dx2 = _offsets(columns, points)
     big = np.finfo(float).max
     values, powers = [1.0 if o is None else tau.get(o) for o in _COLUMNS], (1.0, dx, dx2)
     folds = np.arange(points.size)
-    products = {}
-    with np.errstate(over="ignore"):  # each overflow is capped
+    products, overflows = {}, []
+    with np.errstate(over="call", call=lambda *_: overflows.append(True)):
         for pair in pairs:
             p = products[pair] = np.empty((points.size, 5, columns.size))
             for k, (g, c) in enumerate(_SUMS[pair]):
@@ -312,8 +329,10 @@ def _fold_products(pairs, tau, columns: np.ndarray, points: np.ndarray, own: int
                     np.multiply(values[c], powers[g], out=p[:, k])
                 else:  # a factor of 1: copy the other, which costs less than multiplying by 1.0
                     p[:, k] = powers[g] if g else values[c]
+    for p in products.values():
+        if overflows:
             np.clip(p, -big, big, out=p)
-            p[folds, :, own + folds] = 0.0
+        p[folds, :, own + folds] = 0.0
     return products, dx2
 
 
@@ -339,17 +358,18 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
     tau[order] holds one row of leave-one-out responses over columns per fold, fold r is evaluated at
     points[r] and its own column is own + r. The block builds each pair's factors once. Bandwidth
     hs[k] weighs columns starts[k]:stops[k] of them, windows = (starts, stops), with the weights of
-    _estimates. The bandwidths go in chunks: _CHUNK of them for the Gaussian kernel, whose windows
-    hold every column, and one for a compact kernel, so each keeps its own narrow window. The folds
-    go in tiles of _TILE weights per chunk, outermost: each chunk's weights of a tile are laid out
-    bandwidth-major over the window of its widest bandwidth, the last chunk padded with zero weights
-    to full size, and each pair's sums of a fold take one matrix product with them. The sums are
-    laid out so that each of a pair's five, over every bandwidth and fold, is a view, and the ratios
-    of every bandwidth and fold follow at once.
+    _estimates, relative to K(0), and its sums are then scaled by K(0). The bandwidths go in chunks:
+    _CHUNK of them for the Gaussian kernel, whose windows hold every column, and one for a compact
+    kernel, so each keeps its own narrow window. The folds go in tiles of _TILE weights per chunk,
+    outermost: each chunk's weights of a tile are laid out bandwidth-major over the window of its
+    widest bandwidth, the last chunk padded with zero weights to full size, and each pair's sums of a
+    fold take one matrix product with them. The sums are laid out so that each of a pair's five, over
+    every bandwidth and fold, is a view, and the ratios of every bandwidth and fold follow at once.
     """
     products, dx2 = _fold_products(dict.fromkeys(_GROUP[e] for e in estimators), tau, columns, points, own)
     size = _CHUNK if KERNEL_SUPPORT[kernel] == np.inf else 1
     hs = np.asarray(hs, dtype=float)[:, None, None]
+    bandwidths = hs.ravel().tolist()
     firsts = np.arange(0, len(hs), size)
     starts, stops = np.minimum.reduceat(windows[0], firsts).tolist(), np.maximum.reduceat(windows[1], firsts).tolist()
     sums = {pair: np.empty((5, points.size, firsts.size, size)) for pair in products}  # sum, fold, chunk, bandwidth
@@ -360,14 +380,18 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
             folds = slice(f, min(f + tile, points.size))
             count = folds.stop - f
             for i, (lo, start, stop) in enumerate(zip(firsts.tolist(), starts, stops)):
-                chunk = hs[lo : lo + size]
                 weights = w[: size * count * (stop - start)].reshape(size, count, -1)
-                _kernel_of_squares(kernel, dx2[folds, start:stop], chunk, out=weights[: len(chunk)])
-                if len(chunk) < size:  # the last chunk, padded with zero weights
-                    weights[len(chunk) :] = 0.0
+                if size == 1:  # a float and one plane: a ufunc call that broadcasts costs a few microseconds more
+                    _relative_kernel_of_squares(kernel, dx2[folds, start:stop], bandwidths[lo], out=weights[0])
+                else:
+                    chunk = hs[lo : lo + size]
+                    _relative_kernel_of_squares(kernel, dx2[folds, start:stop], chunk, out=weights[: len(chunk)])
+                    weights[len(chunk) :] = 0.0  # the last chunk is padded with zero weights
                 for pair, factors in products.items():
                     out = sums[pair][:, folds, i].transpose(1, 0, 2)  # fold, sum, bandwidth
                     np.matmul(factors[folds, :, start:stop], weights.transpose(1, 2, 0), out=out)
+        for s in sums.values():  # the weights are relative to K(0)
+            s *= _KERNEL_AT_ZERO[kernel]
     fold_sums = {pair: s.reshape(5, points.size, -1)[:, :, : len(hs)].transpose(0, 2, 1) for pair, s in sums.items()}
     terms = _ratio_terms({e: fold_sums[_GROUP[e]] for e in estimators})
     return {e: _masked_ratio(*terms[e], eps) for e in estimators}

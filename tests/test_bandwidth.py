@@ -29,7 +29,9 @@ from llrer import (
     inject_outliers,
     km_censoring_survival,
     llcr_point,
+    llcr_point_naive,
     llrer_point,
+    llrer_point_naive,
     select_bandwidth,
     select_bandwidths,
     synthetic_transform,
@@ -852,6 +854,24 @@ def test_window_holds_every_non_zero_weight(x, a, b, h):
                     assert not np.any(_kernel_of_squares(kind, dx2, h)), (kind, p, start, stop)
 
 
+def test_epanechnikov_folds_do_not_weigh_records_on_the_support_edge():
+    # records exactly 0.3 apart at h = 0.3, a grid value: a fold's nearest other records sit on its support's
+    # edge, where dx * dx equals h * h and the weight (h**2 - dx**2)+ / h**2 is exactly 0, so every fold of
+    # every estimator is degenerate, as the naive oracles find. The form 1 - dx**2 * (1 / h**2) would weigh
+    # them about 1e-16, since 0.3**2 * (1 / 0.3**2) < 1, and fit the middle fold
+    sample = CensoredSample([1.0, 2.0, 3.0], [1, 1, 1], [-0.3, 0.0, 0.3])
+    grid = BandwidthGrid(0.1, 0.5, 0.1)
+    assert 0.3 in grid.values().tolist()
+    config = EstimatorConfig(0.3, KernelKind.EPANECHNIKOV)
+    for i in range(sample.n):
+        keep = np.arange(sample.n) != i
+        fold = CensoredSample(sample.y[keep], sample.delta[keep], sample.x[keep])
+        for naive in (llrer_point_naive, llcr_point_naive):
+            assert naive(fold, km_censoring_survival(fold), config, float(sample.x[i])) == (0.0, True), (i, naive)
+    for e, selection in select_bandwidths(tuple(Estimator), sample, KernelKind.EPANECHNIKOV, grid).items():
+        assert {p.h: p.degenerate_folds for p in selection.trace}[0.3] == sample.n, e
+
+
 @st.composite
 def invariance_cases(draw):
     """(sample, grid, bandwidths): small samples with tied responses and covariates, censoring random,
@@ -887,19 +907,16 @@ class TestExactInvariances:
         traces = _cv_traces(tuple(Estimator), sample, kernel, hs, DEFAULT_EPSILON)
         return curves, traces
 
-    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
-    @settings(max_examples=40, deadline=None)
-    @given(invariance_cases())
-    def test_scaling_y_and_the_covariate_scale(self, case):
-        sample, grid, hs = case
+    @classmethod
+    def check_scaling(cls, sample, grid, hs, kernels):
         by4 = CensoredSample(4.0 * sample.y, sample.delta, sample.x)
         by2 = CensoredSample(sample.y, sample.delta, 2.0 * sample.x)
-        for kernel in KernelKind:
-            curves, traces = self.fits(sample, grid, hs, kernel)
+        for kernel in kernels:
+            curves, traces = cls.fits(sample, grid, hs, kernel)
             # y -> 4y: curves times 4, scores times 16
-            curves4, traces4 = self.fits(by4, grid, hs, kernel)
+            curves4, traces4 = cls.fits(by4, grid, hs, kernel)
             # (x, grid, h) -> 2 (x, grid, h): curves and traces unchanged
-            curves2, traces2 = self.fits(by2, 2.0 * grid, [2.0 * h for h in hs], kernel)
+            curves2, traces2 = cls.fits(by2, 2.0 * grid, [2.0 * h for h in hs], kernel)
             for e in Estimator:
                 assert curves4[e].values.tobytes() == (4.0 * curves[e].values).tobytes(), (kernel, e)
                 assert curves2[e].values.tobytes() == curves[e].values.tobytes(), (kernel, e)
@@ -908,3 +925,16 @@ class TestExactInvariances:
                 for p, p4, p2 in zip(traces[e], traces4[e], traces2[e]):
                     assert p4.score == 16.0 * p.score and p2.score == p.score, (kernel, e, p, p4, p2)
                     assert p4.degenerate_folds == p2.degenerate_folds == p.degenerate_folds
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(invariance_cases())
+    def test_scaling_y_and_the_covariate_scale(self, case):
+        self.check_scaling(*case, KernelKind)
+
+    @pytest.mark.filterwarnings("ignore::llrer.NonPositiveResponseWarning")
+    def test_scaling_a_large_epanechnikov_sample(self):
+        # n = 10^4, beyond the reach of the oracles; two small bandwidths keep the folds' windows narrow, so
+        # the three fits take a few seconds
+        sample = generate_sample(10_000, -1.135, 11).sample
+        self.check_scaling(sample, np.linspace(-2.0, 3.0, 21), [0.01, 0.03], [KernelKind.EPANECHNIKOV])

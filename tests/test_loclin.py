@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llrer import (
+    BandwidthGrid,
     CensoredSample,
     ConfigError,
     DataError,
@@ -31,6 +32,7 @@ from llrer import (
     moment_statistics,
     required_orders,
     scaled_kernel,
+    select_bandwidth,
     SyntheticResponses,
     synthetic_transform,
     write_curve_csv,
@@ -388,6 +390,121 @@ class TestDegenerateConvention:
         cfg = EstimatorConfig(1.0, kernel)
         for point in (llrer_point, llrer_point_naive, llcr_point, llcr_point_naive, cr_point):
             assert point(s, step, cfg, math.nan) == (0.0, True)
+
+
+class TestEpanechnikovSupportEdge:
+    """Records at exactly 0.3 from the point 0 at h = 0.3: there dx * dx equals h * h, so the weight
+    (h**2 - dx**2)+ / h**2 is exactly 0. The form 1 - dx**2 * (1 / h**2) would weigh them about 1e-16,
+    since 0.3**2 * (1 / 0.3**2) < 1."""
+
+    config = EstimatorConfig(0.3, KernelKind.EPANECHNIKOV)
+    sample = CensoredSample([1.0, 2.0, 3.0], [1, 1, 1], [-0.3, 0.3, 5.0])
+
+    def test_edge_records_weigh_exactly_zero(self):
+        assert scaled_kernel(KernelKind.EPANECHNIKOV, 0.3, [-0.3, 0.3]).tolist() == [0.0, 0.0]
+        step = km_censoring_survival(self.sample)
+        responses = [synthetic_transform(self.sample, step, o) for o in (-1, 1, 2)]
+        m = moment_statistics(self.sample, responses, self.config, 0.0)
+        assert m.kernel_moments.tolist() == [0.0, 0.0, 0.0]
+        assert {o: r.tolist() for o, r in m.response_moments.items()} == dict.fromkeys((-1, 1, 2), [0.0, 0.0, 0.0])
+
+    def test_a_point_whose_only_records_sit_on_the_edge_is_degenerate(self):
+        step = km_censoring_survival(self.sample)
+        for naive in (llrer_point_naive, llcr_point_naive):
+            assert naive(self.sample, step, self.config, 0.0) == (0.0, True)
+        curves = fit_curves(dict.fromkeys(Estimator, self.config), self.sample, [-1.0, 0.0, 1.0])
+        for e in Estimator:
+            assert curves[e].degenerate.tolist() == [True, True, True], e
+            assert curves[e].values.tolist() == [0.0, 0.0, 0.0], e
+            assert POINT_FN[e](self.sample, step, self.config, 0.0) == (0.0, True), e
+
+
+@pytest.mark.parametrize(
+    "kernel, inside, outside",
+    [(KernelKind.GAUSSIAN, 7.36, 7.3), (KernelKind.EPANECHNIKOV, 1.0 - 6e-13, 1.0 - 8e-13)],
+)
+def test_cr_threshold_is_on_the_sums_of_the_normalised_kernel(kernel, inside, outside):
+    # CR is degenerate where its weight sum sum_j K((x_j - x) / h) is at most denominator_epsilon, an
+    # absolute threshold. The fits weigh by K / K(0) and scale their sums by K(0), so a point or fold whose
+    # one record weighs between eps * K(0) and eps (offset inside) stays degenerate, and one whose record
+    # weighs just above eps (offset outside) does not
+    eps = llrer.loclin.DEFAULT_EPSILON
+    peak = float(scaled_kernel(kernel, 1.0, 0.0))
+    assert eps * peak < scaled_kernel(kernel, 1.0, inside) < eps < scaled_kernel(kernel, 1.0, outside)
+    config, grid = EstimatorConfig(1.0, kernel), BandwidthGrid(1.0, 1.0, 1.0)
+    for offset, degenerate in ((inside, True), (outside, False)):
+        point = CensoredSample([1.0, 2.0], [1, 1], [offset, 50.0])  # the record at 50 weighs 0 at 0
+        assert cr_point(point, km_censoring_survival(point), config, 0.0).degenerate is degenerate, offset
+        assert fit_curves({Estimator.CR: config}, point, [0.0])[Estimator.CR].degenerate.tolist() == [degenerate]
+        # the folds at 0 and at offset each see the other record only; the fold at 50 sees none
+        folds = CensoredSample([1.0, 2.0, 3.0], [1, 1, 1], [0.0, offset, 50.0])
+        trace = select_bandwidth(Estimator.CR, folds, kernel, grid).trace
+        assert trace[0].degenerate_folds == (3 if degenerate else 1), offset
+
+
+# covariates and points: moderate, huge (1e154 to 1e308, beyond which a square overflows), infinite or nan
+_COORDINATES = (
+    st.floats(-10.0, 10.0)
+    | st.tuples(st.floats(1e154, 1e308), st.sampled_from((1.0, -1.0))).map(lambda t: t[0] * t[1])
+    | st.sampled_from((0.0, -0.0, 1.5e154, -1e308, np.finfo(float).max, math.inf, -math.inf, math.nan))
+)
+# responses near the largest float, or moderate
+_RESPONSES = (
+    st.floats(-10.0, 10.0)
+    | st.tuples(st.floats(1e300, np.finfo(float).max), st.sampled_from((1.0, -1.0))).map(lambda t: t[0] * t[1])
+)
+
+
+def capped_offsets(columns, points):
+    """_offsets' result with both of its caps always applied."""
+    big = np.finfo(float).max
+    with np.errstate(over="ignore"):
+        dx = np.clip(np.subtract(columns[None, :], points[:, None]), -big, big)
+        dx2 = np.minimum(dx * dx, big)
+    return dx, dx2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_COORDINATES, min_size=1, max_size=8), st.lists(_COORDINATES, min_size=1, max_size=4))
+def test_offsets_equal_the_always_capped_offsets(columns, points):
+    # _offsets skips its caps where a bound proves them idle, so its bytes are those of always capping
+    columns, points = np.array(columns), np.array(points)
+    with np.errstate(invalid="ignore"):  # inf - inf, which no sample holds, since its covariates are finite
+        pairs = zip(llrer.loclin._offsets(columns, points), capped_offsets(columns, points))
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def fold_product_cases(draw):
+    """(columns, points, {order: one row of finite responses over columns per point})."""
+    columns = np.array(draw(st.lists(_COORDINATES, min_size=1, max_size=6)))
+    points = np.array(draw(st.lists(_COORDINATES, min_size=1, max_size=columns.size)))
+    size = points.size * columns.size
+    rows = st.lists(_RESPONSES, min_size=size, max_size=size)
+    return columns, points, {o: np.reshape(draw(rows), (points.size, columns.size)) for o in (-1, 1, 2)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_product_cases())
+def test_fold_products_equal_the_always_clipped_factors(case):
+    # _fold_products clips its factors only after a product overflowed, so its bytes are those of always
+    # clipping, as this reference does over the always capped offsets
+    columns, points, tau = case
+    big, folds, sums = np.finfo(float).max, np.arange(points.size), llrer.loclin._SUMS
+    with np.errstate(invalid="ignore"):  # as in test_offsets_equal_the_always_capped_offsets
+        got, got_dx2 = llrer.loclin._fold_products(tuple(sums), tau, columns, points, 0)
+        dx, dx2 = capped_offsets(columns, points)
+    assert got_dx2.tobytes() == dx2.tobytes()
+    values, powers = [1.0 if o is None else tau[o] for o in llrer.loclin._COLUMNS], (1.0, dx, dx2)
+    for pair in sums:
+        want = np.empty((points.size, 5, columns.size))
+        with np.errstate(over="ignore"):
+            for k, (g, c) in enumerate(sums[pair]):
+                want[:, k] = np.multiply(values[c], powers[g]) if g and c else (powers[g] if g else values[c])
+        np.clip(want, -big, big, out=want)
+        want[folds, :, folds] = 0.0
+        assert got[pair].tobytes() == want.tobytes(), pair
 
 
 class TestPointResponses:
