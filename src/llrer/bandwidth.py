@@ -13,8 +13,10 @@ select_bandwidths scores several estimators in one pass, shared by every
 estimator. It sorts the records by (x, y, delta) once and runs on that copy:
 target, folds, columns, predictions and each score's sum. So the traces
 depend on the records but not on their order. The folds are taken in blocks
-whose factors take at most loclin._BLOCK_ENTRIES floats, with the
-leave-one-out responses of each block built once, over the block's window;
+whose factors take at most loclin._BLOCK_ENTRIES floats; with the Gaussian
+kernel a block also holds whole tiles of loclin._fold_estimates, and its sums
+over every bandwidth at most loclin._TILE floats (loclin._blocks). The
+leave-one-out responses of each block are built once, over the block's window;
 survival._loo_responses checks once, over every fold and column, that they
 are finite, so an overflow that no window reads still fails the call.
 loclin._fold_estimates turns a block into predictions at every bandwidth,
@@ -44,7 +46,8 @@ import numpy as np
 from .errors import ConfigError, _check_collection, _check_instance, _check_integer, _check_real
 from .kernels import _BANDWIDTH_RANGE, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import (
-    _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _check_estimator, _fold_estimates, _union_orders
+    _CHUNK, _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _check_estimator, _fold_estimates,
+    _tile_folds, _union_orders,
 )
 from .survival import CensoredSample, _check_sample, _loo_responses, _write_csv
 
@@ -139,7 +142,10 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     target, fold_rows = _loo_responses(sample, _union_orders(estimators))
     preds = {e: np.empty((len(hs), sample.n)) for e in estimators}
     degenerate = {e: np.zeros(len(hs), dtype=int) for e in estimators}
-    for block in _blocks(sample.n, _FOLD_FACTORS * sample.n):
+    # a Gaussian block holds whole tiles of _fold_estimates and keeps its sums within a tile's size; a
+    # compact kernel's windows, and so its bits, depend on the block, which its factors alone bound
+    tiling = (_tile_folds(_CHUNK, sample.n), _FOLD_FACTORS * len(hs)) if KERNEL_SUPPORT[kernel] == np.inf else ()
+    for block in _blocks(sample.n, _FOLD_FACTORS * sample.n, *tiling):
         x = sample.x[block]  # ascending, so x[0] and x[-1] bound the block
         starts, stops = _windows(kernel, hs, sample.x, x[0], x[-1])
         outer = slice(int(starts.min()), int(stops.max()))  # the largest bandwidth's window

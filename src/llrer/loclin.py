@@ -21,9 +21,12 @@ one matrix product per fold (_fold_estimates). The folds of a block go in
 tiles of at most _TILE weights per chunk, outermost, so a chunk's weights of
 a tile are still in cache when the tile's products read them; a fold's
 product is the same in any tile, so no sum depends on the tile size, and a
-compact kernel's tile is the whole block. The quadratic double-sum
-forms of LLRER and LLCR, weighed by scaled_kernel, are shipped alongside as
-permanent cross-checks for that path.
+compact kernel's tile is the whole block. A Gaussian block holds whole tiles,
+and its sums over every bandwidth at most _TILE floats (_blocks), so no
+buffer of the pass is much larger than the tiles that read it; a compact
+kernel's windows, and so its bits, depend on the block, whose factors alone
+bound it. The quadratic double-sum forms of LLRER and LLCR, weighed by
+scaled_kernel, are shipped alongside as permanent cross-checks for that path.
 
 Curves fit samples stacked in rows: a block of simulate's replications, or
 fit_curves' one sample. The rows share one Kaplan-Meier pass and one set of
@@ -235,13 +238,20 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: floa
 
 # Curves evaluate at most this many (point, observation) pairs, and
 # cross-validation builds at most this many factor entries, or one row, at
-# once, so their memory stays O(n) for any number of points
+# once, so their memory stays O(n) for any number of points. With the
+# Gaussian kernel a block of folds is also bounded by its sums (_blocks)
 _BLOCK_ENTRIES = 2**18
 
 
-def _blocks(count: int, width: int):
-    """Slices of count rows, each of at most _BLOCK_ENTRIES entries at width entries a row, or of one row."""
+def _blocks(count: int, width: int, tile: int = 1, sums: int = 0):
+    """Slices of count rows, each of at most _BLOCK_ENTRIES entries at width entries a row and, where sums
+    is given, of at most _TILE entries at sums entries a row, or of one row. Where a tile of `tile` rows
+    fits, each but the last holds a whole number of tiles."""
     rows = max(1, _BLOCK_ENTRIES // width)
+    if sums:
+        rows = max(1, min(rows, _TILE // sums))
+    if rows > tile:
+        rows -= rows % tile
     for lo in range(0, count, rows):
         yield slice(lo, lo + rows)
 
@@ -347,9 +357,18 @@ _CHUNK = 16
 # n = 300 a Gaussian tile is 13 folds, and its 512 KiB of weights and its
 # factors fit in a core's L2 cache, so each chunk's weights are still there when
 # the tile's fold products read them. A fold's product does not depend on the
-# tile, so neither do its sums. At _TILE >= _BLOCK_ENTRIES / _FOLD_FACTORS a
-# compact kernel's tile, of chunks of one bandwidth, holds the whole block
+# tile, so neither do its sums. A Gaussian block holds whole tiles, and its
+# sums, _FOLD_FACTORS per fold and bandwidth, at most _TILE floats too (_blocks):
+# 26 folds at n = 300 on the default grid. At _TILE >= _BLOCK_ENTRIES /
+# _FOLD_FACTORS a compact kernel's tile, of chunks of one bandwidth, holds the
+# whole block
 _TILE = 2**16
+
+
+def _tile_folds(size: int, columns: int) -> int:
+    """Folds in a tile of _fold_estimates, whose chunks of size bandwidths weigh columns columns: _TILE
+    weights per chunk, or one fold."""
+    return max(1, _TILE // (size * columns))
 
 
 def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, own: int, kernel, hs, windows, eps):
@@ -373,7 +392,7 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
     firsts = np.arange(0, len(hs), size)
     starts, stops = np.minimum.reduceat(windows[0], firsts).tolist(), np.maximum.reduceat(windows[1], firsts).tolist()
     sums = {pair: np.empty((5, points.size, firsts.size, size)) for pair in products}  # sum, fold, chunk, bandwidth
-    tile = min(points.size, max(1, _TILE // (size * columns.size)))
+    tile = min(points.size, _tile_folds(size, columns.size))
     w = np.empty(size * tile * columns.size)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _moments: an overflowed sum is unread or flagged
         for f in range(0, points.size, tile):

@@ -24,7 +24,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -360,43 +360,60 @@ def _kaplan_meier_responses(y: np.ndarray, delta: np.ndarray, orders) -> tuple:
 
 
 def read_sample_csv(path) -> CensoredSample:
-    """Load a censored sample from a CSV file with header y,delta,x."""
-    records: list[tuple] = []
+    """Load a censored sample from a UTF-8 CSV file with header y,delta,x, after a byte-order mark if
+    one leads it, as spreadsheets write."""
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if [c.strip().lower() for c in header] != ["y", "delta", "x"]:
-            raise DataError(f"{path}: header must be y,delta,x")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: row {lineno}: expected 3 columns, got {len(row)}")
-            try:
-                y, d, x = float(row[0]), int(row[1]), float(row[2])
-            except ValueError:
-                raise DataError(f"{path}: row {lineno}: could not parse y,delta,x values") from None
-            if d not in (0, 1):
-                raise DataError(f"{path}: row {lineno}: delta must be 0 or 1, got {d}")
-            if not (math.isfinite(y) and math.isfinite(x)):
-                raise DataError(f"{path}: row {lineno}: y and x must be finite, got y={y}, x={x}")
-            records.append((y, d, x))
-    if not records:
-        raise DataError(f"{path}: no data rows")
+    try:
+        with fh:
+            records = _sample_records(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:  # raised while the rows are read; its offset is within a read buffer
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
     return CensoredSample(*map(np.array, zip(*records)))
 
 
+def _sample_records(path, reader) -> list:
+    """The (y, delta, x) records of a sample file's csv reader, or a DataError naming path and the row."""
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if [c.strip().lower() for c in header] != ["y", "delta", "x"]:
+        raise DataError(f"{path}: header must be y,delta,x")
+    records = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 3:
+            raise DataError(f"{path}: row {lineno}: expected 3 columns, got {len(row)}")
+        try:
+            y, d, x = float(row[0]), int(row[1]), float(row[2])
+        except ValueError:
+            raise DataError(f"{path}: row {lineno}: could not parse y,delta,x values") from None
+        if d not in (0, 1):
+            raise DataError(f"{path}: row {lineno}: delta must be 0 or 1, got {d}")
+        if not (math.isfinite(y) and math.isfinite(x)):
+            raise DataError(f"{path}: row {lineno}: y and x must be finite, got y={y}, x={x}")
+        records.append((y, d, x))
+    if not records:
+        raise DataError(f"{path}: no data rows")
+    return records
+
+
+# Lines that _write_csv joins into one piece of text: about 160 KB of a curves file
+_CSV_CHUNK_LINES = 4096
+
+
 def _write_csv(path, header, rows) -> None:
-    """Write a CSV file of one header row and then rows, each a sequence of text fields, in one write.
-    No field holds a comma, quote or line break, so these are the bytes csv.writer writes: fields
-    joined by commas, and every line ended by CRLF. The text is built before the file is opened, so a
-    row that fails leaves an existing file as it was."""
-    text = "\r\n".join(map(",".join, chain([header], rows))) + "\r\n"
+    """Write a CSV file of one header row and then rows, each a sequence of text fields. No field holds
+    a comma, quote or line break, so these are the bytes csv.writer writes: fields joined by commas,
+    and every line ended by CRLF. The text is built in chunks of _CSV_CHUNK_LINES lines, so no copy of
+    the whole file is made, and written with one writelines call. It is complete before the file is
+    opened, so a row that fails leaves an existing file as it was."""
+    lines, text = map(",".join, chain([header], rows)), []
+    while chunk := list(islice(lines, _CSV_CHUNK_LINES)):
+        chunk.append("")  # so the join ends the chunk's last line too
+        text.append("\r\n".join(chunk))
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(text)

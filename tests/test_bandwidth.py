@@ -79,10 +79,12 @@ def refit_fold_responses(sample, order):
 @contextlib.contextmanager
 def block_rows(n, rows):
     """Force blocks of `rows` folds on a sample of n observations, and check
-    that cross-validation cut every block it made that way."""
+    that cross-validation cut every block it made that way. The forced
+    blocks take the factor bound alone, so with the Gaussian kernel they
+    need not hold whole tiles, nor keep their sums within a tile's size."""
     cuts = []
 
-    def recorded_blocks(count, width):
+    def recorded_blocks(count, width, *tiling):
         cuts.append((count, list(_blocks(count, width))))
         return iter(cuts[-1][1])
 
@@ -92,6 +94,20 @@ def block_rows(n, rows):
         yield
     for count, blocks in cuts:
         assert [(b.start, b.stop) for b in blocks] == [(lo, lo + rows) for lo in range(0, count, rows)]
+
+
+def cv_blocks(estimators, sample, kernel, grid):
+    """The blocks of folds, as (start, stop), that select_bandwidths cuts on sample."""
+    cuts = []
+
+    def recorded_blocks(*args):
+        cuts.append(list(_blocks(*args)))
+        return iter(cuts[-1])
+
+    with mock.patch.object(llrer.bandwidth, "_blocks", recorded_blocks):
+        select_bandwidths(estimators, sample, kernel, grid)
+    (blocks,) = cuts
+    return [(b.start, min(b.stop, sample.n)) for b in blocks]
 
 
 def recorded(fn):
@@ -705,8 +721,10 @@ class TestTiles:
                     assert traces_bits(tiled[est]) == traces_bits(default[est]), (rows, folds, est)
 
     def test_several_tiles_per_block_and_a_short_last_one(self):
+        # blocks of 78 folds, six whole tiles of 13, and a last block of 66, five tiles and one fold
         s = random_censored_sample(np.random.default_rng(71), 300)
-        block = next(_blocks(s.n, _FOLD_FACTORS * s.n)).stop
+        start, stop = cv_blocks(Estimator, s, KernelKind.GAUSSIAN, TestChunks.GRID)[-1]
+        block = stop - start
         tile = _TILE // (_CHUNK * s.n)
         assert 1 < tile < block and block % tile
         default = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, TestChunks.GRID)
@@ -715,6 +733,46 @@ class TestTiles:
                 tiled = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, TestChunks.GRID)
             for est in Estimator:
                 assert traces_bits(tiled[est]) == traces_bits(default[est]), (folds, est)
+
+
+class TestBlockRule:
+    """A Gaussian block of folds holds whole tiles and keeps its sums, _FOLD_FACTORS per fold and
+    bandwidth, within _TILE floats; the factor bound still applies, and a compact kernel's blocks take it
+    alone."""
+
+    @staticmethod
+    def sample(n):
+        return random_censored_sample(np.random.default_rng(72), n)
+
+    def test_gaussian_blocks_hold_whole_tiles_on_the_default_grid(self):
+        s = self.sample(300)
+        tile = _TILE // (_CHUNK * s.n)
+        assert tile == 13 and _FOLD_FACTORS * DEFAULT_BANDWIDTH_GRID.values().size * 26 <= _TILE
+        blocks = cv_blocks(Estimator, s, KernelKind.GAUSSIAN, DEFAULT_BANDWIDTH_GRID)
+        assert [start for start, _ in blocks] == list(range(0, s.n, 26))
+        assert blocks[-1][1] == s.n
+        assert all((stop - start) % tile == 0 for start, stop in blocks[:-1])
+
+    def test_the_factor_bound_still_binds_at_n2000(self):
+        s = self.sample(2000)
+        grid = BandwidthGrid(0.05, 1.0, 0.05)
+        factor_rows = llrer.loclin._BLOCK_ENTRIES // (_FOLD_FACTORS * s.n)
+        assert factor_rows == 13 and _TILE // (_CHUNK * s.n) == 2
+        want = [(lo, min(lo + 12, s.n)) for lo in range(0, s.n, 12)]  # six tiles of 2
+        assert cv_blocks((Estimator.LLRER,), s, KernelKind.GAUSSIAN, grid) == want
+        want = [(lo, min(lo + factor_rows, s.n)) for lo in range(0, s.n, factor_rows)]
+        assert cv_blocks((Estimator.LLRER,), s, KernelKind.EPANECHNIKOV, grid) == want
+
+    def test_gaussian_memory_on_the_default_grid(self):
+        # the stored predictions take 1.37 MiB; blocks of 87 folds, the factor bound alone, took 8.2 MiB
+        s = self.sample(300)
+        tracemalloc.start()
+        try:
+            select_bandwidths(Estimator, s, KernelKind.GAUSSIAN)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
 
 
 class TestBlocks:

@@ -204,6 +204,25 @@ class TestCv:
         assert code == EXIT_DATA
         assert f"{data}: row 3: y and x must be finite" in capsys.readouterr().err
 
+    def test_byte_order_mark_gives_the_same_trace(self, tmp_path, capsys):
+        data, marked = write_hand_csv(tmp_path), tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+        runs = []
+        for path in (data, marked):
+            out = tmp_path / f"{path.stem}_trace.csv"
+            assert main(["cv", "--input", str(path), "--out", str(out), "--estimator", "llrer"]) == EXIT_OK
+            runs.append((out.read_bytes(), capsys.readouterr()))
+        assert runs[0] == runs[1]
+
+    def test_undecodable_byte_is_an_input_error(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(HAND_CSV.encode().replace(b"2.0,1", b"2.0\xff,1"))
+        out = tmp_path / "t.csv"
+        assert main(["cv", "--input", str(data), "--out", str(out), "--estimator", "llrer"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"llrer: input error: {data}: not UTF-8 text: invalid start byte"]
+        assert not out.exists()
+
     def test_single_observation_rejected(self, tmp_path):
         data = tmp_path / "one.csv"
         data.write_text("y,delta,x\n1.0,1,0.0\n")

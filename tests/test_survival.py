@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -399,3 +400,49 @@ class TestReadSampleCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_sample_csv(tmp_path / "absent.csv")
+
+    def test_byte_order_mark_reads_as_the_same_sample(self, tmp_path):
+        # spreadsheets write UTF-8 with a leading byte-order mark
+        text = b"y,delta,x\n1.5,1,0.25\n2.0,0,-1.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        want, got = read_sample_csv(plain), read_sample_csv(marked)
+        for name in ("y", "delta", "x"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_undecodable_byte_is_a_data_error_naming_the_file(self, tmp_path):
+        p = tmp_path / "s.csv"
+        p.write_bytes(b"y,delta,x\n1.5,1,0.25\n2.0,0,\xff1.0\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(p))}: not UTF-8 text"):
+            read_sample_csv(p)
+
+
+class TestWriteCsv:
+    HEADER = ("a", "b")
+
+    @staticmethod
+    def rows(count, fail_at=None):
+        for i in range(count):
+            if i == fail_at:
+                raise DataError("row failed")
+            yield (str(i), repr(i / 7))
+
+    def reference(self, rows):
+        """The file's bytes, joined in one piece."""
+        return "".join(",".join(row) + "\r\n" for row in [self.HEADER, *rows]).encode()
+
+    def test_rows_over_several_chunks_equal_one_join(self, tmp_path):
+        chunk = llrer.survival._CSV_CHUNK_LINES
+        for count in (0, 1, chunk - 1, chunk, 3 * chunk + 5):
+            p = tmp_path / f"{count}.csv"
+            llrer.survival._write_csv(p, self.HEADER, self.rows(count))
+            assert p.read_bytes() == self.reference(self.rows(count)), count
+
+    def test_a_row_that_fails_in_the_last_chunk_leaves_the_file_as_it_was(self, tmp_path):
+        p = tmp_path / "out.csv"
+        p.write_bytes(b"earlier,run\r\n")
+        count = 3 * llrer.survival._CSV_CHUNK_LINES + 5
+        with pytest.raises(DataError, match="row failed"):
+            llrer.survival._write_csv(p, self.HEADER, self.rows(count, fail_at=count - 2))
+        assert p.read_bytes() == b"earlier,run\r\n"
