@@ -12,28 +12,37 @@ the trace, so pathological bandwidths stay visible.
 select_bandwidths scores several estimators in one pass, shared by every
 estimator. It sorts the records by (x, y, delta) once and runs on that copy:
 target, folds, columns, predictions and each score's sum. So the traces
-depend on the records but not on their order. The folds are taken in blocks
-whose factors take at most loclin._BLOCK_ENTRIES floats; with the Gaussian
-kernel a block also holds whole tiles of loclin._fold_estimates, and its sums
-over every bandwidth at most loclin._TILE floats (loclin._blocks). The
+depend on the records but not on their order. One rule cuts the folds into
+blocks for both kernels (loclin._blocks): a block takes folds while its
+factors, loclin._FOLD_FACTORS per fold and per column of its own window (the
+columns that the grid's largest bandwidth can weigh from its folds, every
+column for the Gaussian kernel), stay within loclin._BLOCK_ENTRIES floats,
+and its sums, as many per fold and bandwidth, within loclin._TILE; a Gaussian
+block also holds whole tiles of loclin._fold_estimates. Each fold's window
+at the largest bandwidth comes from one search before the first block. The
 leave-one-out responses of each block are built once, over the block's window;
 survival._loo_responses checks once, over every fold and column, that they
 are finite, so an overflow that no window reads still fails the call.
 loclin._fold_estimates turns a block into predictions at every bandwidth,
 with the weights, the sums and the ratio formula of points and curves, in
-chunks of bandwidths of a fixed size, so no score depends on the other bandwidths of the grid or on
-its place in it, and over tiles of the block's folds sized to stay in cache,
-so no score depends on the tile either; this module holds the grid, the
-windows, the folds, the scores and the selection. Each bandwidth evaluates only the window of columns within its
-kernel's support of the block, a superset of the non-zero weights: every
-column for the Gaussian kernel, whose scores do not depend on the block
-size. A column pair's factors and the block size are the
-same whichever estimators are scored, so no trace depends on the others
-scored with it. The workspace is O(n * block) instead of O(n^2), next to one
-stored prediction per fold, bandwidth and estimator.
+chunks of bandwidths of a fixed size, so at the same blocks no score depends
+on the other bandwidths of the grid or on its place in it, and over tiles of
+the block's folds sized to stay in cache, so no score depends on the tile
+either; this module holds the grid, the windows, the folds, the scores and
+the selection. Each bandwidth evaluates only the window of columns within
+its kernel's support of the block, a superset of the non-zero weights:
+every column for the Gaussian kernel, whose scores do not depend on the
+block size. A compact kernel's scores can move in their last bits with the
+blocks, and so with the grid's largest bandwidth and size. A column pair's
+factors and the blocks are the same whichever estimators are scored, so no
+trace depends on the others scored with it. The workspace is O(n * block)
+instead of O(n^2), next to one stored prediction per fold, bandwidth and
+estimator.
 
-cv_score and select_bandwidth go through the same pass, so a traced score
-always equals the score of a standalone call, alone or alongside others.
+cv_score and select_bandwidth go through the same pass. With the Gaussian
+kernel a traced score always equals the score of a standalone call; with a
+compact kernel it does to rounding, since a standalone call's one bandwidth
+cuts its own blocks.
 """
 
 from __future__ import annotations
@@ -107,8 +116,9 @@ class BandwidthSelection(NamedTuple):
 _REACH_SLACK = 1e-9
 
 
-def _windows(kernel: KernelKind, hs, xs: np.ndarray, lo: float, hi: float):
-    """(starts, stops): columns starts[k]:stops[k] can weigh on points in [lo, hi] at bandwidth hs[k].
+def _windows(kernel: KernelKind, hs, xs: np.ndarray, lo, hi):
+    """(starts, stops): columns starts[k]:stops[k] can weigh on points in [lo, hi] at bandwidth hs[k], or
+    in [lo[k], hi[k]] at bandwidth hs where lo and hi are arrays.
 
     xs holds the covariates in ascending order. Each window covers every x
     within the slightly widened reach h * support of [lo, hi], a superset of
@@ -142,10 +152,11 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     target, fold_rows = _loo_responses(sample, _union_orders(estimators))
     preds = {e: np.empty((len(hs), sample.n)) for e in estimators}
     degenerate = {e: np.zeros(len(hs), dtype=int) for e in estimators}
-    # a Gaussian block holds whole tiles of _fold_estimates and keeps its sums within a tile's size; a
-    # compact kernel's windows, and so its bits, depend on the block, which its factors alone bound
-    tiling = (_tile_folds(_CHUNK, sample.n), _FOLD_FACTORS * len(hs)) if KERNEL_SUPPORT[kernel] == np.inf else ()
-    for block in _blocks(sample.n, _FOLD_FACTORS * sample.n, *tiling):
+    # a block's factors count its own window, each fold's reach at the largest bandwidth, and its sums every
+    # bandwidth; a Gaussian window is every column, and a Gaussian block holds whole tiles of _fold_estimates
+    tile = _tile_folds(_CHUNK, sample.n) if KERNEL_SUPPORT[kernel] == np.inf else 1
+    reach = _windows(kernel, max(hs), sample.x, sample.x, sample.x)
+    for block in _blocks(sample.n, _FOLD_FACTORS, tile, _FOLD_FACTORS * len(hs), reach):
         x = sample.x[block]  # ascending, so x[0] and x[-1] bound the block
         starts, stops = _windows(kernel, hs, sample.x, x[0], x[-1])
         outer = slice(int(starts.min()), int(stops.max()))  # the largest bandwidth's window

@@ -21,12 +21,14 @@ one matrix product per fold (_fold_estimates). The folds of a block go in
 tiles of at most _TILE weights per chunk, outermost, so a chunk's weights of
 a tile are still in cache when the tile's products read them; a fold's
 product is the same in any tile, so no sum depends on the tile size, and a
-compact kernel's tile is the whole block. A Gaussian block holds whole tiles,
-and its sums over every bandwidth at most _TILE floats (_blocks), so no
-buffer of the pass is much larger than the tiles that read it; a compact
-kernel's windows, and so its bits, depend on the block, whose factors alone
-bound it. The quadratic double-sum forms of LLRER and LLCR, weighed by
-scaled_kernel, are shipped alongside as permanent cross-checks for that path.
+compact kernel's tile is the whole block. One rule cuts the blocks of both
+kernels (_blocks): a block takes folds while its factors, counted over its own
+window, stay within _BLOCK_ENTRIES floats and its sums over every bandwidth
+within _TILE, so no buffer of the pass is much larger than the tiles that read
+it. A Gaussian window is every column and a Gaussian block holds whole tiles; a
+compact kernel's windows, and so its bits, depend on the block. The quadratic
+double-sum forms of LLRER and LLCR, weighed by scaled_kernel, are shipped
+alongside as permanent cross-checks for that path.
 
 Curves fit samples stacked in rows: a block of simulate's replications, or
 fit_curves' one sample. The rows share one Kaplan-Meier pass and one set of
@@ -237,23 +239,35 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: floa
 
 
 # Curves evaluate at most this many (point, observation) pairs, and
-# cross-validation builds at most this many factor entries, or one row, at
-# once, so their memory stays O(n) for any number of points. With the
-# Gaussian kernel a block of folds is also bounded by its sums (_blocks)
+# cross-validation builds at most this many factor entries, or one fold's, per
+# block, so their memory stays O(n) for any number of points. A block of folds
+# counts _FOLD_FACTORS per fold and per column of its own window, the largest
+# bandwidth's reach around its folds, and bounds its sums by _TILE (_blocks).
+# At n = 2000 on 0.05:1.0:0.05 a Gaussian block, whose window is every column,
+# takes 13 folds, cut to 12 of whole tiles; an Epanechnikov block of the
+# benchmark's cv_n2000_epan input takes 18-62
 _BLOCK_ENTRIES = 2**18
 
 
-def _blocks(count: int, width: int, tile: int = 1, sums: int = 0):
-    """Slices of count rows, each of at most _BLOCK_ENTRIES entries at width entries a row and, where sums
-    is given, of at most _TILE entries at sums entries a row, or of one row. Where a tile of `tile` rows
-    fits, each but the last holds a whole number of tiles."""
-    rows = max(1, _BLOCK_ENTRIES // width)
-    if sums:
-        rows = max(1, min(rows, _TILE // sums))
-    if rows > tile:
-        rows -= rows % tile
-    for lo in range(0, count, rows):
+def _blocks(count: int, width: int, tile: int = 1, sums: int = 0, windows=None):
+    """Slices of count rows, each of at most _BLOCK_ENTRIES entries and, where sums is given, of at most
+    _TILE entries at sums entries a row, or of one row. A row takes width entries or, where windows =
+    (starts, stops) gives each row's ascending column limits, width entries per column of its block's
+    window: rows lo:hi span columns starts[lo]:stops[hi - 1], and past the last row a block keeps its
+    window. Where a tile of `tile` rows fits, each but the last holds a whole number of tiles."""
+    room = _BLOCK_ENTRIES // width  # rows times window columns
+    cap = max(1, min(room, _TILE // sums) if sums else room)
+    lo = 0
+    while lo < count:
+        rows = cap
+        if windows is not None:  # rows lo:lo+m fit while m times their window fits in room, so the fits come first
+            starts, stops = windows
+            spans = stops[np.minimum(np.arange(lo, lo + cap), count - 1)] - starts[lo]
+            rows = max(1, int(np.count_nonzero(np.arange(1, cap + 1) * spans <= room)))
+        if rows > tile:
+            rows -= rows % tile
         yield slice(lo, lo + rows)
+        lo += rows
 
 
 # The bound on max |columns| + max |points| below which no offset of _offsets, nor its square, overflows
@@ -357,11 +371,11 @@ _CHUNK = 16
 # n = 300 a Gaussian tile is 13 folds, and its 512 KiB of weights and its
 # factors fit in a core's L2 cache, so each chunk's weights are still there when
 # the tile's fold products read them. A fold's product does not depend on the
-# tile, so neither do its sums. A Gaussian block holds whole tiles, and its
-# sums, _FOLD_FACTORS per fold and bandwidth, at most _TILE floats too (_blocks):
-# 26 folds at n = 300 on the default grid. At _TILE >= _BLOCK_ENTRIES /
-# _FOLD_FACTORS a compact kernel's tile, of chunks of one bandwidth, holds the
-# whole block
+# tile, so neither do its sums. A block's sums, _FOLD_FACTORS per fold and
+# bandwidth, take at most _TILE floats too (_blocks): 32 folds at n = 300 on the
+# default grid, which a Gaussian block cuts to 26, two whole tiles. At _TILE >=
+# _BLOCK_ENTRIES / _FOLD_FACTORS a compact kernel's tile, of chunks of one
+# bandwidth, holds the whole block
 _TILE = 2**16
 
 

@@ -564,34 +564,37 @@ def config_lines(config: SimulationConfig) -> list:
 def load_simulation_config(path) -> SimulationConfig:
     """Parse a plain-text `key = value` config file into a SimulationConfig.
 
-    Blank lines and text after `#` are ignored. The keys are those of
-    `_KEYS`; a cv_grid given in parts takes its missing parts from
+    The file is UTF-8 text, after a byte-order mark if one leads it. Blank
+    lines and text after `#` are ignored. The keys are those of `_KEYS`; a
+    cv_grid given in parts takes its missing parts from
     DEFAULT_BANDWIDTH_GRID. Required keys are the fields without a default.
     """
     known = {key.name: key for key in _KEYS}
     kwargs, cv_parts = {}, {}
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            name, sep, text = (part.strip() for part in line.partition("="))
-            if not sep or not name or not text:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key = known.get(name)
-            if key is None:
-                raise ConfigError(f"{path}: line {lineno}: unknown key {name!r}")
-            target, slot = (cv_parts, key.part) if key.part else (kwargs, name)
-            if slot in target:
-                raise ConfigError(f"{path}: line {lineno}: duplicate key {name!r}")
-            try:
-                target[slot] = key.parse(text)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {lineno}: bad value for {name!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        name, sep, text = (part.strip() for part in line.partition("="))
+        if not sep or not name or not text:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key = known.get(name)
+        if key is None:
+            raise ConfigError(f"{path}: line {lineno}: unknown key {name!r}")
+        target, slot = (cv_parts, key.part) if key.part else (kwargs, name)
+        if slot in target:
+            raise ConfigError(f"{path}: line {lineno}: duplicate key {name!r}")
+        try:
+            target[slot] = key.parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: line {lineno}: bad value for {name!r}: {exc}") from None
     for f in fields(SimulationConfig):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in kwargs:
             raise ConfigError(f"{path}: missing required key {f.name!r}")

@@ -80,12 +80,12 @@ def refit_fold_responses(sample, order):
 def block_rows(n, rows):
     """Force blocks of `rows` folds on a sample of n observations, and check
     that cross-validation cut every block it made that way. The forced
-    blocks take the factor bound alone, so with the Gaussian kernel they
+    blocks take the factor bound alone, counted over every column, so they
     need not hold whole tiles, nor keep their sums within a tile's size."""
     cuts = []
 
-    def recorded_blocks(count, width, *tiling):
-        cuts.append((count, list(_blocks(count, width))))
+    def recorded_blocks(count, *rule):
+        cuts.append((count, list(_blocks(count, _FOLD_FACTORS * count))))
         return iter(cuts[-1][1])
 
     with mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * _FOLD_FACTORS * n), mock.patch.object(
@@ -673,14 +673,26 @@ class TestChunks:
             for point in joint[est].trace:
                 assert cv_score(est, sample, kernel, point.h).hex() == point.score.hex(), (est, point)
 
+    @pytest.mark.parametrize("rows", (None, 7))
     @pytest.mark.parametrize("kernel", list(KernelKind))
-    def test_a_grid_prefix_gives_the_trace_prefix(self, sample, kernel):
+    def test_a_grid_prefix_gives_the_trace_prefix(self, sample, kernel, rows):
+        # a compact kernel's blocks follow the grid's largest bandwidth and its size, and its bits follow
+        # the blocks: at the blocks that each grid cuts, its prefix agrees to rounding; at one cut of
+        # blocks, and with the Gaussian kernel at any, bit for bit
         hs = self.GRID.values()
-        full = _cv_traces(Estimator, sample, kernel, hs, DEFAULT_EPSILON)
+        cut = functools.partial(block_rows, sample.n, rows) if rows else contextlib.nullcontext
+        with cut():
+            full = _cv_traces(Estimator, sample, kernel, hs, DEFAULT_EPSILON)
         for m in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
-            head = _cv_traces(Estimator, sample, kernel, hs[:m], DEFAULT_EPSILON)
+            with cut():
+                head = _cv_traces(Estimator, sample, kernel, hs[:m], DEFAULT_EPSILON)
             for est in Estimator:
-                assert self.bits(head[est]) == self.bits(full[est][:m]), (m, est)
+                if rows or kernel is KernelKind.GAUSSIAN:
+                    assert self.bits(head[est]) == self.bits(full[est][:m]), (m, est)
+                else:
+                    assert [p[::2] for p in head[est]] == [p[::2] for p in full[est][:m]], (m, est)
+                    np.testing.assert_allclose([p.score for p in head[est]], [p.score for p in full[est][:m]],
+                                               rtol=1e-12, atol=0.0, err_msg=f"{m} {est}")
 
     def test_gaussian_traces_equal_at_every_block_size(self, sample):
         default = select_bandwidths(Estimator, sample, KernelKind.GAUSSIAN, self.GRID)
@@ -692,11 +704,10 @@ class TestChunks:
 
 
 @contextlib.contextmanager
-def tile_folds(n, folds, kernel):
-    """Force tiles of `folds` folds on a sample of n observations with the Gaussian kernel, whose windows
-    hold every column, and of at least `folds` with a compact one."""
-    size = _CHUNK if kernel is KernelKind.GAUSSIAN else 1
-    with mock.patch.object(llrer.loclin, "_TILE", folds * size * n):
+def tile_folds(folds):
+    """Force tiles of `folds` folds in every block, whatever its kernel and window, and leave the blocks
+    as cross-validation cuts them: the block rule reads _TILE, so only the tile is replaced."""
+    with mock.patch.object(llrer.loclin, "_tile_folds", lambda size, columns: folds):
         yield
 
 
@@ -715,7 +726,7 @@ class TestTiles:
             with cut():
                 default = select_bandwidths(subset, s, kernel, TestChunks.GRID)
             for folds in (1, 2, 7, s.n):
-                with cut(), tile_folds(s.n, folds, kernel):
+                with cut(), tile_folds(folds):
                     tiled = select_bandwidths(subset, s, kernel, TestChunks.GRID)
                 for est in subset:
                     assert traces_bits(tiled[est]) == traces_bits(default[est]), (rows, folds, est)
@@ -729,16 +740,17 @@ class TestTiles:
         assert 1 < tile < block and block % tile
         default = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, TestChunks.GRID)
         for folds in (1, block):
-            with tile_folds(s.n, folds, KernelKind.GAUSSIAN):
+            with tile_folds(folds):
                 tiled = select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, TestChunks.GRID)
             for est in Estimator:
                 assert traces_bits(tiled[est]) == traces_bits(default[est]), (folds, est)
 
 
 class TestBlockRule:
-    """A Gaussian block of folds holds whole tiles and keeps its sums, _FOLD_FACTORS per fold and
-    bandwidth, within _TILE floats; the factor bound still applies, and a compact kernel's blocks take it
-    alone."""
+    """A block of folds takes folds while its factors, _FOLD_FACTORS per fold and per column of its own
+    window (the largest bandwidth's reach around its folds), stay within _BLOCK_ENTRIES floats and its
+    sums, _FOLD_FACTORS per fold and bandwidth, within _TILE; a Gaussian window is every column, and a
+    Gaussian block holds whole tiles."""
 
     @staticmethod
     def sample(n):
@@ -760,8 +772,60 @@ class TestBlockRule:
         assert factor_rows == 13 and _TILE // (_CHUNK * s.n) == 2
         want = [(lo, min(lo + 12, s.n)) for lo in range(0, s.n, 12)]  # six tiles of 2
         assert cv_blocks((Estimator.LLRER,), s, KernelKind.GAUSSIAN, grid) == want
-        want = [(lo, min(lo + factor_rows, s.n)) for lo in range(0, s.n, factor_rows)]
-        assert cv_blocks((Estimator.LLRER,), s, KernelKind.EPANECHNIKOV, grid) == want
+        # an Epanechnikov block's window is narrower than every column, so it takes more folds
+        blocks = cv_blocks((Estimator.LLRER,), s, KernelKind.EPANECHNIKOV, grid)
+        assert [start for start, _ in blocks[1:]] == [stop for _, stop in blocks[:-1]] and blocks[-1][1] == s.n
+        assert min(stop - start for start, stop in blocks[:-1]) > factor_rows
+        assert len(blocks) < math.ceil(s.n / factor_rows)
+
+    def test_epanechnikov_blocks_fill_their_own_windows(self):
+        # each block's window recomputed here from _windows, as the block loop takes it
+        s = self.sample(2000)
+        grid = BandwidthGrid(0.05, 1.0, 0.05)
+        x = np.sort(s.x)
+
+        def fits(start, stop):
+            starts, stops = _windows(KernelKind.EPANECHNIKOV, grid.values(), x, x[start], x[stop - 1])
+            factors = (stop - start) * _FOLD_FACTORS * int(stops.max() - starts.min())
+            sums = (stop - start) * _FOLD_FACTORS * grid.values().size
+            return factors <= llrer.loclin._BLOCK_ENTRIES and sums <= _TILE
+
+        blocks = cv_blocks((Estimator.LLRER,), s, KernelKind.EPANECHNIKOV, grid)
+        assert [start for start, _ in blocks[1:]] == [stop for _, stop in blocks[:-1]] and blocks[-1][1] == s.n
+        assert all(fits(start, stop) for start, stop in blocks)
+        assert not any(fits(start, stop + 1) for start, stop in blocks[:-1])
+
+    def test_epanechnikov_sums_bound_on_the_default_grid(self):
+        # 200 bandwidths: the sums bound, 32 folds, binds before the factors' 87 or more; the stored
+        # predictions take 1.37 MiB, and blocks of 87 folds, the factor bound alone, took 7.8 MiB
+        s = self.sample(300)
+        assert _TILE // (_FOLD_FACTORS * DEFAULT_BANDWIDTH_GRID.values().size) == 32
+        blocks = cv_blocks(Estimator, s, KernelKind.EPANECHNIKOV, DEFAULT_BANDWIDTH_GRID)
+        assert blocks == [(lo, min(lo + 32, s.n)) for lo in range(0, s.n, 32)]
+        tracemalloc.start()
+        try:
+            select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
+
+    @pytest.mark.parametrize("seed", (3, 8))
+    def test_epanechnikov_traces_match_factor_bound_blocks_at_n2000(self, seed):
+        # blocks over their own windows against forced blocks of 13, the factor bound over every column:
+        # each bandwidth's products run over other windows, so the scores agree to rounding
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonPositiveResponseWarning)
+            s = generate_sample(2000, -1.135, seed).sample
+            grid = BandwidthGrid(0.05, 1.0, 0.05)
+            got = select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV, grid)
+            with block_rows(s.n, 13):
+                want = select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV, grid)
+        for est in Estimator:
+            assert got[est].h_opt == want[est].h_opt, est
+            assert [p[::2] for p in got[est].trace] == [p[::2] for p in want[est].trace], est
+            np.testing.assert_allclose([p.score for p in got[est].trace], [p.score for p in want[est].trace],
+                                       rtol=1e-12, atol=0.0, err_msg=str(est))
 
     def test_gaussian_memory_on_the_default_grid(self):
         # the stored predictions take 1.37 MiB; blocks of 87 folds, the factor bound alone, took 8.2 MiB

@@ -393,6 +393,23 @@ class TestSimulate:
         assert "jobs must be an integer in [1, inf), got 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_byte_order_mark_gives_the_same_outputs(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(SMALL_CFG, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + SMALL_CFG.encode())
+        for cfg in (plain, marked):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == EXIT_OK
+        for name in ("curves.csv", "summary.csv", "config.cfg"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "marked" / name).read_bytes(), name
+
+    def test_undecodable_byte_is_one_config_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# caf\xe9\n" + SMALL_CFG.encode())
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        message = "not UTF-8 text: invalid continuation byte"
+        assert capsys.readouterr().err.splitlines() == [f"llrer: config error: {cfg}: {message}"]
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 

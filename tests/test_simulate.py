@@ -1104,6 +1104,20 @@ class TestConfigFileErrors:
         with pytest.raises(ConfigError, match=str(path)):
             load_simulation_config(path)
 
+    def test_byte_order_mark_and_utf8_comment_read_as_without(self, tmp_path):
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        text = "# études\nn = 10\nreplications = 1\nseed = 1  # graine\nc = -2\n"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert config_lines(load_simulation_config(marked)) == config_lines(load_simulation_config(plain))
+
+    @pytest.mark.parametrize("raw", (b"# caf\xe9\n", b"n = 1\xff0\n"), ids=("latin-1 comment", "stray byte"))
+    def test_undecodable_byte_names_file(self, tmp_path, raw):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(raw + b"replications = 1\nseed = 1\nc = -2\n")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(p))}: not UTF-8 text: "):
+            load_simulation_config(p)
+
     def test_invalid_config_names_file(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("n = 1\nreplications = 1\nseed = 1\nc = -2\n")
