@@ -12,37 +12,34 @@ the trace, so pathological bandwidths stay visible.
 select_bandwidths scores several estimators in one pass, shared by every
 estimator. It sorts the records by (x, y, delta) once and runs on that copy:
 target, folds, columns, predictions and each score's sum. So the traces
-depend on the records but not on their order. One rule cuts the folds into
-blocks for both kernels (loclin._blocks): a block takes folds while its
-factors, loclin._FOLD_FACTORS per fold and per column of its own window (the
-columns that the grid's largest bandwidth can weigh from its folds, every
-column for the Gaussian kernel), stay within loclin._BLOCK_ENTRIES floats,
-and its sums, as many per fold and bandwidth, within loclin._TILE; a Gaussian
-block also holds whole tiles of loclin._fold_estimates. Each fold's window
-at the largest bandwidth comes from one search before the first block. The
-leave-one-out responses of each block are built once, over the block's window;
-survival._loo_responses checks once, over every fold and column, that they
-are finite, so an overflow that no window reads still fails the call.
-loclin._fold_estimates turns a block into predictions at every bandwidth,
-with the weights, the sums and the ratio formula of points and curves, in
-chunks of bandwidths of a fixed size, so at the same blocks no score depends
-on the other bandwidths of the grid or on its place in it, and over tiles of
-the block's folds sized to stay in cache, so no score depends on the tile
-either; this module holds the grid, the windows, the folds, the scores and
-the selection. Each bandwidth evaluates only the window of columns within
-its kernel's support of the block, a superset of the non-zero weights:
-every column for the Gaussian kernel, whose scores do not depend on the
-block size. A compact kernel's scores can move in their last bits with the
-blocks, and so with the grid's largest bandwidth and size. A column pair's
-factors and the blocks are the same whichever estimators are scored, so no
-trace depends on the others scored with it. The workspace is O(n * block)
-instead of O(n^2), next to one stored prediction per fold, bandwidth and
-estimator.
+depend on the records but not on their order. The folds are weighed in
+cells (_cells): a compact kernel weighs a fold at h over the window of the
+highest node of a fixed tree of halves that holds it and whose factors,
+loclin._FOLD_FACTORS per fold and per column of its window at h, fit in
+loclin._BLOCK_ENTRIES floats, and the cells are those nodes at the grid's
+largest bandwidth; an unbounded kernel weighs every column, so its one cell
+is every fold. One rule cuts the cells into blocks for both kernels
+(loclin._blocks): a block lies in one cell and takes folds while its
+factors, counted over every column its cell is weighed over, stay within
+loclin._BLOCK_ENTRIES floats and its sums, as many per fold and bandwidth,
+within loclin._TILE; a Gaussian block also holds whole tiles of
+loclin._fold_estimates. The leave-one-out responses of each block are built
+once, over its cell's window; survival._loo_responses checks once, over
+every fold and column, that they are finite, so an overflow that no window
+reads still fails the call. loclin._fold_estimates turns a block into
+predictions at every bandwidth, with the weights, the sums and the ratio
+formula of points and curves, in chunks of bandwidths of a fixed size, so
+no score depends on the other bandwidths of the grid or on its place in it,
+and over tiles of the block's folds sized to stay in cache, so no score
+depends on the tile either; this module holds the grid, the windows, the
+cells, the folds, the scores and the selection. A fold's window at h is a
+superset of its non-zero weights that depends on h and the sample alone,
+not on the grid, the block or the estimators, so neither do its bits. The
+workspace is O(n * block) instead of O(n^2), next to one stored prediction
+per fold, bandwidth and estimator.
 
-cv_score and select_bandwidth go through the same pass. With the Gaussian
-kernel a traced score always equals the score of a standalone call; with a
-compact kernel it does to rounding, since a standalone call's one bandwidth
-cuts its own blocks.
+cv_score and select_bandwidth go through the same pass, so a traced score
+always equals the score of a standalone call, alone or alongside others.
 """
 
 from __future__ import annotations
@@ -55,8 +52,8 @@ import numpy as np
 from .errors import ConfigError, _check_collection, _check_instance, _check_integer, _check_real
 from .kernels import _BANDWIDTH_RANGE, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import (
-    _CHUNK, _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _check_estimator, _fold_estimates,
-    _tile_folds, _union_orders,
+    _BLOCK_ENTRIES, _CHUNK, _FOLD_FACTORS, DEFAULT_EPSILON, Estimator, _blocks, _check_epsilon, _check_estimator,
+    _fold_estimates, _tile_folds, _union_orders,
 )
 from .survival import CensoredSample, _check_sample, _loo_responses, _write_csv
 
@@ -117,8 +114,8 @@ _REACH_SLACK = 1e-9
 
 
 def _windows(kernel: KernelKind, hs, xs: np.ndarray, lo, hi):
-    """(starts, stops): columns starts[k]:stops[k] can weigh on points in [lo, hi] at bandwidth hs[k], or
-    in [lo[k], hi[k]] at bandwidth hs where lo and hi are arrays.
+    """(starts, stops): columns starts[i]:stops[i] can weigh on points in [lo[i], hi[i]] at bandwidth
+    hs[i], where hs, lo and hi broadcast against each other.
 
     xs holds the covariates in ascending order. Each window covers every x
     within the slightly widened reach h * support of [lo, hi], a superset of
@@ -129,15 +126,52 @@ def _windows(kernel: KernelKind, hs, xs: np.ndarray, lo, hi):
     return xs.searchsorted(lo - reach, "left"), xs.searchsorted(hi + reach, "right")
 
 
+def _cells(kernel: KernelKind, hs, xs: np.ndarray):
+    """(bounds, starts, stops): the folds cut into cells bounds[c]:bounds[c + 1], and the columns
+    starts[k, c]:stops[k, c] that weigh cell c's folds at bandwidth hs[k].
+
+    xs holds the covariates in ascending order. The folds form a tree whose
+    nodes split into halves. A node fits at h when it holds one fold or when
+    its factors, _FOLD_FACTORS per fold and per column of its window at h,
+    take at most _BLOCK_ENTRIES floats; a node below it, or a smaller h, fits
+    too. A fold is weighed at h over the window of the highest node that
+    holds it and fits at h, so its window, and with it its bits, depend on
+    neither the grid nor the block. The cells are those nodes at the largest
+    bandwidth: each lies in one such node at every bandwidth of the grid. An
+    unbounded kernel weighs every column, so all its folds form one cell.
+    """
+    n, count = xs.size, len(hs)
+    if KERNEL_SUPPORT[kernel] == np.inf:
+        return np.array([0, n]), np.zeros((count, 1), dtype=int), np.full((count, 1), n)
+    hs = np.asarray(hs, dtype=float)[:, None]
+    lo, hi = np.array([0]), np.array([n])
+    held = np.zeros((count, 1), dtype=bool)  # a node above fits at the bandwidth, and gives the window
+    starts = stops = np.zeros((count, 1), dtype=int)
+    cells = []
+    while lo.size:
+        own = _windows(kernel, hs, xs, xs[lo], xs[hi - 1])
+        fits = (hi - lo <= 1) | ((hi - lo) * _FOLD_FACTORS * (own[1] - own[0]) <= _BLOCK_ENTRIES)
+        starts, stops = np.where(held, starts, own[0]), np.where(held, stops, own[1])
+        done = fits.all(axis=0)  # fits at every bandwidth, so at the largest
+        cells.append((lo[done], starts[:, done], stops[:, done]))
+        split = ~done
+        lo, hi, mid = lo[split], hi[split], (lo[split] + hi[split]) // 2
+        lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
+        held, starts, stops = (np.repeat(a[:, split], 2, axis=1) for a in (held | fits, starts, stops))
+    first, starts, stops = (np.concatenate(a, axis=-1) for a in zip(*cells))
+    order = np.argsort(first)
+    return np.append(first[order], n), starts[:, order], stops[:, order]
+
+
 def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: float) -> dict:
     """Trace of (h, score, degenerate_folds) over hs for each estimator.
 
     The records are sorted by (x, y, delta) once, and the whole pass runs on
     that copy, so the traces do not depend on the order of the records. The
     blocks of folds are outermost: each block takes its leave-one-out
-    responses over the window of the largest bandwidth, and
+    responses over every column that its cell is weighed over, and
     loclin._fold_estimates gives its predictions at every bandwidth, each
-    over its own window.
+    over the cell's window at that bandwidth.
     """
     estimators = tuple(dict.fromkeys(map(_check_estimator, _check_collection(estimators, "estimators"))))
     if not estimators:
@@ -152,16 +186,15 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     target, fold_rows = _loo_responses(sample, _union_orders(estimators))
     preds = {e: np.empty((len(hs), sample.n)) for e in estimators}
     degenerate = {e: np.zeros(len(hs), dtype=int) for e in estimators}
-    # a block's factors count its own window, each fold's reach at the largest bandwidth, and its sums every
-    # bandwidth; a Gaussian window is every column, and a Gaussian block holds whole tiles of _fold_estimates
+    bounds, starts, stops = _cells(kernel, hs, sample.x)
+    widths = stops.max(axis=0) - starts.min(axis=0)  # each cell's columns, over every bandwidth
     tile = _tile_folds(_CHUNK, sample.n) if KERNEL_SUPPORT[kernel] == np.inf else 1
-    reach = _windows(kernel, max(hs), sample.x, sample.x, sample.x)
-    for block in _blocks(sample.n, _FOLD_FACTORS, tile, _FOLD_FACTORS * len(hs), reach):
-        x = sample.x[block]  # ascending, so x[0] and x[-1] bound the block
-        starts, stops = _windows(kernel, hs, sample.x, x[0], x[-1])
-        outer = slice(int(starts.min()), int(stops.max()))  # the largest bandwidth's window
+    for block in _blocks(sample.n, _FOLD_FACTORS, tile, _FOLD_FACTORS * len(hs), (bounds[1:], widths)):
+        x = sample.x[block]
+        first, last = bounds.searchsorted((block.start, block.stop - 1), "right") - 1
+        outer = slice(int(starts[:, first].min()), int(stops[:, last].max()))
         tau = fold_rows(block, outer)
-        inner = (starts - outer.start, stops - outer.start)
+        inner = (starts[:, first] - outer.start, stops[:, last] - outer.start)
         fits = _fold_estimates(estimators, tau, sample.x[outer], x, block.start - outer.start, kernel, hs, inner, eps)
         for e, (values, flags) in fits.items():
             preds[e][:, block] = values

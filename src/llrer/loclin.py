@@ -22,13 +22,17 @@ tiles of at most _TILE weights per chunk, outermost, so a chunk's weights of
 a tile are still in cache when the tile's products read them; a fold's
 product is the same in any tile, so no sum depends on the tile size, and a
 compact kernel's tile is the whole block. One rule cuts the blocks of both
-kernels (_blocks): a block takes folds while its factors, counted over its own
-window, stay within _BLOCK_ENTRIES floats and its sums over every bandwidth
-within _TILE, so no buffer of the pass is much larger than the tiles that read
-it. A Gaussian window is every column and a Gaussian block holds whole tiles; a
-compact kernel's windows, and so its bits, depend on the block. The quadratic
-double-sum forms of LLRER and LLCR, weighed by scaled_kernel, are shipped
-alongside as permanent cross-checks for that path.
+kernels (_blocks): a block lies in one cell of bandwidth.py, folds that
+share one window at every bandwidth of the grid, and takes folds while its
+factors, counted over every column of its cell, stay within _BLOCK_ENTRIES
+floats and its sums over every bandwidth within _TILE, so no buffer of the
+pass is much larger than the tiles that read it. A Gaussian cell is every
+fold and every column, and a Gaussian block holds whole tiles; a compact
+kernel weighs a fold at each bandwidth over a window that the sample and
+the bandwidth alone set, so its bits depend on neither the blocks nor the
+grid. The quadratic double-sum forms of LLRER and LLCR, weighed by
+scaled_kernel, are shipped alongside as permanent cross-checks for that
+path.
 
 Curves fit samples stacked in rows: a block of simulate's replications, or
 fit_curves' one sample. The rows share one Kaplan-Meier pass and one set of
@@ -241,33 +245,29 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: floa
 # Curves evaluate at most this many (point, observation) pairs, and
 # cross-validation builds at most this many factor entries, or one fold's, per
 # block, so their memory stays O(n) for any number of points. A block of folds
-# counts _FOLD_FACTORS per fold and per column of its own window, the largest
-# bandwidth's reach around its folds, and bounds its sums by _TILE (_blocks).
-# At n = 2000 on 0.05:1.0:0.05 a Gaussian block, whose window is every column,
-# takes 13 folds, cut to 12 of whole tiles; an Epanechnikov block of the
-# benchmark's cv_n2000_epan input takes 18-62
+# counts _FOLD_FACTORS per fold and per column of its cell's window, and bounds
+# its sums by _TILE (_blocks). At n = 2000 on 0.05:1.0:0.05 a Gaussian block,
+# whose cell is every column, takes 13 folds, cut to 12 of whole tiles; the
+# Epanechnikov cells of the benchmark's cv_n2000_epan input take 15 to 63
 _BLOCK_ENTRIES = 2**18
 
 
-def _blocks(count: int, width: int, tile: int = 1, sums: int = 0, windows=None):
+def _blocks(count: int, width: int, tile: int = 1, sums: int = 0, cells=None):
     """Slices of count rows, each of at most _BLOCK_ENTRIES entries and, where sums is given, of at most
-    _TILE entries at sums entries a row, or of one row. A row takes width entries or, where windows =
-    (starts, stops) gives each row's ascending column limits, width entries per column of its block's
-    window: rows lo:hi span columns starts[lo]:stops[hi - 1], and past the last row a block keeps its
-    window. Where a tile of `tile` rows fits, each but the last holds a whole number of tiles."""
-    room = _BLOCK_ENTRIES // width  # rows times window columns
-    cap = max(1, min(room, _TILE // sums) if sums else room)
+    _TILE entries at sums entries a row, or of one row. A row takes width entries or, where cells =
+    (stops, columns) cuts the rows into cells that end at stops, width entries per column of its cell,
+    and no block reaches across two cells. Where a tile of `tile` rows fits, each block of a cell but
+    its last holds a whole number of tiles."""
     lo = 0
-    while lo < count:
-        rows = cap
-        if windows is not None:  # rows lo:lo+m fit while m times their window fits in room, so the fits come first
-            starts, stops = windows
-            spans = stops[np.minimum(np.arange(lo, lo + cap), count - 1)] - starts[lo]
-            rows = max(1, int(np.count_nonzero(np.arange(1, cap + 1) * spans <= room)))
+    for stop, columns in zip(*cells) if cells else ((count, 1),):
+        stop, rows = int(stop), max(1, _BLOCK_ENTRIES // (width * int(columns)))
+        if sums:
+            rows = max(1, min(rows, _TILE // sums))
         if rows > tile:
             rows -= rows % tile
-        yield slice(lo, lo + rows)
-        lo += rows
+        for start in range(lo, stop, rows):
+            yield slice(start, min(start + rows, stop))
+        lo = stop
 
 
 # The bound on max |columns| + max |points| below which no offset of _offsets, nor its square, overflows
@@ -373,9 +373,10 @@ _CHUNK = 16
 # the tile's fold products read them. A fold's product does not depend on the
 # tile, so neither do its sums. A block's sums, _FOLD_FACTORS per fold and
 # bandwidth, take at most _TILE floats too (_blocks): 32 folds at n = 300 on the
-# default grid, which a Gaussian block cuts to 26, two whole tiles. At _TILE >=
-# _BLOCK_ENTRIES / _FOLD_FACTORS a compact kernel's tile, of chunks of one
-# bandwidth, holds the whole block
+# default grid, which a Gaussian block cuts to 26, two whole tiles, and an
+# Epanechnikov block takes in each cell of 75. At _TILE >= _BLOCK_ENTRIES /
+# _FOLD_FACTORS a compact kernel's tile, of chunks of one bandwidth, holds the
+# whole block
 _TILE = 2**16
 
 
@@ -412,6 +413,7 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
         for f in range(0, points.size, tile):
             folds = slice(f, min(f + tile, points.size))
             count = folds.stop - f
+            tiles = [(factors[folds], sums[pair][:, folds].transpose(2, 1, 0, 3)) for pair, factors in products.items()]
             for i, (lo, start, stop) in enumerate(zip(firsts.tolist(), starts, stops)):
                 weights = w[: size * count * (stop - start)].reshape(size, count, -1)
                 if size == 1:  # a float and one plane: a ufunc call that broadcasts costs a few microseconds more
@@ -420,9 +422,8 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
                     chunk = hs[lo : lo + size]
                     _relative_kernel_of_squares(kernel, dx2[folds, start:stop], chunk, out=weights[: len(chunk)])
                     weights[len(chunk) :] = 0.0  # the last chunk is padded with zero weights
-                for pair, factors in products.items():
-                    out = sums[pair][:, folds, i].transpose(1, 0, 2)  # fold, sum, bandwidth
-                    np.matmul(factors[folds, :, start:stop], weights.transpose(1, 2, 0), out=out)
+                for factors, out in tiles:  # out[i]: the chunk's sums, fold by sum by bandwidth
+                    np.matmul(factors[:, :, start:stop], weights.transpose(1, 2, 0), out=out[i])
         for s in sums.values():  # the weights are relative to K(0)
             s *= _KERNEL_AT_ZERO[kernel]
     fold_sums = {pair: s.reshape(5, points.size, -1)[:, :, : len(hs)].transpose(0, 2, 1) for pair, s in sums.items()}

@@ -46,7 +46,7 @@ from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kerne
 from .loclin import (
     DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, _fit_rows
 )
-from .survival import CensoredSample, NonPositiveResponseWarning, _check_sample, _write_csv
+from .survival import CensoredSample, NonPositiveResponseWarning, _check_sample, _read_text, _write_csv
 
 __all__ = [
     "DEFAULT_CALIBRATION_TOLERANCE", "DEFAULT_GRID_SPEC", "ErrorMetrics", "GeneratedSample", "ReplicationResult",
@@ -564,21 +564,15 @@ def config_lines(config: SimulationConfig) -> list:
 def load_simulation_config(path) -> SimulationConfig:
     """Parse a plain-text `key = value` config file into a SimulationConfig.
 
-    The file is UTF-8 text, after a byte-order mark if one leads it. Blank
-    lines and text after `#` are ignored. The keys are those of `_KEYS`; a
-    cv_grid given in parts takes its missing parts from
-    DEFAULT_BANDWIDTH_GRID. Required keys are the fields without a default.
+    The file is UTF-8 text, after a byte-order mark if one leads it
+    (survival._read_text). Blank lines and text after `#` are ignored. The
+    keys are those of `_KEYS`; a cv_grid given in parts takes its missing
+    parts from DEFAULT_BANDWIDTH_GRID. Required keys are the fields without
+    a default.
     """
     known = {key.name: key for key in _KEYS}
     kwargs, cv_parts = {}, {}
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(_read_text(path, ConfigError, lambda fh: fh.readlines()), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

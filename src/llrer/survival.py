@@ -359,18 +359,24 @@ def _kaplan_meier_responses(y: np.ndarray, delta: np.ndarray, orders) -> tuple:
     return tau, faults
 
 
-def read_sample_csv(path) -> CensoredSample:
-    """Load a censored sample from a UTF-8 CSV file with header y,delta,x, after a byte-order mark if
-    one leads it, as spreadsheets write."""
+def _read_text(path, error, read):
+    """read(fh) of the file at path, opened as UTF-8 text after a byte-order mark if one leads it, as
+    spreadsheets write, with newlines untranslated; a file that cannot be opened or read as UTF-8 raises
+    error, an exception class, with a message that names the path."""
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
-        raise DataError(f"{path}: {exc}") from None
+        raise error(f"{path}: {exc}") from None
     try:
         with fh:
-            records = _sample_records(path, csv.reader(fh))
-    except UnicodeDecodeError as exc:  # raised while the rows are read; its offset is within a read buffer
-        raise DataError(f"{path}: not UTF-8 text: {exc.reason}") from None
+            return read(fh)
+    except UnicodeDecodeError as exc:  # raised while the text is read; its offset is within a read buffer
+        raise error(f"{path}: not UTF-8 text: {exc.reason}") from None
+
+
+def read_sample_csv(path) -> CensoredSample:
+    """Load a censored sample from a UTF-8 CSV file with header y,delta,x (_read_text)."""
+    records = _read_text(path, DataError, lambda fh: _sample_records(path, csv.reader(fh)))
     return CensoredSample(*map(np.array, zip(*records)))
 
 

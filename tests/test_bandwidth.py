@@ -40,7 +40,7 @@ from llrer import (
 import llrer.bandwidth
 import llrer.loclin
 import llrer.survival
-from llrer.bandwidth import _cv_traces, _windows
+from llrer.bandwidth import _cells, _cv_traces, _windows
 from llrer.loclin import _CHUNK, _FOLD_FACTORS, _TILE, DEFAULT_EPSILON, _blocks, _offsets
 from llrer.survival import _loo_responses
 from llrer.kernels import _kernel_of_squares
@@ -81,7 +81,9 @@ def block_rows(n, rows):
     """Force blocks of `rows` folds on a sample of n observations, and check
     that cross-validation cut every block it made that way. The forced
     blocks take the factor bound alone, counted over every column, so they
-    need not hold whole tiles, nor keep their sums within a tile's size."""
+    need not hold whole tiles, keep their sums within a tile's size or lie in
+    one cell; a block across cells is weighed over the union of their
+    windows."""
     cuts = []
 
     def recorded_blocks(count, *rule):
@@ -93,7 +95,7 @@ def block_rows(n, rows):
     ):
         yield
     for count, blocks in cuts:
-        assert [(b.start, b.stop) for b in blocks] == [(lo, lo + rows) for lo in range(0, count, rows)]
+        assert [(b.start, b.stop) for b in blocks] == [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
 def cv_blocks(estimators, sample, kernel, grid):
@@ -658,7 +660,8 @@ class TestChunks:
     @pytest.fixture(scope="class")
     def sample(self):
         s = random_censored_sample(np.random.default_rng(68), 301)
-        assert len(list(_blocks(s.n, _FOLD_FACTORS * s.n))) > 1
+        assert len(list(_blocks(s.n, _FOLD_FACTORS * s.n))) > 1  # Gaussian blocks
+        assert _cells(KernelKind.EPANECHNIKOV, self.GRID.values(), np.sort(s.x))[0].size > 2  # and cells
         assert self.GRID.values().size == 37 and 37 % _CHUNK != 0
         return s
 
@@ -676,9 +679,8 @@ class TestChunks:
     @pytest.mark.parametrize("rows", (None, 7))
     @pytest.mark.parametrize("kernel", list(KernelKind))
     def test_a_grid_prefix_gives_the_trace_prefix(self, sample, kernel, rows):
-        # a compact kernel's blocks follow the grid's largest bandwidth and its size, and its bits follow
-        # the blocks: at the blocks that each grid cuts, its prefix agrees to rounding; at one cut of
-        # blocks, and with the Gaussian kernel at any, bit for bit
+        # the blocks follow the grid's largest bandwidth and its size, but no fold's window does: at the
+        # blocks that each grid cuts, and at forced ones, a prefix scores bit for bit as in the whole grid
         hs = self.GRID.values()
         cut = functools.partial(block_rows, sample.n, rows) if rows else contextlib.nullcontext
         with cut():
@@ -687,12 +689,7 @@ class TestChunks:
             with cut():
                 head = _cv_traces(Estimator, sample, kernel, hs[:m], DEFAULT_EPSILON)
             for est in Estimator:
-                if rows or kernel is KernelKind.GAUSSIAN:
-                    assert self.bits(head[est]) == self.bits(full[est][:m]), (m, est)
-                else:
-                    assert [p[::2] for p in head[est]] == [p[::2] for p in full[est][:m]], (m, est)
-                    np.testing.assert_allclose([p.score for p in head[est]], [p.score for p in full[est][:m]],
-                                               rtol=1e-12, atol=0.0, err_msg=f"{m} {est}")
+                assert self.bits(head[est]) == self.bits(full[est][:m]), (m, est)
 
     def test_gaussian_traces_equal_at_every_block_size(self, sample):
         default = select_bandwidths(Estimator, sample, KernelKind.GAUSSIAN, self.GRID)
@@ -701,6 +698,17 @@ class TestChunks:
                 split = select_bandwidths(Estimator, sample, KernelKind.GAUSSIAN, self.GRID)
             for est in Estimator:
                 assert traces_bits(split[est]) == traces_bits(default[est]), (rows, est)
+
+    @pytest.mark.parametrize("rows", (1, 2, 7))
+    def test_epanechnikov_traces_equal_at_every_block_size_in_the_cells(self, sample, rows):
+        # a smaller _TILE makes the sums bound cut blocks of `rows` folds in each cell, over its windows
+        kernel = KernelKind.EPANECHNIKOV
+        default = select_bandwidths(Estimator, sample, kernel, self.GRID)
+        with mock.patch.object(llrer.loclin, "_TILE", rows * _FOLD_FACTORS * self.GRID.values().size):
+            assert max(stop - start for start, stop in cv_blocks(Estimator, sample, kernel, self.GRID)) == rows
+            split = select_bandwidths(Estimator, sample, kernel, self.GRID)
+        for est in Estimator:
+            assert traces_bits(split[est]) == traces_bits(default[est]), (rows, est)
 
 
 @contextlib.contextmanager
@@ -747,14 +755,21 @@ class TestTiles:
 
 
 class TestBlockRule:
-    """A block of folds takes folds while its factors, _FOLD_FACTORS per fold and per column of its own
-    window (the largest bandwidth's reach around its folds), stay within _BLOCK_ENTRIES floats and its
-    sums, _FOLD_FACTORS per fold and bandwidth, within _TILE; a Gaussian window is every column, and a
-    Gaussian block holds whole tiles."""
+    """A compact kernel's folds form cells (bandwidth._cells), and a block lies in one cell: it takes
+    folds while its factors, _FOLD_FACTORS per fold and per column of its cell's window (the columns
+    that its cell's folds are weighed over at some bandwidth of the grid), stay within _BLOCK_ENTRIES
+    floats and its sums, _FOLD_FACTORS per fold and bandwidth, within _TILE. A Gaussian cell is every
+    fold and every column, and a Gaussian block holds whole tiles."""
 
     @staticmethod
     def sample(n):
         return random_censored_sample(np.random.default_rng(72), n)
+
+    @staticmethod
+    def fits(x, h, lo, hi):
+        """Whether the node of folds lo:hi fits at h: one fold, or factors over its window within bound."""
+        (start,), (stop,) = _windows(KernelKind.EPANECHNIKOV, [h], x, x[lo], x[hi - 1])
+        return hi - lo <= 1 or (hi - lo) * _FOLD_FACTORS * (stop - start) <= llrer.loclin._BLOCK_ENTRIES
 
     def test_gaussian_blocks_hold_whole_tiles_on_the_default_grid(self):
         s = self.sample(300)
@@ -772,36 +787,71 @@ class TestBlockRule:
         assert factor_rows == 13 and _TILE // (_CHUNK * s.n) == 2
         want = [(lo, min(lo + 12, s.n)) for lo in range(0, s.n, 12)]  # six tiles of 2
         assert cv_blocks((Estimator.LLRER,), s, KernelKind.GAUSSIAN, grid) == want
-        # an Epanechnikov block's window is narrower than every column, so it takes more folds
+        # an Epanechnikov cell's window is narrower than every column, so its blocks take more folds
         blocks = cv_blocks((Estimator.LLRER,), s, KernelKind.EPANECHNIKOV, grid)
         assert [start for start, _ in blocks[1:]] == [stop for _, stop in blocks[:-1]] and blocks[-1][1] == s.n
         assert min(stop - start for start, stop in blocks[:-1]) > factor_rows
         assert len(blocks) < math.ceil(s.n / factor_rows)
 
-    def test_epanechnikov_blocks_fill_their_own_windows(self):
-        # each block's window recomputed here from _windows, as the block loop takes it
+    def test_epanechnikov_cells_are_the_highest_nodes_that_fit(self):
+        # the tree of halves walked here from the root: a node that fits at the largest bandwidth is a cell
+        x = np.sort(self.sample(2000).x)
+        hs = BandwidthGrid(0.05, 1.0, 0.05).values()
+
+        def cells(lo, hi):
+            if self.fits(x, hs[-1], lo, hi):
+                return [lo]
+            return cells(lo, (lo + hi) // 2) + cells((lo + hi) // 2, hi)
+
+        bounds, _, _ = _cells(KernelKind.EPANECHNIKOV, hs, x)
+        assert bounds.tolist() == cells(0, x.size) + [x.size]
+
+    def test_a_folds_window_follows_its_bandwidth_alone(self):
+        # fold i is weighed at h over the window of the highest node that holds it and fits at h, walked
+        # here from the root, so over the same columns in every grid that holds h
+        x = np.sort(self.sample(600).x)
+        hs = BandwidthGrid(0.1, 2.0, 0.1).values()
+
+        def window(i, h):
+            lo, hi = 0, x.size
+            while not self.fits(x, h, lo, hi):
+                lo, hi = (lo, (lo + hi) // 2) if i < (lo + hi) // 2 else ((lo + hi) // 2, hi)
+            (start,), (stop,) = _windows(KernelKind.EPANECHNIKOV, [h], x, x[lo], x[hi - 1])
+            return start, stop
+
+        for grid in (hs, hs[:7], hs[3:4]):
+            bounds, starts, stops = _cells(KernelKind.EPANECHNIKOV, grid, x)
+            for c, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                for k, h in enumerate(grid):
+                    assert window(lo, h) == window(hi - 1, h) == (starts[k, c], stops[k, c]), (len(grid), c, h)
+
+    def test_epanechnikov_blocks_fill_their_cells(self):
+        # every block keeps both bounds over its cell's window, and every block but its cell's last would
+        # break one with one more fold
         s = self.sample(2000)
-        grid = BandwidthGrid(0.05, 1.0, 0.05)
-        x = np.sort(s.x)
+        hs = BandwidthGrid(0.05, 1.0, 0.05).values()
+        bounds, starts, stops = _cells(KernelKind.EPANECHNIKOV, hs, np.sort(s.x))
 
-        def fits(start, stop):
-            starts, stops = _windows(KernelKind.EPANECHNIKOV, grid.values(), x, x[start], x[stop - 1])
-            factors = (stop - start) * _FOLD_FACTORS * int(stops.max() - starts.min())
-            sums = (stop - start) * _FOLD_FACTORS * grid.values().size
-            return factors <= llrer.loclin._BLOCK_ENTRIES and sums <= _TILE
+        def fits(cell, rows):
+            factors = rows * _FOLD_FACTORS * int(stops[:, cell].max() - starts[:, cell].min())
+            return factors <= llrer.loclin._BLOCK_ENTRIES and rows * _FOLD_FACTORS * hs.size <= _TILE
 
-        blocks = cv_blocks((Estimator.LLRER,), s, KernelKind.EPANECHNIKOV, grid)
+        blocks = cv_blocks((Estimator.LLRER,), s, KernelKind.EPANECHNIKOV, BandwidthGrid(0.05, 1.0, 0.05))
         assert [start for start, _ in blocks[1:]] == [stop for _, stop in blocks[:-1]] and blocks[-1][1] == s.n
-        assert all(fits(start, stop) for start, stop in blocks)
-        assert not any(fits(start, stop + 1) for start, stop in blocks[:-1])
+        for start, stop in blocks:
+            cell = int(bounds.searchsorted(start, "right")) - 1
+            assert stop <= bounds[cell + 1] and fits(cell, stop - start), (start, stop)
+            assert stop == bounds[cell + 1] or not fits(cell, stop - start + 1), (start, stop)
 
     def test_epanechnikov_sums_bound_on_the_default_grid(self):
-        # 200 bandwidths: the sums bound, 32 folds, binds before the factors' 87 or more; the stored
-        # predictions take 1.37 MiB, and blocks of 87 folds, the factor bound alone, took 7.8 MiB
+        # 200 bandwidths: the sums bound, 32 folds, binds before the factors of the cells; the stored
+        # predictions take 1.37 MiB, and blocks of 87 folds, the factor bound over every column, took 7.8 MiB
         s = self.sample(300)
         assert _TILE // (_FOLD_FACTORS * DEFAULT_BANDWIDTH_GRID.values().size) == 32
+        bounds = _cells(KernelKind.EPANECHNIKOV, DEFAULT_BANDWIDTH_GRID.values(), np.sort(s.x))[0].tolist()
+        assert min(np.diff(bounds)) > 32
         blocks = cv_blocks(Estimator, s, KernelKind.EPANECHNIKOV, DEFAULT_BANDWIDTH_GRID)
-        assert blocks == [(lo, min(lo + 32, s.n)) for lo in range(0, s.n, 32)]
+        assert blocks == [(lo, min(lo + 32, b)) for a, b in zip(bounds, bounds[1:]) for lo in range(a, b, 32)]
         tracemalloc.start()
         try:
             select_bandwidths(Estimator, s, KernelKind.EPANECHNIKOV)
@@ -812,8 +862,8 @@ class TestBlockRule:
 
     @pytest.mark.parametrize("seed", (3, 8))
     def test_epanechnikov_traces_match_factor_bound_blocks_at_n2000(self, seed):
-        # blocks over their own windows against forced blocks of 13, the factor bound over every column:
-        # each bandwidth's products run over other windows, so the scores agree to rounding
+        # blocks in cells against forced blocks of 13, the factor bound over every column, which reach
+        # across cells: each bandwidth's products run over other windows, so the scores agree to rounding
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonPositiveResponseWarning)
             s = generate_sample(2000, -1.135, seed).sample

@@ -73,7 +73,7 @@ def block_rows(n, rows):
     ):
         yield
     for count, blocks in cuts:
-        assert [(b.start, b.stop) for b in blocks] == [(lo, lo + rows) for lo in range(0, count, rows)]
+        assert [(b.start, b.stop) for b in blocks] == [(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
 
 def condition_number(est, sample, step, config, x):
