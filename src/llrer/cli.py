@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidth, write_cv_trace_csv
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _check_integer
 from .kernels import _DEFAULT_KERNEL, KernelKind
 from .loclin import Estimator, EstimatorConfig, fit_curve, write_curve_csv
 from .simulate import (
@@ -172,21 +172,28 @@ def _manifest_lines(args, config, report, artifacts, duration: float) -> list:
     return lines
 
 
+def _write_lines(path: Path, lines) -> None:
+    """Write lines, each ended by a newline, as UTF-8 whatever the locale. A path argument that the file
+    system's encoding could not decode holds surrogate escapes, and is written back as its own bytes. The
+    bytes are built before the file is opened, so a line that cannot be encoded leaves no partial file."""
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+
+
 def _cmd_simulate(args) -> int:
     config = load_simulation_config(_resolve_config(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    _check_integer(args.jobs, "jobs", 1)  # as monte_carlo_run does, so a config error makes no directory
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)  # so an unusable --out fails before any replication runs
     started = time.monotonic()
     report = monte_carlo_run(config, jobs=args.jobs)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     artifacts = ["curves.csv", "summary.csv", "config.cfg"]
     write_curves_csv(report, outdir / "curves.csv")
     write_summary_csv(report, outdir / "summary.csv")
-    (outdir / "config.cfg").write_text("\n".join(config_lines(config)) + "\n")
+    _write_lines(outdir / "config.cfg", config_lines(config))
     duration = time.monotonic() - started
-    lines = _manifest_lines(args, config, report, artifacts, duration)
-    (outdir / "manifest.txt").write_text("\n".join(lines) + "\n")
+    _write_lines(outdir / "manifest.txt", _manifest_lines(args, config, report, artifacts, duration))
     failures = report.failures()
     for r in failures:
         print(f"replication {r.rep} failed: {r.error}", file=sys.stderr)

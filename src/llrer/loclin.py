@@ -12,27 +12,42 @@ their scale; one table of kernel sums, _SUMS, five per pair; and one ratio
 formula, _ratio_terms. Points, curves and moment_statistics
 use each weight once: one matrix product per point gives its moments
 sum_j w_j dx_j^g c_j over the columns c (_moments), and each pair reads its
-five sums out of them through the table. Cross-validation reuses a block of
-folds over every bandwidth, so it builds each sum's factor, its column times
-dx^g, once per block from the same table (_fold_products, the precomputation
-of Fan & Marron, 1994) and takes the sums of a fixed-size chunk of
-bandwidths, 16 with the Gaussian kernel and one with a compact kernel, with
-one matrix product per fold (_fold_estimates). The folds of a block go in
-tiles of at most _TILE weights per chunk, outermost, so a chunk's weights of
-a tile are still in cache when the tile's products read them; a fold's
-product is the same in any tile, so no sum depends on the tile size, and a
-compact kernel's tile is the whole block. One rule cuts the blocks of both
-kernels (_blocks): a block lies in one cell of bandwidth.py, folds that
-share one window at every bandwidth of the grid, and takes folds while its
-factors, counted over every column of its cell, stay within _BLOCK_ENTRIES
-floats and its sums over every bandwidth within _TILE, so no buffer of the
-pass is much larger than the tiles that read it. A Gaussian cell is every
-fold and every column, and a Gaussian block holds whole tiles; a compact
-kernel weighs a fold at each bandwidth over a window that the sample and
-the bandwidth alone set, so its bits depend on neither the blocks nor the
-grid. The quadratic double-sum forms of LLRER and LLCR, weighed by
-scaled_kernel, are shipped alongside as permanent cross-checks for that
-path.
+five sums out of them through the table.
+
+Cross-validation's pass (_fold_pass) predicts every fold of a sample sorted
+by x at every bandwidth of a grid, from the leave-one-out responses of
+survival._loo_responses, and returns the predictions with their degenerate
+flags; bandwidth.py scores them. The pass reuses a block of folds over every
+bandwidth, so it builds each sum's factor, its column times dx^g, once per
+block from the same table (_fold_products, the precomputation of Fan &
+Marron, 1994) and takes the sums of a fixed-size chunk of bandwidths, 16
+with the Gaussian kernel and one with a compact kernel, with one matrix
+product per fold (_fold_estimates). The folds of a block go in tiles of at
+most _TILE weights per chunk, outermost, so a chunk's weights of a tile are
+still in cache when the tile's products read them; a fold's product is the
+same in any tile, so no sum depends on the tile size, and a compact kernel's
+tile is the whole block.
+
+The folds are weighed in cells (_cells). The folds form a fixed tree whose
+nodes split into halves, and a node fits at h when it holds one fold or when
+its factors, _FOLD_FACTORS per fold and per column of its window at h
+(_windows, a superset of its folds' non-zero weights), take at most
+_BLOCK_ENTRIES floats; a node below it, or a smaller h, fits too. A compact
+kernel weighs fold i at h over the window of the highest node that holds i
+and fits at h, so its window, and with it its bits, depend on h and the
+sample alone, not on the grid, the blocks or the estimators. The cells are
+those nodes at the grid's largest bandwidth, so each lies in one such node at
+every bandwidth. An unbounded kernel weighs every column, so its one cell is
+every fold. One rule cuts the cells into blocks for both kernels (_blocks): a
+block lies in one cell and takes folds while its factors, counted over every
+column that its cell is weighed over, stay within _BLOCK_ENTRIES floats and
+its sums over every bandwidth within _TILE, so no buffer of the pass is much
+larger than the tiles that read it; a Gaussian block holds whole tiles. Each
+block builds its leave-one-out responses once, over its cell's columns. So
+the workspace is O(n * block) instead of O(n^2), next to one prediction and
+one flag per fold, bandwidth and estimator. The quadratic double-sum forms of
+LLRER and LLCR, weighed by scaled_kernel, are shipped alongside as permanent
+cross-checks for that path.
 
 Curves fit samples stacked in rows: a block of simulate's replications, or
 fit_curves' one sample. The rows share one Kaplan-Meier pass and one set of
@@ -244,10 +259,8 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: floa
 
 # Curves evaluate at most this many (point, observation) pairs, and
 # cross-validation builds at most this many factor entries, or one fold's, per
-# block, so their memory stays O(n) for any number of points. A block of folds
-# counts _FOLD_FACTORS per fold and per column of its cell's window, and bounds
-# its sums by _TILE (_blocks). At n = 2000 on 0.05:1.0:0.05 a Gaussian block,
-# whose cell is every column, takes 13 folds, cut to 12 of whole tiles; the
+# block, so their memory stays O(n) for any number of points. At n = 2000 on
+# 0.05:1.0:0.05 a Gaussian block takes 13 folds, cut to 12 of whole tiles; the
 # Epanechnikov cells of the benchmark's cv_n2000_epan input take 15 to 63
 _BLOCK_ENTRIES = 2**18
 
@@ -268,6 +281,47 @@ def _blocks(count: int, width: int, tile: int = 1, sums: int = 0, cells=None):
         for start in range(lo, stop, rows):
             yield slice(start, min(start + rows, stop))
         lo = stop
+
+
+# Relative widening of a compact kernel's reach, so that rounding in x - x0
+# and in the division by h cannot put a non-zero weight outside the window
+_REACH_SLACK = 1e-9
+
+
+def _windows(kernel: KernelKind, hs, xs: np.ndarray, lo, hi):
+    """(starts, stops): columns starts[i]:stops[i] of the ascending covariates xs can weigh on points in
+    [lo[i], hi[i]] at bandwidth hs[i], where hs, lo and hi broadcast against each other: every x within
+    the slightly widened reach h * support of [lo, hi], a superset of the non-zero weights that widens
+    with h. The infinite reach of an unbounded kernel covers every column."""
+    reach = KERNEL_SUPPORT[kernel] * np.asarray(hs, dtype=float) * (1.0 + _REACH_SLACK)
+    return xs.searchsorted(lo - reach, "left"), xs.searchsorted(hi + reach, "right")
+
+
+def _cells(kernel: KernelKind, hs, xs: np.ndarray):
+    """(bounds, starts, stops): the folds at the ascending covariates xs cut into cells
+    bounds[c]:bounds[c + 1], and the columns starts[k, c]:stops[k, c] that weigh cell c's folds at
+    bandwidth hs[k], by the tree of halves of the module docstring."""
+    n, count = xs.size, len(hs)
+    if KERNEL_SUPPORT[kernel] == np.inf:
+        return np.array([0, n]), np.zeros((count, 1), dtype=int), np.full((count, 1), n)
+    hs = np.asarray(hs, dtype=float)[:, None]
+    lo, hi = np.array([0]), np.array([n])
+    held = np.zeros((count, 1), dtype=bool)  # a node above fits at the bandwidth, and gives the window
+    starts = stops = np.zeros((count, 1), dtype=int)
+    cells = []
+    while lo.size:
+        own = _windows(kernel, hs, xs, xs[lo], xs[hi - 1])
+        fits = (hi - lo <= 1) | ((hi - lo) * _FOLD_FACTORS * (own[1] - own[0]) <= _BLOCK_ENTRIES)
+        starts, stops = np.where(held, starts, own[0]), np.where(held, stops, own[1])
+        done = fits.all(axis=0)  # fits at every bandwidth, so at the largest
+        cells.append((lo[done], starts[:, done], stops[:, done]))
+        split = ~done
+        lo, hi, mid = lo[split], hi[split], (lo[split] + hi[split]) // 2
+        lo, hi = np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
+        held, starts, stops = (np.repeat(a[:, split], 2, axis=1) for a in (held | fits, starts, stops))
+    first, starts, stops = (np.concatenate(a, axis=-1) for a in zip(*cells))
+    order = np.argsort(first)
+    return np.append(first[order], n), starts[:, order], stops[:, order]
 
 
 # The bound on max |columns| + max |points| below which no offset of _offsets, nor its square, overflows
@@ -394,18 +448,19 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
     hs[k] weighs columns starts[k]:stops[k] of them, windows = (starts, stops), with the weights of
     _estimates, relative to K(0), and its sums are then scaled by K(0). The bandwidths go in chunks:
     _CHUNK of them for the Gaussian kernel, whose windows hold every column, and one for a compact
-    kernel, so each keeps its own narrow window. The folds go in tiles of _TILE weights per chunk,
-    outermost: each chunk's weights of a tile are laid out bandwidth-major over the window of its
-    widest bandwidth, the last chunk padded with zero weights to full size, and each pair's sums of a
-    fold take one matrix product with them. The sums are laid out so that each of a pair's five, over
-    every bandwidth and fold, is a view, and the ratios of every bandwidth and fold follow at once.
+    kernel, so each keeps its own narrow window, and a chunk's window is that of its first bandwidth.
+    The folds go in tiles of _TILE weights per chunk, outermost: each chunk's weights of a tile are laid
+    out bandwidth-major over its window, the last chunk padded with zero weights to full size, and each
+    pair's sums of a fold take one matrix product with them. The sums are laid out so that each of a
+    pair's five, over every bandwidth and fold, is a view, and the ratios of every bandwidth and fold
+    follow at once.
     """
     products, dx2 = _fold_products(dict.fromkeys(_GROUP[e] for e in estimators), tau, columns, points, own)
     size = _CHUNK if KERNEL_SUPPORT[kernel] == np.inf else 1
     hs = np.asarray(hs, dtype=float)[:, None, None]
     bandwidths = hs.ravel().tolist()
     firsts = np.arange(0, len(hs), size)
-    starts, stops = np.minimum.reduceat(windows[0], firsts).tolist(), np.maximum.reduceat(windows[1], firsts).tolist()
+    starts, stops = (bound[firsts].tolist() for bound in windows)
     sums = {pair: np.empty((5, points.size, firsts.size, size)) for pair in products}  # sum, fold, chunk, bandwidth
     tile = min(points.size, _tile_folds(size, columns.size))
     w = np.empty(size * tile * columns.size)
@@ -429,6 +484,29 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
     fold_sums = {pair: s.reshape(5, points.size, -1)[:, :, : len(hs)].transpose(0, 2, 1) for pair, s in sums.items()}
     terms = _ratio_terms({e: fold_sums[_GROUP[e]] for e in estimators})
     return {e: _masked_ratio(*terms[e], eps) for e in estimators}
+
+
+def _fold_pass(estimators, xs: np.ndarray, rows, kernel, hs, eps) -> dict:
+    """{estimator: (predictions, degenerate flags)}, each of shape (len(hs), folds), of cross-validation.
+
+    Fold i holds out the record at xs[i], the covariates in ascending order, and rows(folds, columns)
+    gives the leave-one-out responses of a slice of folds over a slice of columns
+    (survival._loo_responses). The blocks of _blocks go one at a time: each takes its responses over
+    every column that its cells are weighed over, and _fold_estimates gives its predictions.
+    """
+    out = {e: (np.empty((len(hs), xs.size)), np.empty((len(hs), xs.size), dtype=bool)) for e in estimators}
+    bounds, starts, stops = _cells(kernel, hs, xs)
+    widths = stops.max(axis=0) - starts.min(axis=0)  # each cell's columns, over every bandwidth
+    tile = _tile_folds(_CHUNK, xs.size) if KERNEL_SUPPORT[kernel] == np.inf else 1
+    for block in _blocks(xs.size, _FOLD_FACTORS, tile, _FOLD_FACTORS * len(hs), (bounds[1:], widths)):
+        first, last = bounds.searchsorted((block.start, block.stop - 1), "right") - 1
+        outer = slice(int(starts[:, first].min()), int(stops[:, last].max()))
+        inner = (starts[:, first] - outer.start, stops[:, last] - outer.start)
+        tau, own = rows(block, outer), block.start - outer.start
+        for e, fit in _fold_estimates(estimators, tau, xs[outer], xs[block], own, kernel, hs, inner, eps).items():
+            for whole, part in zip(out[e], fit):
+                whole[:, block] = part
+    return out
 
 
 def _response_map(sample, step, responses, orders) -> Mapping[int, np.ndarray]:

@@ -295,6 +295,7 @@ def _moment(y, uncensored, order: int) -> np.ndarray:
 
 
 _OVERFLOW = "synthetic responses overflow; responses too close to zero"
+_VANISHED = "censoring survival is zero at an uncensored response"
 
 
 def _check_finite(responses: np.ndarray) -> np.ndarray:
@@ -302,17 +303,6 @@ def _check_finite(responses: np.ndarray) -> np.ndarray:
     if not np.isfinite(responses).all():
         raise DataError(_OVERFLOW)
     return responses
-
-
-def _divide_by_survival(y, uncensored, order: int, gbar) -> np.ndarray:
-    """delta * y**(-order) / gbar with uncensored = (delta == 1), after
-    _check_responses. gbar is the censoring survival at each response:
-    Kaplan-Meier left limits, or exact values when the censoring distribution
-    is known."""
-    gbar = np.asarray(gbar, dtype=float)
-    if np.any(uncensored & (gbar <= 0.0)):
-        raise DataError("censoring survival is zero at an uncensored response")
-    return _check_finite(np.divide(_moment(y, uncensored, order), gbar, out=np.zeros(gbar.shape), where=uncensored))
 
 
 def synthetic_transform(sample: CensoredSample, step: SurvivalStep, order: int) -> SyntheticResponses:
@@ -324,38 +314,44 @@ def synthetic_transform(sample: CensoredSample, step: SurvivalStep, order: int) 
 
 
 def _synthetic_responses(sample: CensoredSample, step: SurvivalStep, orders) -> dict:
-    """{order: synthetic_transform(sample, step, order).values}, checking the
-    sample, the step and the responses and evaluating the step's left limits
-    once for every order."""
-    uncensored = _check_sample(sample).delta == 1
+    """{order: synthetic_transform(sample, step, order).values}: _kaplan_meier_responses at the step's
+    left limits, evaluated once for every order, after the sample, the step and the orders are checked,
+    with the row's fault raised."""
+    y, delta = _check_sample(sample).y[None], sample.delta[None]
     _check_instance(step, SurvivalStep, "step")
-    _check_responses(sample.y, uncensored, orders)
-    gbar = step.eval(sample.y, side="left")
-    return {o: _divide_by_survival(sample.y, uncensored, o, gbar) for o in orders}
+    for order in orders:
+        _check_order(order)
+    tau, (fault,) = _kaplan_meier_responses(y, delta, orders, step.eval(y, side="left"))
+    if fault is not None:
+        raise fault
+    return {o: t[0] for o, t in tau.items()}
 
 
-def _kaplan_meier_responses(y: np.ndarray, delta: np.ndarray, orders) -> tuple:
-    """({order: responses}, faults) of samples stacked along the first axis of y and delta, each under
-    its own Kaplan-Meier left limits, from one product-limit pass (_left_limits) for all of them.
+def _kaplan_meier_responses(y: np.ndarray, delta: np.ndarray, orders, gbar=None) -> tuple:
+    """({order: responses}, faults) of samples stacked along the first axis of y and delta: each row's
+    delta * y**(-order) / gbar, where gbar holds its censoring survival at each response, by default its
+    own Kaplan-Meier left limits from one product-limit pass for all rows (_left_limits).
 
-    Row r's responses are _synthetic_responses(sample r, km_censoring_survival(sample r), orders)
-    bit for bit. faults[r] is the DataError that call raises, or None, and a row with a fault is
-    not to be read. At most one NonPositiveResponseWarning is issued, as _check_responses issues
-    it, for the rows without a zero response.
+    The default left limits are km_censoring_survival's, bit for bit, so row r's responses are then
+    those of synthetic_transform at that step. faults[r] is the DataError of row r, or None, and a row
+    with a fault is not to be read: a zero uncensored response under an inverse order, else a censoring
+    survival of zero at an uncensored response, else a response that overflows. At most one
+    NonPositiveResponseWarning is issued, as _check_responses issues it, for the rows without a zero
+    response.
     """
     uncensored = delta == 1
     inverse = [o for o in orders if o in (1, 2)]
     zero = np.any(uncensored & (y == 0.0), axis=-1) & bool(inverse)
     if inverse and np.any(uncensored & (y < 0.0) & ~zero[:, None]):
         _warn_nonpositive()
-    gbar = _left_limits(y, delta)  # at least 1/n: the factors before position s multiply to at least (n - s) / n
-    with np.errstate(over="ignore"):  # an overflow fails the row
+    if gbar is None:  # Kaplan-Meier's left limits are at least 1/n: the factors before position s multiply to
+        gbar = _left_limits(y, delta)  # at least (n - s) / n
+    vanished = np.any(uncensored & (gbar <= 0.0), axis=-1)
+    with np.errstate(all="ignore"):  # an overflow, or a division by a vanished survival, fails the row
         tau = {o: np.divide(_moment(y, uncensored, o), gbar, out=np.zeros(y.shape), where=uncensored) for o in orders}
-    finite = np.ones(len(y), dtype=bool)
-    for t in tau.values():
-        finite &= np.isfinite(t).all(axis=-1)
-    faults = [_zero_response(inverse[0]) if z else None if f else DataError(_OVERFLOW)
-              for z, f in zip(zero.tolist(), finite.tolist())]
+    finite = np.all([np.isfinite(t).all(axis=-1) for t in tau.values()], axis=0)  # orders is never empty
+    faults = [_zero_response(inverse[0]) if z else DataError(_VANISHED) if v else None if f else DataError(_OVERFLOW)
+              for z, v, f in zip(zero.tolist(), vanished.tolist(), finite.tolist())]
     return tau, faults
 
 
@@ -421,5 +417,5 @@ def _write_csv(path, header, rows) -> None:
     while chunk := list(islice(lines, _CSV_CHUNK_LINES)):
         chunk.append("")  # so the join ends the chunk's last line too
         text.append("\r\n".join(chunk))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(text)

@@ -172,7 +172,9 @@ def test_criterion_5_synthetic_unbiasedness():
     delta = (t <= c).astype(int)
     gbar = np.exp(-rate * y)
     for order in (1, 2):
-        vals = L.survival._divide_by_survival(y, delta == 1, order, gbar)
+        tau, (fault,) = L.survival._kaplan_meier_responses(y[None], delta[None], (order,), gbar[None])
+        assert fault is None
+        vals = tau[order][0]
         truth, err = quad(
             lambda z: math.exp(-order * sigma * z) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi),
             -12.0, 12.0, limit=200,

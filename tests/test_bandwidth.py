@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from llrer import (
@@ -40,8 +40,8 @@ from llrer import (
 import llrer.bandwidth
 import llrer.loclin
 import llrer.survival
-from llrer.bandwidth import _cells, _cv_traces, _windows
-from llrer.loclin import _CHUNK, _FOLD_FACTORS, _TILE, DEFAULT_EPSILON, _blocks, _offsets
+from llrer.bandwidth import _cv_traces
+from llrer.loclin import _CHUNK, _FOLD_FACTORS, _TILE, DEFAULT_EPSILON, _blocks, _cells, _offsets, _windows
 from llrer.survival import _loo_responses
 from llrer.kernels import _kernel_of_squares
 
@@ -91,7 +91,7 @@ def block_rows(n, rows):
         return iter(cuts[-1][1])
 
     with mock.patch.object(llrer.loclin, "_BLOCK_ENTRIES", rows * _FOLD_FACTORS * n), mock.patch.object(
-        llrer.bandwidth, "_blocks", recorded_blocks
+        llrer.loclin, "_blocks", recorded_blocks
     ):
         yield
     for count, blocks in cuts:
@@ -106,7 +106,7 @@ def cv_blocks(estimators, sample, kernel, grid):
         cuts.append(list(_blocks(*args)))
         return iter(cuts[-1])
 
-    with mock.patch.object(llrer.bandwidth, "_blocks", recorded_blocks):
+    with mock.patch.object(llrer.loclin, "_blocks", recorded_blocks):
         select_bandwidths(estimators, sample, kernel, grid)
     (blocks,) = cuts
     return [(b.start, min(b.stop, sample.n)) for b in blocks]
@@ -128,7 +128,7 @@ def fold_responses(sample, order):
     for fold i of sample."""
     _, rows = _loo_responses(sample, (order,))
     out = np.empty((sample.n, sample.n))
-    for block in llrer.bandwidth._blocks(sample.n, _FOLD_FACTORS * sample.n):
+    for block in llrer.loclin._blocks(sample.n, _FOLD_FACTORS * sample.n):
         out[block] = rows(block)[order]
     return out
 
@@ -242,6 +242,12 @@ class TestCvScore:
                 for selection in selections.values():
                     assert [p.score for p in selection.trace] == [math.inf] * 10
                     assert selection.h_opt == 0.1  # every score ties, so the smallest h wins
+
+    def test_a_sum_that_overflows_is_inf_without_warning(self):
+        # each fold's squared error is finite, about 1.5e308, and only their sum overflows
+        s = CensoredSample([1.2e154, 1.25e154, 1.3e154, 1.0], [1, 1, 1, 0], [0.0, 1.0, 2.0, 3.0])
+        for kernel in KernelKind:
+            assert cv_score(Estimator.CR, s, kernel, 0.5) == math.inf
 
     def test_rejects_small_sample(self):
         s = CensoredSample([1.0], [1], [0.0])
@@ -648,6 +654,41 @@ def test_traces_do_not_depend_on_record_order(case):
             assert traces_bits(got[est]) == traces_bits(want[est]), (kernel, est)
 
 
+class TestFoldPass:
+    """loclin._fold_pass predicts every fold at every bandwidth, and bandwidth's score step counts the
+    degenerate folds from the pass's flags."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(epanechnikov_cv_cases(), st.sampled_from(list(KernelKind)), st.sampled_from(TestSelectBandwidths.SUBSETS))
+    @example(
+        (CensoredSample([1.0, 2.0, 0.5, 1.5], [1, 0, 1, 1], [0.0, 0.25, 0.5, 1.0]), BandwidthGrid(0.2, 0.25, 0.05), 1),
+        KernelKind.EPANECHNIKOV,
+        tuple(Estimator),
+    ).via("every fold degenerate")
+    @example(
+        (CensoredSample([1e308, 1.5e308, 1.2e308, 1.0], [1] * 4, [0.0, 0.25, 0.5, 0.75]), BandwidthGrid(1.0, 1.0, 1.0), 2),
+        KernelKind.GAUSSIAN,
+        tuple(Estimator),
+    ).via("sums that overflow")
+    def test_degenerate_folds_are_the_summed_flags_and_predict_zero(self, case, kernel, subset):
+        s, grid, rows = case
+        passes = []
+
+        def recorded_pass(*args):
+            fits = llrer.loclin._fold_pass(*args)
+            passes.append({e: (predictions.copy(), flags.copy()) for e, (predictions, flags) in fits.items()})
+            return fits
+
+        with block_rows(s.n, rows), mock.patch.object(llrer.bandwidth, "_fold_pass", recorded_pass):
+            traces = _cv_traces(subset, s, kernel, grid.values(), DEFAULT_EPSILON)
+        (fits,) = passes
+        assert list(fits) == list(traces) == list(subset)
+        for e, (predictions, flags) in fits.items():
+            assert predictions.shape == flags.shape == (grid.values().size, s.n)
+            assert [p.degenerate_folds for p in traces[e]] == flags.sum(axis=1).tolist()
+            assert predictions[flags].tobytes() == np.zeros(flags.sum()).tobytes()  # +0.0, bit for bit
+
+
 class TestChunks:
     """Cross-validation weighs the Gaussian kernel's bandwidths in chunks of _CHUNK. A bandwidth's
     score must not depend on its position in a chunk, on the bandwidths beside it, on the zero
@@ -713,8 +754,9 @@ class TestChunks:
 
 @contextlib.contextmanager
 def tile_folds(folds):
-    """Force tiles of `folds` folds in every block, whatever its kernel and window, and leave the blocks
-    as cross-validation cuts them: the block rule reads _TILE, so only the tile is replaced."""
+    """Force tiles of `folds` folds in every block, whatever its kernel and window. The block rule reads
+    the same tile, so a Gaussian block but the last then holds whole tiles of `folds` folds, or as many
+    folds as the factor and sums bounds allow where `folds` is 1."""
     with mock.patch.object(llrer.loclin, "_tile_folds", lambda size, columns: folds):
         yield
 
@@ -740,7 +782,8 @@ class TestTiles:
                     assert traces_bits(tiled[est]) == traces_bits(default[est]), (rows, folds, est)
 
     def test_several_tiles_per_block_and_a_short_last_one(self):
-        # blocks of 78 folds, six whole tiles of 13, and a last block of 66, five tiles and one fold
+        # blocks of 78 folds, six whole tiles of 13, and a last block of 66, five tiles and one fold; forced
+        # tiles of one fold take blocks of 87, the factor bound, and tiles of a block take the default blocks
         s = random_censored_sample(np.random.default_rng(71), 300)
         start, stop = cv_blocks(Estimator, s, KernelKind.GAUSSIAN, TestChunks.GRID)[-1]
         block = stop - start
@@ -755,7 +798,7 @@ class TestTiles:
 
 
 class TestBlockRule:
-    """A compact kernel's folds form cells (bandwidth._cells), and a block lies in one cell: it takes
+    """A compact kernel's folds form cells (loclin._cells), and a block lies in one cell: it takes
     folds while its factors, _FOLD_FACTORS per fold and per column of its cell's window (the columns
     that its cell's folds are weighed over at some bandwidth of the grid), stay within _BLOCK_ENTRIES
     floats and its sums, _FOLD_FACTORS per fold and bandwidth, within _TILE. A Gaussian cell is every

@@ -16,6 +16,7 @@ from llrer import (
     load_simulation_config,
     parse_grid_spec,
 )
+import llrer.cli
 import llrer.simulate
 from llrer.cli import (
     EXIT_CONFIG,
@@ -421,6 +422,16 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(blocker / "sub")])
         assert code == EXIT_IO
 
+    def test_unusable_outdir_fails_before_any_replication(self, tmp_path, monkeypatch):
+        runs = []
+        monkeypatch.setattr(llrer.cli, "monte_carlo_run", lambda *args, **kwargs: runs.append(args))
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("x")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        assert main(["simulate", "--config", str(cfg), "--out", str(blocker / "sub")]) == EXIT_IO
+        assert runs == []
+
     def test_repeat_runs_identical_data(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(SMALL_CFG)
@@ -480,6 +491,25 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(read_curve_rows(out)) == 3
+
+
+def test_non_ascii_config_path_under_an_ascii_locale(tmp_path):
+    # config.cfg and manifest.txt are UTF-8 whatever the locale: under LC_ALL=C without UTF-8 mode the
+    # file system decodes the path's bytes into surrogate escapes, and the manifest names it by those bytes
+    cfg = tmp_path / "\u00e9tude" / "plain.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text("# \u00e9tude \u00e0 h fixe\n" + SMALL_CFG, encoding="utf-8")
+    ascii_env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    for name, mode, env in (("ascii", "utf8=0", ascii_env), ("utf8", "utf8", os.environ)):
+        proc = subprocess.run(
+            [sys.executable, "-X", mode, "-m", "llrer", "simulate", "--config", str(cfg), "--out", str(tmp_path / name)],
+            capture_output=True, env=env,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr.decode(errors="replace")
+    manifest = (tmp_path / "ascii" / "manifest.txt").read_bytes().decode("utf-8")
+    assert f"config_file = {cfg}" in manifest.splitlines()
+    for f in ("curves.csv", "summary.csv", "config.cfg"):
+        assert (tmp_path / "ascii" / f).read_bytes() == (tmp_path / "utf8" / f).read_bytes(), f
 
 
 def test_import_leaves_the_process_pool_out():

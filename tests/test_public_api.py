@@ -103,3 +103,26 @@ def test_each_public_name_is_declared_once_by_the_module_that_defines_it():
     names = [name for module in modules for name in declared_names(module)]
     assert len(set(names)) == len(names), "a name is declared by two modules"
     assert llrer.__all__ == ["__version__", *names]
+
+
+def referenced_names(path: Path) -> set:
+    """The names that a module reads, imports or looks up as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_the_fold_pass_layout_is_loclins_own():
+    # cross-validation's blocks, tiles and chunks are laid out in loclin alone, and bandwidth scores
+    # the pass's predictions without knowing a kernel's support
+    layout = {"_BLOCK_ENTRIES", "_CHUNK", "_TILE", "_FOLD_FACTORS"}
+    assert layout <= referenced_names(SRC / "loclin.py")
+    others = {path.name: referenced_names(path) & layout for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in others.items() if found and name != "loclin.py"} == {}
+    assert "KERNEL_SUPPORT" not in referenced_names(SRC / "bandwidth.py")

@@ -255,6 +255,26 @@ class TestSyntheticTransform:
         with pytest.raises(DataError, match="zero at an uncensored response"):
             synthetic_transform(s, step, -1)
 
+    def test_overflow_under_a_tiny_step_is_a_data_error(self):
+        # 1e-10 ** -2 / 1e-300 overflows: one DataError, not a numpy warning
+        s = make([1e-10, 2.0], [1, 1])
+        step = llrer.survival.SurvivalStep([1e-20, 2.0], [1e-300, 0.0])
+        with pytest.raises(DataError, match="synthetic responses overflow"):
+            synthetic_transform(s, step, 2)
+
+    def test_stacked_faults_come_in_order(self):
+        # a zero response, then a survival of zero at an uncensored response, then an overflow
+        y = np.array([[0.0, 2.0], [1.0, 2.0], [1e-160, 2.0], [1.0, 2.0]])
+        gbar = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.5]])
+        tau, faults = llrer.survival._kaplan_meier_responses(y, np.ones((4, 2), dtype=int), (2,), gbar)
+        assert [None if f is None else str(f) for f in faults] == [
+            "inverse moment of order 2 undefined at an uncensored zero response",
+            "censoring survival is zero at an uncensored response",
+            "synthetic responses overflow; responses too close to zero",
+            None,
+        ]
+        assert tau[2][3].tolist() == [1.0, 0.5]
+
     def test_rejects_bad_order(self):
         s = make([1.0], [1])
         step = km_censoring_survival(s)
@@ -284,7 +304,9 @@ class TestSyntheticTransform:
         delta = (t <= c).astype(int)
         gbar = np.exp(-rate * y)
         for order in (1, 2):
-            vals = llrer.survival._divide_by_survival(y, delta == 1, order, gbar)
+            tau, (fault,) = llrer.survival._kaplan_meier_responses(y[None], delta[None], (order,), gbar[None])
+            assert fault is None
+            vals = tau[order][0]
             truth, _ = quad(
                 lambda z: math.exp(-order * sigma * z) * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi),
                 -12.0,
