@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, BandwidthGrid, select_bandwidth, write_cv_trace_csv
-from .errors import ConfigError, DataError, _check_integer
+from .errors import ConfigError, DataError, _check_integer, _number
 from .kernels import _DEFAULT_KERNEL, KernelKind
 from .loclin import Estimator, EstimatorConfig, fit_curve, write_curve_csv
 from .simulate import (
@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a replication study from a config file")
     p_sim.add_argument("--config", required=True, help="config file path or bundled config name")
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config file seed")
+    p_sim.add_argument("--seed", type=_number, default=None, help="override the config file seed")
     p_sim.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=_number, default=1,
         help="worker processes, at most one per replication and CPU (output is identical for any value)",
     )
     p_sim.set_defaults(func=_cmd_simulate)
@@ -183,7 +183,7 @@ def _cmd_simulate(args) -> int:
     config = load_simulation_config(_resolve_config(args.config))
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    _check_integer(args.jobs, "jobs", 1)  # as monte_carlo_run does, so a config error makes no directory
+    args.jobs = _check_integer(args.jobs, "jobs", 1)  # as monte_carlo_run does, so a config error makes no directory
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)  # so an unusable --out fails before any replication runs
     started = time.monotonic()

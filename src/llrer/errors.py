@@ -1,11 +1,13 @@
-"""Exception types shared across the package, and its one rule for scalar inputs.
+"""Exception types shared across the package, its one rule for scalar inputs, and _freeze.
 
 _check_real and _check_integer take int, float and numpy scalars, never a string, None or a bool, and
-return a Python float or int; 5.0 counts as the integer 5. _check_point takes the same numbers and
-keeps nan and +-inf, the documented degenerate evaluation points. _check_bool takes a Python or numpy
-bool and returns a bool, _check_instance takes an instance of one class and _check_collection any
-iterable but a string, as a tuple. A rejection is a ConfigError that names the parameter, what it
-must be (with its interval for a number) and shows the value as Python prints it.
+return a Python float or int; 5.0 counts as the integer 5. A number written as text, in a config file
+or a command-line flag, is read by _number and then judged by the same rule. _check_point takes the
+same numbers and keeps nan and +-inf, the documented degenerate evaluation points. _check_bool takes a
+Python or numpy bool and returns a bool, _check_instance takes an instance of one class and
+_check_collection any iterable but a string, as a tuple. A rejection is a ConfigError that names the
+parameter, what it must be (with its interval for a number) and shows the value as Python prints it.
+_freeze stores the read-only arrays of the package's frozen dataclasses.
 """
 
 import math
@@ -66,6 +68,18 @@ def _check_integer(value, name: str, lo: int, hi=math.inf) -> int:
     return int(value)
 
 
+def _number(text: str):
+    """The number that text writes, for the rule above to judge: an int where text is an integer literal, so
+    every digit of a long one is kept, else a float; a ValueError where it is neither."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+_number.__name__ = "number"  # argparse names a flag's type by it: "invalid number value: 'x'"
+
+
 def _check_point(value, name: str) -> float:
     """value as a float, or a ConfigError unless it is a real number; nan and +-inf are accepted."""
     x = _as_float(value)
@@ -86,6 +100,13 @@ def _check_instance(value, kind: type, name: str):
     if not isinstance(value, kind):
         raise _must_be(value, name, ("an " if kind.__name__[0] in "AEIOU" else "a ") + kind.__name__)
     return value
+
+
+def _freeze(record, **arrays) -> None:
+    """Make each of arrays read-only and store it on record, a frozen dataclass, as the field of its name."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(record, name, array)
 
 
 def _check_collection(value, name: str) -> tuple:

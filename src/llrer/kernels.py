@@ -49,9 +49,9 @@ _check_kernel = partial(_check_instance, kind=KernelKind, name="kernel")
 
 
 # The accepted bandwidths. h * h is then a normal float, so the squared-offset
-# weights of _kernel_of_squares equal K(u / h) to rounding, and at most 1e300,
-# so a dx * dx capped at the largest float, of a dx more than 1.3e4
-# bandwidths away, weighs exactly 0
+# weights of _relative_kernel_of_squares, times K(0), equal K(u / h) to
+# rounding, and at most 1e300, so a dx * dx capped at the largest float, of a
+# dx more than 1.3e4 bandwidths away, weighs exactly 0
 _BANDWIDTH_RANGE = (1e-150, 1e150)
 _check_bandwidth = partial(_check_real, name="bandwidth h", lo=_BANDWIDTH_RANGE[0], hi=_BANDWIDTH_RANGE[1])
 
@@ -59,7 +59,7 @@ _check_bandwidth = partial(_check_real, name="bandwidth h", lo=_BANDWIDTH_RANGE[
 # Half-width of each kernel's support: kernel_eval is exactly 0 at and beyond
 # |u| = KERNEL_SUPPORT[kind], so weights outside it need not be computed.
 KERNEL_SUPPORT = {KernelKind.GAUSSIAN: math.inf, KernelKind.EPANECHNIKOV: 1.0}
-# Each kernel's peak K(0), the factor between _kernel_of_squares and _relative_kernel_of_squares
+# Each kernel's peak K(0), the factor between K(u / h) and _relative_kernel_of_squares
 _KERNEL_AT_ZERO = {KernelKind.GAUSSIAN: 1.0 / math.sqrt(2.0 * math.pi), KernelKind.EPANECHNIKOV: 0.75}
 
 
@@ -75,17 +75,9 @@ def kernel_eval(kind: KernelKind, u):
     out = np.empty(u.shape)
     with np.errstate(over="ignore"):  # a u * u that overflows gives the exact weight 0
         np.multiply(u, u, out=out)
-        _kernel_of_squares(kind, out, 1.0, out=out)
-    return float(out) if out.ndim == 0 else out
-
-
-def _kernel_of_squares(kind: KernelKind, u2, h, out=None):
-    """K(u / h) from the squared offsets u2 = u * u, written to out (a new array by default):
-    _relative_kernel_of_squares, with its arguments and its np.errstate, times K(0). At h = 1 these are
-    kernel_eval's operations, and every accepted h gives scaled_kernel's weights to rounding."""
-    out = _relative_kernel_of_squares(kind, u2, h, out)
+        _relative_kernel_of_squares(kind, out, 1.0, out=out)
     out *= _KERNEL_AT_ZERO[kind]
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def _relative_kernel_of_squares(kind: KernelKind, u2, h, out=None):

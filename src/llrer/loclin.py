@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _check_collection, _check_instance, _check_point, _check_real
+from .errors import ConfigError, DataError, _check_collection, _check_instance, _check_point, _check_real, _freeze
 from .kernels import (
     _DEFAULT_KERNEL, _KERNEL_AT_ZERO, KERNEL_SUPPORT, KernelKind, _check_bandwidth, _check_kernel, _member_named,
     _relative_kernel_of_squares, scaled_kernel,
@@ -259,9 +259,7 @@ def _masked_ratio(num: np.ndarray, den: np.ndarray, scale: np.ndarray, eps: floa
 
 # Curves evaluate at most this many (point, observation) pairs, and
 # cross-validation builds at most this many factor entries, or one fold's, per
-# block, so their memory stays O(n) for any number of points. At n = 2000 on
-# 0.05:1.0:0.05 a Gaussian block takes 13 folds, cut to 12 of whole tiles; the
-# Epanechnikov cells of the benchmark's cv_n2000_epan input take 15 to 63
+# block, so their memory stays O(n) for any number of points
 _BLOCK_ENTRIES = 2**18
 
 
@@ -421,16 +419,14 @@ def _fold_products(pairs, tau, columns: np.ndarray, points: np.ndarray, own: int
 # every position in it and next to any other bandwidths
 _CHUNK = 16
 # Weights that one kernel pass of cross-validation writes at most: a block's
-# folds go in tiles of _TILE // (chunk size * block columns) folds, or one. At
-# n = 300 a Gaussian tile is 13 folds, and its 512 KiB of weights and its
-# factors fit in a core's L2 cache, so each chunk's weights are still there when
-# the tile's fold products read them. A fold's product does not depend on the
-# tile, so neither do its sums. A block's sums, _FOLD_FACTORS per fold and
-# bandwidth, take at most _TILE floats too (_blocks): 32 folds at n = 300 on the
-# default grid, which a Gaussian block cuts to 26, two whole tiles, and an
-# Epanechnikov block takes in each cell of 75. At _TILE >= _BLOCK_ENTRIES /
-# _FOLD_FACTORS a compact kernel's tile, of chunks of one bandwidth, holds the
-# whole block
+# folds go in tiles of _TILE // (chunk size * block columns) folds, or one. A
+# tile's weights, 512 KiB at most, and its factors fit in a core's L2 cache, so
+# each chunk's weights are still there when the tile's fold products read them.
+# A fold's product does not depend on the tile, so neither do its sums. A
+# block's sums, _FOLD_FACTORS per fold and bandwidth, take at most _TILE floats
+# too (_blocks), so no buffer of the pass is much larger than the tiles that
+# read it. At _TILE >= _BLOCK_ENTRIES / _FOLD_FACTORS a compact kernel's tile,
+# of chunks of one bandwidth, holds the whole block
 _TILE = 2**16
 
 
@@ -637,9 +633,7 @@ class FittedCurve:
         degenerate = np.array(self.degenerate, dtype=bool, ndmin=1)
         if not (grid.shape == values.shape == degenerate.shape) or grid.ndim != 1:
             raise DataError("grid, values and degenerate must be equally long 1-d arrays")
-        for name, arr in (("grid", grid), ("values", values), ("degenerate", degenerate)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, grid=grid, values=values, degenerate=degenerate)
 
 
 def _check_grid(grid) -> np.ndarray:

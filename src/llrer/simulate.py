@@ -41,7 +41,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .bandwidth import DEFAULT_BANDWIDTH_GRID, _MAX_GRID_SIZE, BandwidthGrid, select_bandwidths
-from .errors import ConfigError, _check_bool, _check_collection, _check_instance, _check_integer, _check_real
+from .errors import (
+    ConfigError, _check_bool, _check_collection, _check_instance, _check_integer, _check_real, _freeze, _number,
+)
 from .kernels import _DEFAULT_KERNEL, KernelKind, _check_bandwidth, _check_kernel
 from .loclin import (
     DEFAULT_EPSILON, Estimator, EstimatorConfig, FittedCurve, _check_epsilon, _check_grid, _curve_rows, _fit_rows
@@ -270,8 +272,7 @@ class SimulationConfig:
         if not np.all(np.isfinite(grid)):
             raise ConfigError("evaluation grid must be finite")
         theoretical_curve(grid)  # every replication's metrics need it defined on the grid
-        grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
+        _freeze(self, grid=grid)
         if isinstance(self.kernel, str):
             object.__setattr__(self, "kernel", KernelKind.from_name(self.kernel))
         _check_kernel(self.kernel)
@@ -482,7 +483,7 @@ def parse_grid_spec(spec: str) -> np.ndarray:
         raise ConfigError(f"grid spec must be lo:hi:count, got {spec!r}")
     try:
         lo, hi = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+        count = _number(parts[2])
     except ValueError:
         raise ConfigError(f"grid spec must be lo:hi:count, got {spec!r}") from None
     if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -524,9 +525,9 @@ class _Key(NamedTuple):
 
 
 _KEYS = (
-    _Key("n", int),
-    _Key("replications", int),
-    _Key("seed", int),
+    _Key("n", _number),
+    _Key("replications", _number),
+    _Key("seed", _number),
     _Key(
         "estimators",
         lambda text: tuple(Estimator.from_name(tok) for tok in text.split(",") if tok.strip()),
@@ -536,7 +537,7 @@ _KEYS = (
     _Key("c", float, _show_float),
     _Key("kernel", KernelKind.from_name, lambda kernel: kernel.value),
     _Key("grid", parse_grid_spec, _grid_spec),
-    _Key("outlier_count", int),
+    _Key("outlier_count", _number),
     _Key("outlier_mc", float, _show_float),
     _Key("h", float, _show_float),
     _Key("h_lo", float, _show_float, "lo"),

@@ -28,7 +28,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .errors import ConfigError, DataError, _check_instance, _check_integer
+from .errors import ConfigError, DataError, _check_instance, _check_integer, _freeze
 
 __all__ = [
     "CensoredSample", "NonPositiveResponseWarning", "SurvivalStep", "SyntheticResponses", "km_censoring_survival",
@@ -69,10 +69,7 @@ class CensoredSample:
             raise DataError("non-finite covariate values")
         if not ((delta == 0) | (delta == 1)).all():
             raise DataError("delta entries must be 0 or 1")
-        delta = delta.astype(np.int64)
-        for name, arr in (("y", y), ("delta", delta), ("x", x)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, y=y, delta=delta.astype(np.int64), x=x)
 
     @property
     def n(self) -> int:
@@ -107,10 +104,7 @@ class SurvivalStep:
             raise DataError("survival levels must be non-increasing")
         if values[-1] != 0.0:
             raise DataError("survival level must reach 0 at the largest observation")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "jump_times", times)
-        object.__setattr__(self, "values", values)
+        _freeze(self, jump_times=times, values=values)
 
     def eval(self, t, side: str = "right"):
         """Value at t: right-continuous (side='right') or left limit (side='left')."""
@@ -139,8 +133,7 @@ class SyntheticResponses:
         values = np.array(self.values, dtype=float, ndmin=1)
         if not np.isfinite(values).all():
             raise DataError("synthetic responses must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _freeze(self, values=values)
 
 
 def _product_limit(y: np.ndarray, delta: np.ndarray):
@@ -203,13 +196,13 @@ def _loo_responses(sample: CensoredSample, orders):
     every such fold, computed once, and a later one is divided by the fold's
     survival there. A block of rows costs O(rows * columns).
 
-    Every response that some fold other than the record's own holds is
-    checked once here, for every fold and column, so a DataError is raised
-    exactly when one of them is not finite, whichever columns rows reads.
+    The sample holds at least 2 records and orders are valid, as
+    bandwidth._cv_traces and loclin._union_orders make them. Every response
+    that some fold other than the record's own holds is checked once here,
+    for every fold and column, so a DataError is raised exactly when one of
+    them is not finite, whichever columns rows reads.
     """
     n = sample.n
-    if n < 2:
-        raise DataError("leave-one-out responses need at least 2 observations")
     uncensored = sample.delta == 1
     _, censored, plain, _, p, s = _product_limit(sample.y, sample.delta)
     k = np.arange(n)
@@ -219,8 +212,10 @@ def _loo_responses(sample: CensoredSample, orders):
     ratio = reduced / plain[np.minimum(k + 1, n - 1)]
     rescale = ratio[p]
     plain_s = plain[s]
-    target = _check_finite(_moment(sample.y, uncensored, -1) / plain_s)
-    _check_responses(sample.y, uncensored, orders)
+    with np.errstate(over="ignore"):  # an overflow fails the check
+        target = _check_finite(_moment(sample.y, uncensored, -1) / plain_s)
+    if (fault := _zero_faults(sample.y[None], uncensored[None], orders)[0]) is not None:
+        raise fault
     moments = {o: _moment(sample.y, uncensored, o) for o in orders}
     # the folds sorted before j's tie group divide m_j by rescale_i * plain[s_j], and rounding is
     # monotone, so the largest in magnitude is at the least rescale_i among them
@@ -255,24 +250,17 @@ def _check_order(order) -> None:
         raise ConfigError(f"order must be one of {SYNTHETIC_ORDERS}, got {order!r}")
 
 
-def _check_responses(y, uncensored, orders) -> None:
-    """The checks of the synthetic responses that depend on the responses alone.
-
-    One call covers several orders and raises or warns at most once.
-    """
-    for order in orders:
-        _check_order(order)
+def _zero_faults(y: np.ndarray, uncensored: np.ndarray, orders) -> list:
+    """The fault of each sample stacked along the first axis of y that its responses alone decide: the
+    DataError of an uncensored zero response under an inverse order (1 or 2), whose inverse moment is
+    undefined, or None. One NonPositiveResponseWarning is issued, at most, for the uncensored negative
+    responses of the rows without a fault."""
     inverse = [o for o in orders if o in (1, 2)]
-    if inverse:
-        y = np.asarray(y, dtype=float)
-        if np.any(uncensored & (y == 0.0)):
-            raise _zero_response(inverse[0])
-        if np.any(uncensored & (y < 0.0)):
-            _warn_nonpositive()
-
-
-def _zero_response(order: int) -> DataError:
-    return DataError(f"inverse moment of order {order} undefined at an uncensored zero response")
+    zero = np.any(uncensored & (y == 0.0), axis=-1) & bool(inverse)
+    if inverse and np.any(uncensored & (y < 0.0) & ~zero[:, None]):
+        _warn_nonpositive()
+    return [DataError(f"inverse moment of order {inverse[0]} undefined at an uncensored zero response") if z else None
+            for z in zero.tolist()]
 
 
 def _warn_nonpositive() -> None:
@@ -334,24 +322,20 @@ def _kaplan_meier_responses(y: np.ndarray, delta: np.ndarray, orders, gbar=None)
 
     The default left limits are km_censoring_survival's, bit for bit, so row r's responses are then
     those of synthetic_transform at that step. faults[r] is the DataError of row r, or None, and a row
-    with a fault is not to be read: a zero uncensored response under an inverse order, else a censoring
-    survival of zero at an uncensored response, else a response that overflows. At most one
-    NonPositiveResponseWarning is issued, as _check_responses issues it, for the rows without a zero
-    response.
+    with a fault is not to be read: a zero uncensored response under an inverse order (_zero_faults, which
+    issues at most one NonPositiveResponseWarning), else a censoring survival of zero at an uncensored
+    response, else a response that overflows.
     """
     uncensored = delta == 1
-    inverse = [o for o in orders if o in (1, 2)]
-    zero = np.any(uncensored & (y == 0.0), axis=-1) & bool(inverse)
-    if inverse and np.any(uncensored & (y < 0.0) & ~zero[:, None]):
-        _warn_nonpositive()
+    zero = _zero_faults(y, uncensored, orders)
     if gbar is None:  # Kaplan-Meier's left limits are at least 1/n: the factors before position s multiply to
         gbar = _left_limits(y, delta)  # at least (n - s) / n
     vanished = np.any(uncensored & (gbar <= 0.0), axis=-1)
     with np.errstate(all="ignore"):  # an overflow, or a division by a vanished survival, fails the row
         tau = {o: np.divide(_moment(y, uncensored, o), gbar, out=np.zeros(y.shape), where=uncensored) for o in orders}
     finite = np.all([np.isfinite(t).all(axis=-1) for t in tau.values()], axis=0)  # orders is never empty
-    faults = [_zero_response(inverse[0]) if z else DataError(_VANISHED) if v else None if f else DataError(_OVERFLOW)
-              for z, v, f in zip(zero.tolist(), vanished.tolist(), finite.tolist())]
+    faults = [z if z is not None else DataError(_VANISHED) if v else None if f else DataError(_OVERFLOW)
+              for z, v, f in zip(zero, vanished.tolist(), finite.tolist())]
     return tau, faults
 
 

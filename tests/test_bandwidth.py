@@ -43,7 +43,7 @@ import llrer.survival
 from llrer.bandwidth import _cv_traces
 from llrer.loclin import _CHUNK, _FOLD_FACTORS, _TILE, DEFAULT_EPSILON, _blocks, _cells, _offsets, _windows
 from llrer.survival import _loo_responses
-from llrer.kernels import _kernel_of_squares
+from llrer.kernels import _KERNEL_AT_ZERO, _relative_kernel_of_squares
 
 POINT_FN = {Estimator.LLRER: llrer_point, Estimator.LLCR: llcr_point, Estimator.CR: cr_point}
 
@@ -465,9 +465,14 @@ class TestLeaveOneOutResponses:
         for order in (-1, 1, 2):
             np.testing.assert_allclose(fold_responses(s, order), refit_fold_responses(s, order), rtol=1e-12, atol=0.0)
 
-    def test_rejects_single_observation(self):
-        with pytest.raises(DataError):
-            _loo_responses(CensoredSample([1.0], [1], [0.0]), (-1,))
+    def test_target_overflow_is_checked_before_a_zero_response(self):
+        # the last target divides 1.7e308 by a survival of 0.5; cross-validation checks its target first,
+        # while the curves' stacked builder reports the zero response first
+        s = CensoredSample([0.0, 1.0, 1.7e308], [1, 0, 1], [0.0, 0.5, 1.0])
+        with pytest.raises(DataError, match="^synthetic responses overflow"):
+            cv_score(Estimator.LLRER, s, KernelKind.GAUSSIAN, 0.5)
+        with pytest.raises(DataError, match="^inverse moment of order 1 undefined"):
+            fit_curves({Estimator.LLRER: EstimatorConfig(0.5)}, s, [0.5])
 
     @settings(max_examples=200, deadline=None)
     @given(tied_samples(), st.data())
@@ -1065,8 +1070,9 @@ def test_window_holds_every_non_zero_weight(x, a, b, h):
         for p in (lo, hi, 0.5 * (lo + hi), np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf)):
             if lo <= p <= hi:
                 _, dx2 = _offsets(outside, np.array([p]))
-                with np.errstate(over="ignore"):  # as every caller of _kernel_of_squares holds it
-                    assert not np.any(_kernel_of_squares(kind, dx2, h)), (kind, p, start, stop)
+                with np.errstate(over="ignore"):  # as every caller of _relative_kernel_of_squares holds it
+                    weights = _relative_kernel_of_squares(kind, dx2, h) * _KERNEL_AT_ZERO[kind]
+                assert not np.any(weights), (kind, p, start, stop)
 
 
 def test_epanechnikov_folds_do_not_weigh_records_on_the_support_edge():

@@ -394,6 +394,35 @@ class TestSimulate:
         assert "jobs must be an integer in [1, inf), got 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_integral_float_keys_are_their_integers(self, tmp_path):
+        # under the input rule 40.0 counts as 40, in a config file as in SimulationConfig
+        plain, floats = tmp_path / "plain.cfg", tmp_path / "floats.cfg"
+        plain.write_text(SMALL_CFG)
+        floats.write_text(SMALL_CFG.replace("n = 40\n", "n = 40.0\n").replace("replications = 2\n", "replications = 2.0\n")
+                          .replace("seed = 77\n", "seed = 77.0\n"))
+        for cfg in (plain, floats):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == EXIT_OK
+        for name in ("curves.csv", "summary.csv", "config.cfg"):
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes(), name
+
+    def test_fractional_integer_key_is_the_rule_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG.replace("n = 40\n", "n = 40.5\n"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        message = "n must be an integer in [1, inf), got 40.5"
+        assert capsys.readouterr().err.splitlines() == [f"llrer: config error: {cfg}: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_jobs_and_seed_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CFG)
+        for out, flags in (("ints", ["--jobs", "2", "--seed", "5"]), ("floats", ["--jobs", "2.0", "--seed", "5.0"])):
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / out), *flags]) == EXIT_OK
+        for name in ("curves.csv", "summary.csv", "config.cfg"):
+            assert (tmp_path / "ints" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes(), name
+        manifest = (tmp_path / "floats" / "manifest.txt").read_text().splitlines()
+        assert "jobs = 2" in manifest and "seed = 5" in manifest
+
     def test_byte_order_mark_gives_the_same_outputs(self, tmp_path):
         plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
         plain.write_text(SMALL_CFG, encoding="utf-8")

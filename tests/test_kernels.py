@@ -6,7 +6,9 @@ import pytest
 from scipy.integrate import quad
 
 from llrer import ConfigError, KernelKind, kernel_eval, scaled_kernel
-from llrer.kernels import _BANDWIDTH_RANGE, KERNEL_SUPPORT, _check_bandwidth, _kernel_of_squares
+from llrer.kernels import (
+    _BANDWIDTH_RANGE, _KERNEL_AT_ZERO, KERNEL_SUPPORT, _check_bandwidth, _relative_kernel_of_squares,
+)
 from llrer.loclin import _offsets
 
 
@@ -133,15 +135,16 @@ def test_zero_at_and_beyond_the_support(kind):
 
 @pytest.mark.parametrize("kind", list(KernelKind))
 def test_kernel_eval_is_the_squared_offset_kernel_at_h_one(kind):
-    # cross-validation weighs squared offsets with _kernel_of_squares; at
-    # h = 1 it is kernel_eval, bit for bit, also where u * u overflows, is
-    # subnormal or is nan
+    # the fits weigh squared offsets with _relative_kernel_of_squares; at
+    # h = 1, times K(0), it is kernel_eval, bit for bit, also where u * u
+    # overflows, is subnormal or is nan
     rng = np.random.default_rng(6)
     special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e200, -1e200, 1e154, 1e-160, 1e-162, 5e-324]
     u = np.concatenate([rng.normal(scale=s, size=20000) for s in (1e-160, 1e-3, 1.0, 3.0, 40.0, 1e154)] + [special])
     with np.errstate(over="ignore"):
         u2 = u * u
-    assert np.array_equal(kernel_eval(kind, u).view(np.int64), _kernel_of_squares(kind, u2, 1.0).view(np.int64))
+    want = _relative_kernel_of_squares(kind, u2, 1.0) * _KERNEL_AT_ZERO[kind]
+    assert np.array_equal(kernel_eval(kind, u).view(np.int64), want.view(np.int64))
 
 
 
@@ -169,9 +172,10 @@ def test_squared_offset_weights_are_the_scaled_kernel_at_every_accepted_bandwidt
         except ConfigError:
             continue
         accepted += 1
-        with np.errstate(over="ignore"):  # as every caller of _kernel_of_squares holds it
+        with np.errstate(over="ignore"):  # as every caller of _relative_kernel_of_squares holds it
             dx, dx2 = _offsets(np.concatenate([u * h, far]), np.array([0.0]))
-            got, want = _kernel_of_squares(kind, dx2, h)[0], scaled_kernel(kind, h, dx)[0]
+            got = _relative_kernel_of_squares(kind, dx2, h)[0] * _KERNEL_AT_ZERO[kind]
+            want = scaled_kernel(kind, h, dx)[0]
         capped = dx2[0] == np.finfo(float).max
         assert capped[-far.size :].all() and not np.any(got[capped]) and not np.any(want[capped]), h
         got, want, u2 = got[~capped], want[~capped], (dx[0, ~capped] / h) ** 2

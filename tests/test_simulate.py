@@ -1080,6 +1080,16 @@ class TestConfigFileErrors:
         with pytest.raises(ConfigError, match="line 2: bad value for 'replications'"):
             load_simulation_config(p)
 
+    def test_integer_keys_follow_the_input_rule(self, tmp_path):
+        # an integer literal is read exactly, so a long seed keeps every digit, and any other number as a float
+        p = tmp_path / "run.cfg"
+        p.write_text("n = 10.0\nreplications = 1e1\nseed = 123456789012345678901\nc = -2\noutlier_count = 2.0\n"
+                     "grid = 1:2:3.0\n")
+        cfg = load_simulation_config(p)
+        got = (cfg.n, cfg.replications, cfg.seed, cfg.outlier_count)
+        assert got == (10, 10, 123456789012345678901, 2) and all(type(v) is int for v in got)
+        assert np.array_equal(cfg.grid, [1.0, 1.5, 2.0])
+
     def test_bad_flag(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("n = 10\nreplications = 1\nseed = 1\nc = -2\npositive_only = maybe\n")
