@@ -13,10 +13,15 @@ overflow that no fit reads still fails the call. loclin._fold_pass predicts
 every fold at every bandwidth, with the weights, the sums and the ratio
 formula of points and curves, in the blocks that loclin describes, and no
 prediction depends on the grid's other bandwidths or on the estimators
-scored alongside. The score step follows: each prediction's squared error,
-in place, and one row sum per estimator and bandwidth. A fold whose fit is
-degenerate predicts 0 (the shared convention) and its flag is counted in the
-trace, so pathological bandwidths stay visible.
+scored alongside. It yields one block of folds at a time, in fold order, and
+the score step (_score_block) takes each block as it comes: each
+prediction's squared error, in place, is added to one running score per
+estimator and bandwidth, fold by fold in fold order, so no score depends on
+where the blocks were cut, and the block's degenerate flags to one count per
+estimator and bandwidth. So no prediction outlives its block, and CV's
+memory is the pass's O(n) workspace plus O(bandwidths * estimators) scores.
+A fold whose fit is degenerate predicts 0 (the shared convention) and its
+flag is counted in the trace, so pathological bandwidths stay visible.
 
 cv_score and select_bandwidth go through the same pass, so a traced score
 always equals the score of a standalone call, alone or alongside others.
@@ -40,8 +45,9 @@ __all__ = [
 ]
 
 
-# The most values a grid may hold: cross-validation stores one prediction per
-# fold, bandwidth and estimator, so the grid's size bounds that memory
+# The most values a grid may hold: a block holds at least one fold, whose
+# sums take _FOLD_FACTORS (loclin) floats per bandwidth, so at one fold per
+# block the cap bounds that block's sums (8 MB)
 _MAX_GRID_SIZE = 10**5
 
 
@@ -99,13 +105,26 @@ def _cv_traces(estimators, sample: CensoredSample, kernel: KernelKind, hs, eps: 
     records = np.lexsort((sample.delta, sample.y, sample.x))
     sample = CensoredSample(sample.y[records], sample.delta[records], sample.x[records])
     target, fold_rows = _loo_responses(sample, _union_orders(estimators))
-    traces = {}
+    scores = {e: np.zeros(len(hs)) for e in estimators}
+    counts = {e: np.zeros(len(hs), dtype=int) for e in estimators}
+    for folds, fits in _fold_pass(estimators, sample.x, fold_rows, kernel, hs, eps):
+        _score_block(scores, counts, target[folds], fits)
+    return {e: tuple(map(CVPoint, hs, scores[e].tolist(), counts[e].tolist())) for e in estimators}
+
+
+def _score_block(scores: dict, counts: dict, target: np.ndarray, fits: dict) -> None:
+    """Add a block's squared errors to each estimator's running scores, one per bandwidth, fold by fold
+    in fold order, so no score depends on where the blocks were cut, and its degenerate flags to its
+    counts. fits = {estimator: (predictions, flags)} of the block's folds, whose targets are target;
+    the predictions are overwritten."""
     with np.errstate(over="ignore"):  # an overflowing score is inf, never nan, as in simulate's error metrics
-        for e, (p, flags) in _fold_pass(estimators, sample.x, fold_rows, kernel, hs, eps).items():
-            np.subtract(target, p, out=p)  # each prediction's squared error, in place
-            np.square(p, out=p)
-            traces[e] = tuple(map(CVPoint, hs, p.sum(axis=1).tolist(), flags.sum(axis=1).tolist()))
-    return traces
+        for e, (p, flags) in fits.items():
+            errors = p.T  # fold by bandwidth: each prediction's squared error, in place
+            np.subtract(target[:, None], errors, out=errors)
+            np.square(errors, out=errors)
+            errors[0] += scores[e]  # the score so far leads the block's running sums
+            scores[e] = np.add.accumulate(errors, out=errors)[-1]
+            counts[e] += flags.sum(axis=1)
 
 
 def cv_score(

@@ -16,17 +16,18 @@ five sums out of them through the table.
 
 Cross-validation's pass (_fold_pass) predicts every fold of a sample sorted
 by x at every bandwidth of a grid, from the leave-one-out responses of
-survival._loo_responses, and returns the predictions with their degenerate
-flags; bandwidth.py scores them. The pass reuses a block of folds over every
-bandwidth, so it builds each sum's factor, its column times dx^g, once per
-block from the same table (_fold_products, the precomputation of Fan &
-Marron, 1994) and takes the sums of a fixed-size chunk of bandwidths, 16
-with the Gaussian kernel and one with a compact kernel, with one matrix
-product per fold (_fold_estimates). The folds of a block go in tiles of at
-most _TILE weights per chunk, outermost, so a chunk's weights of a tile are
-still in cache when the tile's products read them; a fold's product is the
-same in any tile, so no sum depends on the tile size, and a compact kernel's
-tile is the whole block.
+survival._loo_responses, and yields the predictions with their degenerate
+flags block by block, in fold order; bandwidth.py scores each block as it
+comes, so no prediction outlives its block. The pass reuses a block of
+folds over every bandwidth, so it builds each sum's factor, its column times
+dx^g, once per block from the same table (_fold_products, the
+precomputation of Fan & Marron, 1994) and takes the sums of a fixed-size
+chunk of bandwidths, 16 with the Gaussian kernel and one with a compact
+kernel, with one matrix product per fold (_fold_estimates). The folds of a
+block go in tiles of at most _TILE weights per chunk, outermost, so a
+chunk's weights of a tile are still in cache when the tile's products read
+them; a fold's product is the same in any tile, so no sum depends on the
+tile size, and a compact kernel's tile is the whole block.
 
 The folds are weighed in cells (_cells). The folds form a fixed tree whose
 nodes split into halves, and a node fits at h when it holds one fold or when
@@ -44,10 +45,11 @@ column that its cell is weighed over, stay within _BLOCK_ENTRIES floats and
 its sums over every bandwidth within _TILE, so no buffer of the pass is much
 larger than the tiles that read it; a Gaussian block holds whole tiles. Each
 block builds its leave-one-out responses once, over its cell's columns. So
-the workspace is O(n * block) instead of O(n^2), next to one prediction and
-one flag per fold, bandwidth and estimator. The quadratic double-sum forms of
-LLRER and LLCR, weighed by scaled_kernel, are shipped alongside as permanent
-cross-checks for that path.
+the workspace is O(n * block) instead of O(n^2), and a block's predictions
+and flags, one per fold, bandwidth and estimator, are the only ones held at
+a time. The quadratic double-sum forms of LLRER and LLCR, weighed by
+scaled_kernel, are shipped alongside as permanent cross-checks for that
+path.
 
 Curves fit samples stacked in rows: a block of simulate's replications, or
 fit_curves' one sample. The rows share one Kaplan-Meier pass and one set of
@@ -482,15 +484,16 @@ def _fold_estimates(estimators, tau, columns: np.ndarray, points: np.ndarray, ow
     return {e: _masked_ratio(*terms[e], eps) for e in estimators}
 
 
-def _fold_pass(estimators, xs: np.ndarray, rows, kernel, hs, eps) -> dict:
-    """{estimator: (predictions, degenerate flags)}, each of shape (len(hs), folds), of cross-validation.
+def _fold_pass(estimators, xs: np.ndarray, rows, kernel, hs, eps):
+    """Yield (folds, {estimator: (predictions, degenerate flags)}) for each block of cross-validation's
+    folds, in fold order: folds is the block's slice of folds, and the predictions and flags each have
+    shape (len(hs), folds), new arrays that the caller may overwrite.
 
     Fold i holds out the record at xs[i], the covariates in ascending order, and rows(folds, columns)
     gives the leave-one-out responses of a slice of folds over a slice of columns
     (survival._loo_responses). The blocks of _blocks go one at a time: each takes its responses over
     every column that its cells are weighed over, and _fold_estimates gives its predictions.
     """
-    out = {e: (np.empty((len(hs), xs.size)), np.empty((len(hs), xs.size), dtype=bool)) for e in estimators}
     bounds, starts, stops = _cells(kernel, hs, xs)
     widths = stops.max(axis=0) - starts.min(axis=0)  # each cell's columns, over every bandwidth
     tile = _tile_folds(_CHUNK, xs.size) if KERNEL_SUPPORT[kernel] == np.inf else 1
@@ -499,10 +502,7 @@ def _fold_pass(estimators, xs: np.ndarray, rows, kernel, hs, eps) -> dict:
         outer = slice(int(starts[:, first].min()), int(stops[:, last].max()))
         inner = (starts[:, first] - outer.start, stops[:, last] - outer.start)
         tau, own = rows(block, outer), block.start - outer.start
-        for e, fit in _fold_estimates(estimators, tau, xs[outer], xs[block], own, kernel, hs, inner, eps).items():
-            for whole, part in zip(out[e], fit):
-                whole[:, block] = part
-    return out
+        yield block, _fold_estimates(estimators, tau, xs[outer], xs[block], own, kernel, hs, inner, eps)
 
 
 def _response_map(sample, step, responses, orders) -> Mapping[int, np.ndarray]:

@@ -660,8 +660,8 @@ def test_traces_do_not_depend_on_record_order(case):
 
 
 class TestFoldPass:
-    """loclin._fold_pass predicts every fold at every bandwidth, and bandwidth's score step counts the
-    degenerate folds from the pass's flags."""
+    """loclin._fold_pass predicts every fold at every bandwidth, block by block in fold order, and
+    bandwidth's score step counts the degenerate folds from the pass's flags."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(epanechnikov_cv_cases(), st.sampled_from(list(KernelKind)), st.sampled_from(TestSelectBandwidths.SUBSETS))
@@ -680,14 +680,19 @@ class TestFoldPass:
         passes = []
 
         def recorded_pass(*args):
-            fits = llrer.loclin._fold_pass(*args)
-            passes.append({e: (predictions.copy(), flags.copy()) for e, (predictions, flags) in fits.items()})
-            return fits
+            passes.append(blocks := [])
+            for folds, fits in llrer.loclin._fold_pass(*args):  # copied before the score step overwrites them
+                blocks.append((folds, {e: tuple(a.copy() for a in fit) for e, fit in fits.items()}))
+                yield folds, fits
 
         with block_rows(s.n, rows), mock.patch.object(llrer.bandwidth, "_fold_pass", recorded_pass):
             traces = _cv_traces(subset, s, kernel, grid.values(), DEFAULT_EPSILON)
-        (fits,) = passes
-        assert list(fits) == list(traces) == list(subset)
+        (blocks,) = passes
+        bounds = [0] + [folds.stop for folds, _ in blocks]
+        assert [(folds.start, folds.stop) for folds, _ in blocks] == list(zip(bounds, bounds[1:])) and bounds[-1] == s.n
+        assert all(list(fits) == list(subset) for _, fits in blocks)
+        fits = {e: tuple(np.concatenate([fit[e][k] for _, fit in blocks], axis=1) for k in (0, 1)) for e in subset}
+        assert list(traces) == list(subset)
         for e, (predictions, flags) in fits.items():
             assert predictions.shape == flags.shape == (grid.values().size, s.n)
             assert [p.degenerate_folds for p in traces[e]] == flags.sum(axis=1).tolist()
@@ -892,8 +897,8 @@ class TestBlockRule:
             assert stop == bounds[cell + 1] or not fits(cell, stop - start + 1), (start, stop)
 
     def test_epanechnikov_sums_bound_on_the_default_grid(self):
-        # 200 bandwidths: the sums bound, 32 folds, binds before the factors of the cells; the stored
-        # predictions take 1.37 MiB, and blocks of 87 folds, the factor bound over every column, took 7.8 MiB
+        # 200 bandwidths: the sums bound, 32 folds, binds before the factors of the cells; blocks of 87
+        # folds, the factor bound over every column, took 7.8 MiB
         s = self.sample(300)
         assert _TILE // (_FOLD_FACTORS * DEFAULT_BANDWIDTH_GRID.values().size) == 32
         bounds = _cells(KernelKind.EPANECHNIKOV, DEFAULT_BANDWIDTH_GRID.values(), np.sort(s.x))[0].tolist()
@@ -926,7 +931,7 @@ class TestBlockRule:
                                        rtol=1e-12, atol=0.0, err_msg=str(est))
 
     def test_gaussian_memory_on_the_default_grid(self):
-        # the stored predictions take 1.37 MiB; blocks of 87 folds, the factor bound alone, took 8.2 MiB
+        # blocks of 87 folds, the factor bound alone, took 8.2 MiB
         s = self.sample(300)
         tracemalloc.start()
         try:
@@ -1034,8 +1039,8 @@ class TestBlocks:
     @pytest.mark.parametrize("subset", [(Estimator.LLRER,), tuple(Estimator)], ids=("llrer", "all"))
     def test_memory_stays_below_four_blocks(self, subset, kernel):
         # a block's factors take at most _BLOCK_ENTRIES floats; its offsets,
-        # responses and weights, and the stored predictions, stay below three
-        # times that more, far below one n x n array (32 MB)
+        # responses, weights and predictions stay below three times that
+        # more, far below one n x n array (32 MB)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NonPositiveResponseWarning)
             s = generate_sample(2000, -1.0, seed=7).sample
@@ -1046,6 +1051,21 @@ class TestBlocks:
             finally:
                 tracemalloc.stop()
         assert peak < 4 * llrer.loclin._BLOCK_ENTRIES * 8, peak
+
+    def test_memory_does_not_grow_with_folds_bandwidths_and_estimators(self):
+        # each block is scored as the pass yields it, so on a long grid at small n the peak stays below a
+        # quarter of one float per fold, bandwidth and estimator; storing every prediction took 11 MiB
+        grid = BandwidthGrid(1.0, 20.0, 0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonPositiveResponseWarning)
+            s = generate_sample(200, -1.0, seed=7).sample
+            tracemalloc.start()
+            try:
+                select_bandwidths(Estimator, s, KernelKind.GAUSSIAN, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < s.n * grid.values().size * len(Estimator) * 8 / 4, peak
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
